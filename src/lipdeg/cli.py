@@ -144,15 +144,6 @@ def _cmd_lp(args) -> tuple:
     return payload, 0
 
 
-def _make_profile(args, L: float):
-    if args.gridform is not None:
-        a = read_gridform(args.gridform)
-        return band_profile(a)
-    if args.gap is not None:
-        return spectral_gap_profile(L, args.gap[0], args.gap[1])
-    return uniform_layer_profile(L)
-
-
 def _cmd_bound(args) -> tuple:
     window = tuple(args.window)
     if args.sweep is not None:
@@ -166,11 +157,21 @@ def _cmd_bound(args) -> tuple:
             raise ParameterError("scale must be a power of two")
     else:
         raise ParameterError("need --scale or --sweep")
+    # a stored grid's profile does not depend on L: measure it once
+    grid_profile = None
+    if args.gridform is not None:
+        grid_profile = band_profile(read_gridform(args.gridform))
     rows = []
     reports = []
     for e in exponents:
         L = 2.0**e
-        rep = averaged_bound([_make_profile(args, L)], L, window, args.tail)
+        if grid_profile is not None:
+            prof = grid_profile
+        elif args.gap is not None:
+            prof = spectral_gap_profile(L, args.gap[0], args.gap[1])
+        else:
+            prof = uniform_layer_profile(L)
+        rep = averaged_bound([prof], L, window, args.tail)
         reports.append((L, rep))
         rows.append(
             [
@@ -325,13 +326,6 @@ def _add_common(sub) -> None:
         "--tol", type=float, default=1e-9, help="numeric tolerance (default 1e-9)"
     )
     sub.add_argument("--out", type=str, default=None, help="artifact directory")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="data-parallel worker count (this build's kernels are "
-        "single-threaded; recorded in metadata)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +417,6 @@ def main(argv=None) -> int:
         "subcommand": args.subcommand,
         "seed": args.seed,
         "tol": args.tol,
-        "threads": args.threads,
     }
     sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return code

@@ -448,9 +448,9 @@ def averaged_bound(
     (minimum) term sum.  The averaged figure replaces the per-cutoff
     cross terms by their Cauchy-Schwarz aggregate: summing the geometric
     factors over cutoffs first, then l2-aggregating band masses
-    (||P_k a||_1 <= sqrt(vol) ||P_k a||_2 and sqrt(band count) from
-    Cauchy-Schwarz), divided by the cutoff count.  averaged >= final
-    always holds.
+    (||P_k a||_1 <= sqrt(vol) ||P_k a||_2 with vol taken as 1, and
+    sqrt(band count) from Cauchy-Schwarz), divided by the cutoff count.
+    averaged >= final always holds.
 
     The profile's polylog structure lives entirely in averaged_cross
     (for the equal-mass worst case it scales like L^4 (log L)^(-1/2));
@@ -495,7 +495,6 @@ def averaged_bound(
     avg_highlow = sum(weights[c] * (per[c][0] + per[c][1]) for c in cutoffs) / W
     cs_cross = 0.0
     for prof in profiles:
-        vol = prof_volume(prof)
         active = [prof.l2.get(k, 0.0) for k in prof.bands]
         active = [v for v in active if v > 0.0]
         if _tail_mode(prof, tail, L) == "hold" and active:
@@ -511,11 +510,14 @@ def averaged_bound(
             cs_cross += (
                 L**2
                 * math.sqrt(len(active))
-                * math.sqrt(vol)
                 * math.sqrt(sum(v**2 for v in active))
             )
     averaged = avg_highlow + cs_cross / W
-    assert averaged >= final * (1.0 - 1e-12), "averaging lost the minimum bound"
+    if not averaged >= final * (1.0 - 1e-12):
+        raise ParameterError(
+            f"averaged bound {averaged!r} fell below the minimum {final!r}; "
+            "band masses must be finite and nonnegative"
+        )
     return BoundReport(
         scale=L,
         window=(cutoffs[0], cutoffs[-1]),
@@ -526,11 +528,6 @@ def averaged_bound(
         averaged_cross=cs_cross / W,
         averaged_highlow=avg_highlow,
     )
-
-
-def prof_volume(profile: BandProfile) -> float:
-    """Domain volume behind a profile (synthetic profiles report 1)."""
-    return 1.0
 
 
 def fit_polylog_exponent(samples: Sequence[tuple], power: float = 4.0) -> float:

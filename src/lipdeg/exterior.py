@@ -424,13 +424,42 @@ def from_dense(n: int, p: int, v: np.ndarray) -> ExteriorElement:
     return ExteriorElement(n, {I: float(c) for I, c in zip(basis, v) if c != 0.0})
 
 
+@lru_cache(maxsize=None)
+def wedge_nonzeros(n: int, p: int, q: int):
+    """Nonzero structure constants of wedge as read-only arrays.
+
+    Returns (target, left, right, sign) with
+    e_{I_left} ^ e_{J_right} = sign * e_{K_target}, in row-major order of
+    (left, right).  For a fixed left index, and for a fixed right index,
+    each target occurs at most once.
+    """
+    target, sign = wedge_table(n, p, q)
+    left, right = np.nonzero(target >= 0)
+    out = (target[left, right], left, right, sign[left, right].astype(float))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def wedge_dense(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense wedge of coefficient vectors (degrees p and q over R^n)."""
-    if p + q > n:
-        return np.zeros(0)
-    target, sign = wedge_table(n, p, q)
-    out = np.zeros(comb(n, p + q))
-    prod = np.multiply.outer(a, b) * sign
-    ok = target >= 0
-    np.add.at(out, target[ok], prod[ok])
+    target, left, right, sign = wedge_nonzeros(n, p, q)
+    return np.bincount(
+        target, weights=sign * a[left] * b[right], minlength=comb(n, p + q)
+    )
+
+
+def wedge_left_matrix(n: int, p: int, q: int, a: np.ndarray) -> np.ndarray:
+    """Matrix of x -> a ^ x on dense vectors (a of degree p, x of degree q)."""
+    target, left, right, sign = wedge_nonzeros(n, p, q)
+    out = np.zeros((comb(n, p + q), comb(n, q)))
+    out[target, right] = sign * a[left]
+    return out
+
+
+def wedge_right_matrix(n: int, p: int, q: int, b: np.ndarray) -> np.ndarray:
+    """Matrix of x -> x ^ b on dense vectors (x of degree p, b of degree q)."""
+    target, left, right, sign = wedge_nonzeros(n, p, q)
+    out = np.zeros((comb(n, p + q), comb(n, p)))
+    out[target, left] = sign * b[right]
     return out

@@ -280,6 +280,9 @@ def intersection_form(pres: RingPresentation) -> np.ndarray:
 
     rows, rhs = [], []
     for rel in pres.relations:
+        # relations above the top degree (u^3 on CP^2) hold vacuously
+        if pres.word_degree(rel.words()[0]) > n:
+            continue
         if any(len(w) != 2 for w in rel.words()):
             raise UnsupportedPresentation(
                 f"relation {rel.name} is not a middle-degree pair product"
@@ -404,7 +407,7 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
             best = (k, m, e)
     rho = float(best[2])
     if action.poincare_duality and rho < 1.0 - 1e-12:
-        raise AssertionError(
+        raise ParameterError(
             f"duality-completed exponent {rho} < 1; eigenvalue data inconsistent"
         )
     rho_rat = _snap(rho, tol)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 from typing import Optional, Sequence
 
@@ -40,8 +41,10 @@ from .exterior import (
     multi_indices,
     selfdual_triple,
     signature,
+    wedge_dense,
+    wedge_left_matrix,
     wedge_pairing_matrix,
-    wedge_table,
+    wedge_right_matrix,
 )
 from .errors import LipdegError
 from .rings import Assignment, RingPresentation, Relation, intersection_form
@@ -215,32 +218,6 @@ def check_middle_form(Q, n: int, cfg: Optional[SearchConfig] = None) -> Scalabil
 # -- dense workspace for the search -------------------------------------------
 
 
-def _left_matrix(P: np.ndarray, m: int, p_left: int, p_x: int) -> np.ndarray:
-    """Matrix of X -> P ^ X on dense coefficient vectors."""
-    tgt, sgn = wedge_table(m, p_left, p_x)
-    out = np.zeros((comb(m, p_left + p_x), comb(m, p_x)))
-    ii, jj = np.nonzero(tgt >= 0)
-    np.add.at(out, (tgt[ii, jj], jj), sgn[ii, jj] * P[ii])
-    return out
-
-
-def _right_matrix(S: np.ndarray, m: int, p_x: int, p_right: int) -> np.ndarray:
-    """Matrix of X -> X ^ S on dense coefficient vectors."""
-    tgt, sgn = wedge_table(m, p_x, p_right)
-    out = np.zeros((comb(m, p_x + p_right), comb(m, p_x)))
-    ii, jj = np.nonzero(tgt >= 0)
-    np.add.at(out, (tgt[ii, jj], ii), sgn[ii, jj] * S[jj])
-    return out
-
-
-def _wedge_vec(a: np.ndarray, pa: int, b: np.ndarray, pb: int, m: int) -> np.ndarray:
-    tgt, sgn = wedge_table(m, pa, pb)
-    out = np.zeros(comb(m, pa + pb))
-    ii, jj = np.nonzero(tgt >= 0)
-    np.add.at(out, tgt[ii, jj], sgn[ii, jj] * a[ii] * b[jj])
-    return out
-
-
 class _Workspace:
     """Dense-vector evaluation of one presentation inside Lambda(R^m)."""
 
@@ -251,6 +228,24 @@ class _Workspace:
         self.deg = dict(pres.generators)
         self.names = [nm for nm, _ in pres.generators]
         self.dims = {nm: comb(m, d) for nm, d in pres.generators}
+        self.cols = {}
+        at = 0
+        for nm in self.names:
+            self.cols[nm] = slice(at, at + self.dims[nm])
+            at += self.dims[nm]
+        self.n_params = at
+        # residual rows per relation; relations of degree above m vanish
+        # identically in Lambda(R^m) and get none
+        self.relations = []
+        at = 0
+        for rel in pres.relations:
+            deg = pres.word_degree(rel.monomials[0][1])
+            if deg > m:
+                continue
+            monomials = [(float(c), word) for c, word in rel.monomials]
+            self.relations.append((slice(at, at + comb(m, deg)), monomials))
+            at += comb(m, deg)
+        self.n_rows = at
         n = pres.manifold_dim
         # normalization slot: the volume element when m == n, else the
         # first lexicographic degree-n basis index
@@ -268,81 +263,70 @@ class _Workspace:
         self.top_counts = counts
         self.top_len = len(pres.top_class)
 
-    # -- evaluation ------------------------------------------------------
+    # -- the residual/Jacobian kernel ----------------------------------------
 
-    def _word_value(self, word, vecs) -> tuple:
-        val = vecs[word[0]]
+    def _prefixes(self, word, vecs) -> list:
+        """Images of the word's prefixes: x1, x1^x2, ..., the whole word."""
+        out = [vecs[word[0]]]
         deg = self.deg[word[0]]
         for g in word[1:]:
-            val = _wedge_vec(val, deg, vecs[g], self.deg[g], self.m)
+            out.append(wedge_dense(self.m, deg, self.deg[g], out[-1], vecs[g]))
             deg += self.deg[g]
-        return val, deg
-
-    def relation_values(self, vecs) -> list:
-        out = []
-        for rel in self.pres.relations:
-            acc = None
-            for coeff, word in rel.monomials:
-                val, _ = self._word_value(word, vecs)
-                term = float(coeff) * val
-                acc = term if acc is None else acc + term
-            out.append(acc)
         return out
 
+    def _add_word(self, r, J, coeff, word, vecs) -> None:
+        """Add coeff times the word's image to r and its Jacobian to J.
+
+        The block of slot t is S @ L: L wedges the prefix before slot t on
+        the left, S the suffix after it on the right.  S is kept as one
+        running matrix from the end of the word, so a word of length k
+        costs O(k) wedges.
+        """
+        prefixes = self._prefixes(word, vecs)
+        r += coeff * prefixes[-1]
+        if len(word) == 1:
+            J[:, self.cols[word[0]]] += coeff * np.eye(r.size)
+            return
+        degs = list(accumulate(self.deg[g] for g in word))
+        blocks = [None] * len(word)
+        suffix = None
+        for t in range(len(word) - 1, 0, -1):
+            g, p = word[t], degs[t - 1]
+            left = wedge_left_matrix(self.m, p, self.deg[g], prefixes[t - 1])
+            blocks[t] = left if suffix is None else suffix @ left
+            right = wedge_right_matrix(self.m, p, self.deg[g], vecs[g])
+            suffix = right if suffix is None else suffix @ right
+        blocks[0] = suffix
+        for g, block in zip(word, blocks):
+            J[:, self.cols[g]] += coeff * block
+
+    def residual_jacobian(self, vecs):
+        """Stacked relation coefficients and their Jacobian in the flat
+        generator vector.  The max absolute residual is the defect."""
+        r = np.zeros(self.n_rows)
+        J = np.zeros((self.n_rows, self.n_params))
+        for rows, monomials in self.relations:
+            for coeff, word in monomials:
+                self._add_word(r[rows], J[rows], coeff, word, vecs)
+        return r, J
+
     def defect(self, vecs) -> float:
-        vals = self.relation_values(vecs)
-        return max(
-            (float(np.max(np.abs(v))) for v in vals if v.size), default=0.0
-        )
-
-    def top_value(self, vecs) -> float:
-        val, _ = self._word_value(self.pres.top_class, vecs)
-        return float(val[self.top_slot])
-
-    # -- gradients ---------------------------------------------------------
-
-    def _word_occurrence_matrices(self, word, vecs):
-        """For each factor slot: the matrix of the word value as a linear
-        function of that slot's generator vector."""
-        mats = []
-        for pos, g in enumerate(word):
-            left = word[:pos]
-            right = word[pos + 1 :]
-            M = np.eye(self.dims[g])
-            deg_x = self.deg[g]
-            if left:
-                P, degP = self._word_value(left, vecs)
-                M = _left_matrix(P, self.m, degP, deg_x) @ M
-                deg_x += degP
-            if right:
-                S, degS = self._word_value(right, vecs)
-                M = _right_matrix(S, self.m, deg_x, degS) @ M
-            mats.append((g, M))
-        return mats
+        r, _ = self.residual_jacobian(vecs)
+        return float(np.max(np.abs(r), initial=0.0))
 
     def value_and_grad(self, vecs):
         """Sum of squared relation coefficients and its gradient."""
-        F = 0.0
-        grads = {g: np.zeros(self.dims[g]) for g in self.names}
-        for rel in self.pres.relations:
-            acc = None
-            per_word = []
-            for coeff, word in rel.monomials:
-                val, _ = self._word_value(word, vecs)
-                per_word.append((float(coeff), word))
-                term = float(coeff) * val
-                acc = term if acc is None else acc + term
-            F += float(acc @ acc)
-            for coeff, word in per_word:
-                for g, M in self._word_occurrence_matrices(word, vecs):
-                    grads[g] += 2.0 * coeff * (M.T @ acc)
-        return F, grads
+        r, J = self.residual_jacobian(vecs)
+        return float(r @ r), _unflatten(self, 2.0 * (J.T @ r))
+
+    def top_value(self, vecs) -> float:
+        return float(self._prefixes(self.pres.top_class, vecs)[-1][self.top_slot])
 
     def top_grad(self, vecs):
-        grads = {g: np.zeros(self.dims[g]) for g in self.names}
-        for g, M in self._word_occurrence_matrices(self.pres.top_class, vecs):
-            grads[g] += M[self.top_slot, :]
-        return grads
+        r = np.zeros(self.top_dim)
+        J = np.zeros((self.top_dim, self.n_params))
+        self._add_word(r, J, 1.0, self.pres.top_class, vecs)
+        return _unflatten(self, J[self.top_slot])
 
     # -- normalization ------------------------------------------------------
 
@@ -422,50 +406,12 @@ def _flatten(ws: _Workspace, vecs: dict) -> np.ndarray:
 
 
 def _unflatten(ws: _Workspace, x: np.ndarray) -> dict:
-    out, at = {}, 0
-    for g in ws.names:
-        out[g] = x[at : at + ws.dims[g]]
-        at += ws.dims[g]
-    return out
-
-
-def _residual_jacobian(ws: _Workspace, vecs: dict):
-    """Stacked relation coefficients and their Jacobian in the generators.
-
-    The max absolute entry of the residual vector is exactly the defect.
-    """
-    col = {}
-    at = 0
-    for g in ws.names:
-        col[g] = at
-        at += ws.dims[g]
-    blocks, jacs = [], []
-    for rel in ws.pres.relations:
-        acc = None
-        grads = {}
-        for coeff, word in rel.monomials:
-            val, _ = ws._word_value(word, vecs)
-            if val.size == 0:  # relation degree exceeds the ambient top
-                continue
-            term = float(coeff) * val
-            acc = term if acc is None else acc + term
-            for g, M in ws._word_occurrence_matrices(word, vecs):
-                grads[g] = grads.get(g, 0.0) + float(coeff) * M
-        if acc is None:
-            continue
-        blocks.append(acc)
-        J = np.zeros((acc.shape[0], at))
-        for g, M in grads.items():
-            J[:, col[g] : col[g] + ws.dims[g]] += M
-        jacs.append(J)
-    if not blocks:
-        return np.zeros(0), np.zeros((0, at))
-    return np.concatenate(blocks), np.vstack(jacs)
+    return {g: x[ws.cols[g]] for g in ws.names}
 
 
 def _descend(ws: _Workspace, vecs: dict, cfg: SearchConfig):
     """Damped least-squares descent; returns the best-defect incumbent."""
-    r, J = _residual_jacobian(ws, vecs)
+    r, J = ws.residual_jacobian(vecs)
     if r.size == 0:
         return 0.0, vecs
     F = float(r @ r)
@@ -486,7 +432,7 @@ def _descend(ws: _Workspace, vecs: dict, cfg: SearchConfig):
             if cand is None:
                 lam *= 4.0
                 continue
-            r2, J2 = _residual_jacobian(ws, cand)
+            r2, J2 = ws.residual_jacobian(cand)
             F2 = float(r2 @ r2)
             if F2 < F:
                 vecs, r, J, F = cand, r2, J2, F2

@@ -28,7 +28,6 @@ def test_scalable_x3_verdict(capsys):
         "subcommand": "scalable",
         "seed": 0,
         "tol": 1e-9,
-        "threads": 1,
     }
 
 
@@ -37,6 +36,12 @@ def test_scalable_x4_verdict(capsys):
     assert doc["verdict"]["status"] == "not_scalable"
     assert doc["search"]["defect"] > 1e-2
     assert doc["search"]["seed"] == 0
+
+
+def test_scalable_cp2_verdict(capsys):
+    doc = run_json(capsys, "scalable", "--preset", "CP2")
+    assert doc["verdict"]["status"] == "scalable"
+    assert doc["verdict"]["defect"] < 1e-6
 
 
 def test_scalable_numeric_preset_name(capsys):

@@ -103,6 +103,9 @@ def test_intersection_forms():
     diag = [Qcs[i][i] for i in range(5)]
     assert diag == [1, 1, -1, -1, -1]
     assert signature(np.array(Qcs.tolist(), dtype=float)) == (2, 3, 0)
+    # u^3 on CP^2 lies above the top degree and holds vacuously
+    Qcp2 = intersection_form(preset_presentations("CP2"))
+    assert Qcp2.tolist() == [[1]]
 
 
 def test_intersection_form_underdetermined():

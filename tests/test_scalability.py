@@ -136,9 +136,14 @@ def test_ambient_list_skips_small_summands():
         search_embedding(pres, [], CFG)
 
 
-def test_analytic_gradient_matches_finite_differences():
-    pres = preset_presentations("Xk", k=3)
-    ws = _Workspace(pres, 4)
+@pytest.mark.parametrize(
+    "name, params, m",
+    [("Xk", {"k": 3}, 4), ("CPn", {"n": 2}, 6)],
+    ids=["X3", "CP2-m6"],  # CP2 in R^6 keeps its length-3 relation u^3
+)
+def test_analytic_gradient_matches_finite_differences(name, params, m):
+    pres = preset_presentations(name, **params)
+    ws = _Workspace(pres, m)
     rng = np.random.default_rng(3)
     vecs = {g: rng.standard_normal(ws.dims[g]) for g in ws.names}
     F0, grads = ws.value_and_grad(vecs)
@@ -149,6 +154,23 @@ def test_analytic_gradient_matches_finite_differences():
             bumped[g][i] += h
             Fp, _ = ws.value_and_grad(bumped)
             fd = (Fp - F0) / h
+            assert abs(fd - grads[g][i]) < 1e-4 * max(1.0, abs(grads[g][i]))
+
+
+def test_top_grad_matches_finite_differences():
+    # the top word t1*t2*t3 has length 3, so every slot has a prefix or
+    # a suffix and the middle slot has both
+    pres = preset_presentations("torus(3)")
+    ws = _Workspace(pres, 6)
+    rng = np.random.default_rng(5)
+    vecs = {g: rng.standard_normal(ws.dims[g]) for g in ws.names}
+    T0, grads = ws.top_value(vecs), ws.top_grad(vecs)
+    h = 1e-6
+    for g in ws.names:
+        for i in range(ws.dims[g]):
+            bumped = {k: v.copy() for k, v in vecs.items()}
+            bumped[g][i] += h
+            fd = (ws.top_value(bumped) - T0) / h
             assert abs(fd - grads[g][i]) < 1e-4 * max(1.0, abs(grads[g][i]))
 
 
