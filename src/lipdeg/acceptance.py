@@ -18,6 +18,8 @@ import numpy as np
 
 from .bands import (
     BandProfile,
+    DyadicPartition,
+    GridForm,
     band_decompose,
     band_profile,
     bandlimited_noise_form,
@@ -150,6 +152,25 @@ def criterion_3(level: str = "full", seed: int = 0) -> CriterionResult:
     )
 
 
+def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
+    """(reconstruction error, commutator error, middle band) of one form.
+
+    Reconstruction compares the sum of all band projections with the form;
+    the commutator compares d P_k a with P_k d a at the middle band k, both
+    relative to the form's (or its derivative's) sup norm.
+    """
+    pieces = band_decompose(a, part)
+    total = sum(piece.data for piece in pieces.values())
+    recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
+    del pieces, total
+    da = exterior_derivative(a)
+    k_mid = part.bands[len(part.bands) // 2]
+    left = exterior_derivative(project_band(a, k_mid, part))
+    right = project_band(da, k_mid, part)
+    commute = float(lp_norm(left - right, "inf") / max(lp_norm(da, "inf"), 1e-300))
+    return recon, commute, k_mid
+
+
 def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
     """Band-calculus battery across dimensions and resolutions."""
     if level == "full":
@@ -161,23 +182,10 @@ def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
     support_ok = True
     for d, N in cases:
         a = bandlimited_noise_form(d, 0, N, 1.0, radius=N / 2.5, seed=seed + d)
-        pieces = band_decompose(a)
-        total = sum(p.data for p in pieces.values())
-        recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
-        worst["recon"] = max(worst["recon"], recon)
-        del pieces, total
-
         part = build_partition(d, N, 1.0)
-        da = exterior_derivative(a)
-        k_mid = part.bands[len(part.bands) // 2]
-        left = exterior_derivative(project_band(a, k_mid, part))
-        right = project_band(da, k_mid, part)
-        commute = float(
-            lp_norm(left - right, "inf") / max(lp_norm(da, "inf"), 1e-300)
-        )
+        recon, commute, _ = lp_battery(a, part)
+        worst["recon"] = max(worst["recon"], recon)
         worst["commute"] = max(worst["commute"], commute)
-        del da, left, right
-
         ortho[f"{d}x{N}"] = band_profile(a, part).orthogonality_ratio()
 
         # product support: band-k factors multiply into radius 2^(k+2),

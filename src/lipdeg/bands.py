@@ -18,12 +18,16 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
   norms by ``~ 2^{-k}``.
 
+d, its closedness residual and the primitive all read one operator table
+per (d, p), and every band loop reads one stream of band windows.
+
 Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 ``L2 = sqrt(sum_I integral a_I^2)``, ``Linf = max |a_I|``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -44,14 +48,11 @@ from .exterior import multi_indices, wedge_table
 
 __all__ = [
     "GridForm",
-    "SpectralForm",
     "DyadicPartition",
     "BandProfile",
     "grid_form",
     "zero_form",
     "grid_axes",
-    "forward_transform",
-    "inverse_transform",
     "build_partition",
     "project_band",
     "project_upto",
@@ -61,6 +62,7 @@ __all__ = [
     "lp_norm",
     "band_profile",
     "kernel_l1_diagnostics",
+    "gradient_kernels",
     "synthetic_profile",
     "wedge_grid",
     "spectral_support",
@@ -72,6 +74,11 @@ __all__ = [
 def _check_resolution(N: int) -> None:
     if N < 4 or (N & (N - 1)) != 0:
         raise ResolutionError(f"resolution must be a power of two >= 4, got {N}")
+
+
+def _check_period(T: float) -> None:
+    if not (math.isfinite(T) and T > 0):
+        raise ParameterError(f"period must be positive and finite, got {T}")
 
 
 @dataclass(frozen=True)
@@ -91,8 +98,7 @@ class GridForm:
         if not 0 <= p <= d:
             raise ShapeError(f"form degree {p} outside 0..{d}")
         _check_resolution(N)
-        if self.period <= 0:
-            raise ParameterError("period must be positive")
+        _check_period(self.period)
         want = (comb(d, p),) + (N,) * d
         if self.data.shape != want:
             raise ShapeError(f"data shape {self.data.shape}, want {want}")
@@ -134,21 +140,6 @@ class GridForm:
         return self.copy_with(self.data * float(c))
 
 
-@dataclass(frozen=True)
-class SpectralForm:
-    """Full complex spectrum of a GridForm (numpy fftn layout)."""
-
-    spatial_dim: int
-    form_degree: int
-    resolution: int
-    period: float
-    data: np.ndarray  # complex128, same shape as GridForm.data
-
-    @property
-    def indices(self) -> list:
-        return multi_indices(self.spatial_dim, self.form_degree)
-
-
 def zero_form(d: int, p: int, N: int, T: float = 1.0) -> GridForm:
     return GridForm(d, p, N, T, np.zeros((comb(d, p),) + (N,) * d))
 
@@ -173,25 +164,7 @@ def grid_form(
     return out
 
 
-# -- transforms --------------------------------------------------------------
-
-
-def forward_transform(a: GridForm) -> SpectralForm:
-    spec = np.fft.fftn(a.data, axes=tuple(range(1, a.spatial_dim + 1)))
-    return SpectralForm(a.spatial_dim, a.form_degree, a.resolution, a.period, spec)
-
-
-def inverse_transform(s: SpectralForm, tol: float = 1e-9) -> GridForm:
-    vals = np.fft.ifftn(s.data, axes=tuple(range(1, s.spatial_dim + 1)))
-    scale = float(np.max(np.abs(vals))) or 1.0
-    worst = float(np.max(np.abs(vals.imag)))
-    if worst > tol * scale:
-        raise ShapeError(
-            f"spectrum breaks conjugate symmetry: imaginary part {worst:.3e}"
-        )
-    return GridForm(
-        s.spatial_dim, s.form_degree, s.resolution, s.period, np.ascontiguousarray(vals.real)
-    )
+# -- frequency lattice and the dyadic partition ------------------------------
 
 
 @lru_cache(maxsize=3)
@@ -269,6 +242,15 @@ class DyadicPartition:
             return self.lowpass_multiplier(k, half)
         return self.lowpass_multiplier(k, half) - self.lowpass_multiplier(k - 1, half)
 
+    def windows(self, half: bool = False):
+        """Yield (k, band window) for every band, one lowpass per band."""
+        prev = None
+        for k in self.bands:
+            low = self.lowpass_multiplier(k, half)
+            window = low if prev is None else low - prev
+            prev = low  # the only lowpass kept across the yield
+            yield k, window
+
     def band_of_radius(self, r: float) -> int:
         """Index of the band whose plateau contains radius r."""
         if r <= 0:
@@ -280,8 +262,7 @@ class DyadicPartition:
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
     """Partition covering the whole lattice: lowest nonzero |xi| up to Nyquist."""
     _check_resolution(N)
-    if T <= 0:
-        raise ParameterError("period must be positive")
+    _check_period(T)
     k_min = int(np.floor(np.log2(1.0 / T)))
     r_max = np.sqrt(d) * (N / 2) / T
     k_max = int(np.ceil(np.log2(r_max)))
@@ -310,28 +291,71 @@ def project_upto(a: GridForm, k: int, part: Optional[DyadicPartition] = None) ->
     return _apply_multiplier(a, part.lowpass_multiplier(k, half=True))
 
 
+def _band_fields(a: GridForm, part: DyadicPartition):
+    """Yield (k, c, component c of P_k a) band by band, one field at a time."""
+    N, d = a.resolution, a.spatial_dim
+    axes = tuple(range(d))
+    specs = [np.fft.rfftn(c, axes=axes) for c in a.data]
+    for k, mult in part.windows(half=True):
+        for c, spec in enumerate(specs):
+            yield k, c, np.fft.irfftn(spec * mult, s=(N,) * d, axes=axes)
+
+
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
     """All band projections in one spectral pass: {k: P_k a}."""
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    N, d = a.resolution, a.spatial_dim
-    axes = tuple(range(d))
-    specs = [np.fft.rfftn(a.data[c], axes=axes) for c in range(a.data.shape[0])]
-    out = {}
-    for k in part.bands:
-        mult = part.band_multiplier(k, half=True)
-        comp = np.empty_like(a.data)
-        for c, spec in enumerate(specs):
-            comp[c] = np.fft.irfftn(spec * mult, s=(N,) * d, axes=axes)
-        out[k] = a.copy_with(comp)
+    out = {k: a.copy_with(np.empty_like(a.data)) for k in part.bands}
+    for k, c, fld in _band_fields(a, part):
+        out[k].data[c] = fld
+        del fld  # free it before the stream computes the next field
     return out
 
 
 # -- exterior derivative and primitive ---------------------------------------
 
 
-def _insert_sign(j: int, I: tuple) -> int:
-    """Sign of dx_j ^ dx_I -> dx_{sorted(I + {j})}."""
-    return -1 if sum(1 for i in I if i < j) % 2 else 1
+@lru_cache(maxsize=64)
+def _d_table(d: int, p: int) -> tuple:
+    """Rows (in-component, axis, out-component, sign) of dx_j ^ dx_I.
+
+    Rows run over input components in order, then over axes; the sign
+    reorders dx_j ^ dx_I into dx_{sorted(I + {j})}.
+    """
+    pos = {K: i for i, K in enumerate(multi_indices(d, p + 1))}
+    return tuple(
+        (ci, j - 1, pos[tuple(sorted(I + (j,)))], (-1) ** sum(i < j for i in I))
+        for ci, I in enumerate(multi_indices(d, p))
+        for j in range(1, d + 1)
+        if j not in I
+    )
+
+
+def _combine(specs, rows, factor, n_out: int) -> list:
+    """out[o] = sum of factor(axis, sign) * specs[i] over rows (i, axis, o, sign).
+
+    ``specs`` is consumed in component order, so a generator keeps one input
+    spectrum live; an output no row reaches stays None.
+    """
+    out = [None] * n_out
+    for src, spec in enumerate(specs):
+        for _, axis, tgt, sign in (r for r in rows if r[0] == src):
+            term = spec * factor(axis, sign)
+            if out[tgt] is None:
+                out[tgt] = term
+            else:
+                out[tgt] += term
+    return out
+
+
+def _synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
+    """Component planes from half-spectra (None is the zero plane)."""
+    data = np.empty((len(out_spec),) + (N,) * d)
+    for i, spec in enumerate(out_spec):
+        if spec is None:
+            data[i] = 0.0
+        else:
+            data[i] = np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
+    return data
 
 
 def exterior_derivative(a: GridForm) -> GridForm:
@@ -340,48 +364,24 @@ def exterior_derivative(a: GridForm) -> GridForm:
     if p == d:
         return zero_form(d, d, N, T)
     axes = tuple(range(d))
-    in_idx = a.indices
-    out_idx = multi_indices(d, p + 1)
-    pos = {I: i for i, I in enumerate(out_idx)}
-    out_spec = [None] * len(out_idx)
-    for ci, I in enumerate(in_idx):
-        spec = np.fft.rfftn(a.data[ci], axes=axes)
-        for j in range(1, d + 1):
-            if j in I:
-                continue
-            K = tuple(sorted(I + (j,)))
-            term = spec * (
-                2j * np.pi * _insert_sign(j, I) * _freq_axis(d, N, T, j - 1, True)
-            )
-            tgt = pos[K]
-            if out_spec[tgt] is None:
-                out_spec[tgt] = term
-            else:
-                out_spec[tgt] += term
-    data = np.empty((len(out_idx),) + (N,) * d)
-    for i, spec in enumerate(out_spec):
-        data[i] = 0.0 if spec is None else np.fft.irfftn(spec, s=(N,) * d, axes=axes)
-    return GridForm(d, p + 1, N, T, data)
+    out_spec = _combine(
+        (np.fft.rfftn(c, axes=axes) for c in a.data),
+        _d_table(d, p),
+        lambda axis, sign: 2j * np.pi * sign * _freq_axis(d, N, T, axis, True),
+        comb(d, p + 1),
+    )
+    return GridForm(d, p + 1, N, T, _synthesize(out_spec, d, N))
 
 
 def _closedness_residual(a: GridForm, specs: list) -> float:
     """Relative spectral l2 of d(a), scale- and resolution-invariant."""
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
-    if p == d:
-        return 0.0
-    out_idx = multi_indices(d, p + 1)
-    pos = {I: i for i, I in enumerate(out_idx)}
-    acc = [None] * len(out_idx)
-    for ci, I in enumerate(a.indices):
-        for j in range(1, d + 1):
-            if j in I:
-                continue
-            K = tuple(sorted(I + (j,)))
-            term = specs[ci] * (_insert_sign(j, I) * _freq_axis(d, N, T, j - 1, True))
-            if acc[pos[K]] is None:
-                acc[pos[K]] = term.copy()
-            else:
-                acc[pos[K]] += term
+    acc = _combine(
+        specs,
+        _d_table(d, p),
+        lambda axis, sign: sign * _freq_axis(d, N, T, axis, True),
+        comb(d, p + 1),
+    )
     num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
     r = _freq_radius(d, N, T, True)
     den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
@@ -431,26 +431,15 @@ def primitive(
             )
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
-    out_idx = multi_indices(d, p - 1)
-    pos = {I: i for i, I in enumerate(out_idx)}
-    out_spec = [None] * len(out_idx)
-    for ci, I in enumerate(a.indices):
-        for q, i_ax in enumerate(I):
-            J = I[:q] + I[q + 1 :]
-            sgn = (-1) ** q  # (-1)^{q-1} with q zero-based
-            # contract with the frequency vector, divide by 2*pi*i*|xi|^2
-            term = specs[ci] * (
-                sgn * _freq_axis(d, N, T, i_ax - 1, True) * inv * (-1j)
-            )
-            tgt = pos[J]
-            if out_spec[tgt] is None:
-                out_spec[tgt] = term
-            else:
-                out_spec[tgt] += term
-    data = np.empty((len(out_idx),) + (N,) * d)
-    for i, spec in enumerate(out_spec):
-        data[i] = 0.0 if spec is None else np.fft.irfftn(spec, s=(N,) * d, axes=axes)
-    return GridForm(d, p - 1, N, T, data)
+    # contraction with xi is the adjoint of xi ^: read the degree p-1 table
+    # transposed, then divide by 2 pi i |xi|^2
+    out_spec = _combine(
+        specs,
+        [(i, axis, o, sign) for o, axis, i, sign in _d_table(d, p - 1)],
+        lambda axis, sign: sign * _freq_axis(d, N, T, axis, True) * inv * (-1j),
+        comb(d, p - 1),
+    )
+    return GridForm(d, p - 1, N, T, _synthesize(out_spec, d, N))
 
 
 # -- norms and profiles -------------------------------------------------------
@@ -489,29 +478,22 @@ class BandProfile:
 
 def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandProfile:
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    N, d = a.resolution, a.spatial_dim
-    axes = tuple(range(d))
-    cell = (a.period / N) ** d
+    cell = (a.period / a.resolution) ** a.spatial_dim
     idx = a.indices
-    specs = [np.fft.rfftn(a.data[c], axes=axes) for c in range(a.data.shape[0])]
-    l1, l2, linf, per = {}, {}, {}, {}
-    for k in part.bands:
-        mult = part.band_multiplier(k, half=True)
-        s1 = s2 = si = 0.0
-        for c, spec in enumerate(specs):
-            fld = np.fft.irfftn(spec * mult, s=(N,) * d, axes=axes)
-            c1 = float(np.abs(fld).sum() * cell)
-            c2 = float(np.sqrt((fld**2).sum() * cell))
-            ci = float(np.max(np.abs(fld)))
-            per[(k, idx[c])] = (c1, c2, ci)
-            s1 += c1
-            s2 += c2**2
-            si = max(si, ci)
-        l1[k], l2[k], linf[k] = s1, float(np.sqrt(s2)), si
+    l1, s2, linf, per = {}, {}, {}, {}
+    for k, c, fld in _band_fields(a, part):
+        c1 = float(np.abs(fld).sum() * cell)
+        c2 = float(np.sqrt((fld**2).sum() * cell))
+        ci = float(np.max(np.abs(fld)))
+        del fld  # free it before the stream computes the next field
+        per[(k, idx[c])] = (c1, c2, ci)
+        l1[k] = l1.get(k, 0.0) + c1
+        s2[k] = s2.get(k, 0.0) + c2**2
+        linf[k] = max(linf.get(k, 0.0), ci)
     return BandProfile(
         bands=tuple(part.bands),
         l1=l1,
-        l2=l2,
+        l2={k: float(np.sqrt(v)) for k, v in s2.items()},
         linf=linf,
         per_component=per,
         total_l2=lp_norm(a, 2),
@@ -539,26 +521,31 @@ def kernel_l1_diagnostics(part: DyadicPartition) -> dict:
     its gradient kernel, and ``dl1_scaled`` = dl1 / (2 pi 2^k / T); both
     reported ratios stay bounded uniformly across interior bands.
     """
-    d, N, T = part.spatial_dim, part.resolution, part.period
-    axes = tuple(range(d))
+    axes = tuple(range(part.spatial_dim))
     out = {}
-    for k in part.bands:
-        mult = part.band_multiplier(k, half=False)
+    for k, mult in part.windows():
         ker = np.fft.ifftn(mult, axes=axes).real
         l1 = float(np.abs(ker).sum())
         g2 = np.zeros_like(ker)
-        for ax in range(d):
-            gk = np.fft.ifftn(
-                mult * (2j * np.pi * _freq_axis(d, N, T, ax, False)), axes=axes
-            )
+        for gk in gradient_kernels(part, mult):
             g2 += gk.real**2 + gk.imag**2
         dl1 = float(np.sqrt(g2).sum())
         out[k] = {
             "l1": l1,
             "dl1": dl1,
-            "dl1_scaled": dl1 / (2.0 * np.pi * 2.0**k / T),
+            "dl1_scaled": dl1 / (2.0 * np.pi * 2.0**k / part.period),
         }
     return out
+
+
+def gradient_kernels(part: DyadicPartition, mult: np.ndarray):
+    """Yield the per-axis gradient kernels ifftn(mult * 2 pi i xi_axis) of a
+    full-lattice multiplier."""
+    d, N, T = part.spatial_dim, part.resolution, part.period
+    for axis in range(d):
+        yield np.fft.ifftn(
+            mult * (2j * np.pi * _freq_axis(d, N, T, axis, False)), axes=tuple(range(d))
+        )
 
 
 # -- pointwise wedge and spectral supports ------------------------------------

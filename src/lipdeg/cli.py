@@ -23,13 +23,11 @@ import numpy as np
 
 from . import acceptance
 from .bands import (
-    band_decompose,
     band_profile,
     bandlimited_noise_form,
     build_partition,
     exterior_derivative,
     lp_norm,
-    project_band,
 )
 from .construct import layered_profile, recursion_plan, GeometryConstants
 from .degbound import (
@@ -100,20 +98,7 @@ def _cmd_lp(args) -> tuple:
     d, N, p = args.dim, args.resolution, args.degree
     a = bandlimited_noise_form(d, p, N, 1.0, radius=N / 2.5, seed=args.seed)
     part = build_partition(d, N, 1.0)
-    pieces = band_decompose(a, part)
-    total = sum(piece.data for piece in pieces.values())
-    recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
-    del pieces, total
-    da = exterior_derivative(a)
-    k_mid = part.bands[len(part.bands) // 2]
-    commute = float(
-        lp_norm(
-            exterior_derivative(project_band(a, k_mid, part))
-            - project_band(da, k_mid, part),
-            "inf",
-        )
-        / max(lp_norm(da, "inf"), 1e-300)
-    )
+    recon, commute, k_mid = acceptance.lp_battery(a, part)
     prof = band_profile(a, part)
     payload = {
         "dim": d,
@@ -152,6 +137,8 @@ def _cmd_bound(args) -> tuple:
             raise ParameterError("sweep needs exponents lo < hi")
         exponents = list(range(e_lo, e_hi + 1))
     elif args.scale is not None:
+        if not (math.isfinite(args.scale) and args.scale > 0):
+            raise ParameterError("scale must be a positive power of two")
         exponents = [int(round(math.log2(args.scale)))]
         if 2.0 ** exponents[0] != args.scale:
             raise ParameterError("scale must be a power of two")

@@ -29,10 +29,11 @@ import numpy as np
 from .bands import (
     BandProfile,
     GridForm,
+    _check_period,
+    _chi,
     band_profile,
     build_partition,
     grid_form,
-    lp_norm,
     synthetic_profile,
 )
 from .errors import (
@@ -370,6 +371,9 @@ def recursion_plan(
         raise ParameterError("levels must be >= 1")
     if degree_count < 1:
         raise ParameterError("degree count must be >= 1")
+    # the envelope t^(stages-1) * p^t must stay well inside float64
+    if levels * math.log2(p) + (degree_count - 1) * math.log2(levels) > 1000:
+        raise ParameterError(f"{levels} levels at base {p} overflow float64")
     geo = geometry or default_geometry()
     D = geo.subcube_side(p)
     if D <= 0:
@@ -451,31 +455,15 @@ class LayeredEnsemble:
         }
 
 
-def _chi_scalar(r: float) -> float:
-    if r <= 1.0:
-        return 1.0
-    if r >= 2.0:
-        return 0.0
-    t = 2.0 - r
-    a = math.exp(-1.0 / t)
-    b = math.exp(-1.0 / (1.0 - t))
-    return a / (a + b)
-
-
 def _dominant_band(rho: float, k_min: int) -> int:
     """Band window taking the largest value at radius rho."""
     if rho <= 0:
         return k_min
     lo = max(int(math.floor(math.log2(rho))) - 1, k_min)
-    best_k, best_v = k_min, -1.0
-    for k in range(lo, lo + 4):
-        if k == k_min:
-            v = _chi_scalar(rho / 2.0**k)
-        else:
-            v = _chi_scalar(rho / 2.0**k) - _chi_scalar(rho / 2.0 ** (k - 1))
-        if v > best_v:
-            best_k, best_v = k, v
-    return best_k
+    ks = np.arange(lo - 1, lo + 4)
+    low = _chi(rho / 2.0**ks)  # lowpass at cutoffs lo-1 .. lo+3
+    windows = low[1:] - np.where(ks[1:] == k_min, 0.0, low[:-1])
+    return lo + int(np.argmax(windows))
 
 
 _PAIR_CYCLE = ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))
@@ -503,8 +491,9 @@ def layered_profile(
         raise ParameterError("scale base p must be >= 2")
     if levels < 0:
         raise ParameterError("levels must be >= 0")
-    if mass_total <= 0:
-        raise ParameterError("mass must be positive")
+    if not (math.isfinite(mass_total) and mass_total > 0):
+        raise ParameterError("mass must be positive and finite")
+    _check_period(T)
     per_layer = mass_total / math.sqrt(levels + 1)
     freqs = [p**k for k in range(levels + 1)]
     k_min = int(math.floor(math.log2(1.0 / T)))

@@ -33,8 +33,10 @@ from .bands import (
     BandProfile,
     DyadicPartition,
     GridForm,
+    _smooth_step,
     build_partition,
     exterior_derivative,
+    gradient_kernels,
     grid_axes,
     lp_norm,
     primitive,
@@ -142,15 +144,6 @@ def degree_integral(top: GridForm, psi: Optional[GridForm] = None) -> float:
     return float((psi.data[0] * top.data[0]).sum() * cell)
 
 
-def _ramp(t: np.ndarray) -> np.ndarray:
-    """Smooth 0->1 ramp on [0,1] (flat to all orders at both ends)."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
-
-
 def bump_cutoff(d: int, N: int, T: float = 1.0, margin: float = 0.25) -> GridForm:
     """Smooth tensor-product bump: 1 on the center block, 0 near the seam.
 
@@ -164,7 +157,7 @@ def bump_cutoff(d: int, N: int, T: float = 1.0, margin: float = 0.25) -> GridFor
     vals = np.ones((N,) * d)
     for axis, x in enumerate(grid_axes(d, N, T)):
         t = np.minimum(x, T - x) / (margin * T)
-        vals = vals * _ramp(t)
+        vals = vals * _smooth_step(t)
     out.data[0] = vals
     return out
 
@@ -283,21 +276,6 @@ class RelationBandCheck:
     kernel_ratio: float  # low_norm / (grad-kernel L1 * sup g_r), <= 1 by Young
 
 
-def _lowpass_grad_l1(part: DyadicPartition, k: int) -> float:
-    """L1 mass of the gradient of the lowpass kernel (sum over axes)."""
-    d, N, T = part.spatial_dim, part.resolution, part.period
-    mult = part.lowpass_multiplier(k, half=False)
-    total = 0.0
-    for axis in range(d):
-        m = np.fft.fftfreq(N) * N / T
-        shape = [1] * d
-        shape[axis] = N
-        deriv = mult * (2j * np.pi * m.reshape(shape))
-        ker = np.fft.ifftn(deriv, axes=tuple(range(d)))
-        total += float(np.abs(ker).sum())
-    return total
-
-
 def low_band_relation_check(
     E: PullbackEnsemble,
     P: RingPresentation,
@@ -317,7 +295,11 @@ def low_band_relation_check(
     base = E.forms[0]
     part = part or build_partition(base.spatial_dim, base.resolution, base.period)
     named = _forms_by_name(E, P)
-    grad_l1 = _lowpass_grad_l1(part, k)
+    # L1 mass of the lowpass kernel's gradient, summed over axes
+    grad_l1 = sum(
+        float(np.abs(g).sum())
+        for g in gradient_kernels(part, part.lowpass_multiplier(k))
+    )
     out = {}
     for rel in P.relations:
         form = _relation_form(rel, named)

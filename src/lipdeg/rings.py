@@ -536,28 +536,34 @@ def preset_presentations(name: str, **params) -> RingPresentation:
     Numeric parameters may be embedded ("X3", "CP2", "torus(4)",
     "connected-sum(2,3)") or passed as keywords (k=3, n=2, p=2, q=3).
     """
+
+    def param(key: str) -> int:
+        if params.get(key) is None:
+            raise ParameterError(f"preset {name!r} needs parameter {key!r}")
+        return int(params[key])
+
     m = _SUM_RE.match(name)
     if m:
         return _connected_sum(int(m.group(1)), int(m.group(2)))
     if name == "connected-sum":
-        return _connected_sum(int(params["p"]), int(params["q"]))
+        return _connected_sum(param("p"), param("q"))
     m = _TORUS_RE.match(name)
     if m:
         return _torus(int(m.group(1)))
     if name == "torus":
-        return _torus(int(params["n"]))
+        return _torus(param("n"))
     if name == "S2xS2":
         return _s2xs2()
     m = re.match(r"^CP(\d+)$", name)
     if m:
         return _cpn(int(m.group(1)))
     if name == "CPn":
-        return _cpn(int(params["n"]))
+        return _cpn(param("n"))
     m = re.match(r"^X(\d+)$", name)
     if m:
         return _xk(int(m.group(1)))
     if name == "Xk":
-        return _xk(int(params["k"]))
+        return _xk(param("k"))
     raise PresetLookupError(f"unknown presentation preset {name!r}")
 
 

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import struct
 
 import pytest
 
+from lipdeg import errors
+from lipdeg.bands import zero_form
 from lipdeg.cli import main
+from lipdeg.gridio import write_gridform
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +79,40 @@ def test_missing_input_file_exits_one(capsys, tmp_path):
     )
     assert code == 1
     assert json.loads(err)["error"] == "FileNotFoundError"
+
+
+def _nan_period_gfrm(tmp_path):
+    path = tmp_path / "nan.gfrm"
+    write_gridform(path, zero_form(2, 0, 8))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<d", raw, 16, float("nan"))  # period after magic + 3 u32
+    path.write_bytes(bytes(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scalable", "--preset", "Xk"],
+        ["scalable", "--preset", "CPn"],
+        ["scalable", "--preset", "torus"],
+        ["scalable", "--preset", "connected-sum", "--p", "2"],
+        ["bound", "--scale", "nan"],
+        ["bound", "--scale", "inf"],
+        ["plan", "--p", "2", "--levels", "2000", "--degree-count", "3"],
+        ["synth", "--period", "nan"],
+        ["synth", "--mass", "inf"],
+        ["profile", "--input", "NAN_PERIOD_GFRM"],
+    ],
+)
+def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
+    argv = [_nan_period_gfrm(tmp_path) if a == "NAN_PERIOD_GFRM" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in errors.__all__
 
 
 def test_bound_requires_scale_or_sweep(capsys):
