@@ -41,7 +41,7 @@ from .degbound import (
     spectral_gap_profile,
     uniform_layer_profile,
 )
-from .exterior import signature_exact, wedge_pairing_matrix
+from .exterior import JsonFields, jsonable, signature_exact, wedge_pairing_matrix
 from .rings import (
     intersection_form,
     lipschitz_lower_exponent,
@@ -59,7 +59,7 @@ from .scalability import (
 
 
 @dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(JsonFields):
     number: int
     name: str
     passed: bool
@@ -69,14 +69,6 @@ class CriterionResult:
         tag = "PASS" if self.passed else "FAIL"
         summary = self.details.get("summary", "")
         return f"criterion {self.number:2d} [{tag}] {self.name}: {summary}"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "name": self.name,
-            "passed": self.passed,
-            "details": self.details,
-        }
 
 
 def criterion_1(level: str = "full", seed: int = 0) -> CriterionResult:
@@ -122,7 +114,7 @@ def criterion_2(level: str = "full", seed: int = 0) -> CriterionResult:
         "scalability_verdicts",
         ok,
         {
-            "defects": {str(k): defects[k] for k in defects},
+            "defects": defects,
             "statuses": statuses,
             "restarts_k4": restarts,
             "summary": f"defects k<=3 max {max(defects[k] for k in (1, 2, 3)):.2e}, "
@@ -281,8 +273,8 @@ def criterion_6(level: str = "full", seed: int = 0) -> CriterionResult:
         "sphere_degree",
         ok,
         {
-            "degree_errors": {str(d): errs[d] for d in errs},
-            "lipschitz_over_d": {str(d): ratios[d] for d in ratios},
+            "degree_errors": errs,
+            "lipschitz_over_d": ratios,
             "ratio_spread": spread,
             "summary": f"max degree error {max(errs.values()):.1e}, "
             f"Lip/d spread {spread:.3f}",
@@ -390,7 +382,7 @@ def criterion_9(level: str = "full", seed: int = 0) -> CriterionResult:
         L = 2.0**e
         prof = _scaled_profile(ens.profile, L**2)
         rep = averaged_bound([prof], L)
-        bounds[str(e)] = rep.final_bound / L**4
+        bounds[e] = rep.final_bound / L**4
     ok = (
         closed < 1e-9
         and request_err < 0.05
@@ -425,8 +417,8 @@ def criterion_10(level: str = "full", seed: int = 0) -> CriterionResult:
         "growth_exponents",
         ok,
         {
-            "degree_exponent": str(rep.degree_exponent_rational),
-            "weight_alpha": str(alpha),
+            "degree_exponent": rep.degree_exponent_rational,
+            "weight_alpha": alpha,
             "weight_multiplicity": mult,
             "summary": f"degree exponent {rep.degree_exponent_rational}, "
             f"weights ({alpha}, {mult})",
@@ -444,8 +436,8 @@ def criterion_11(level: str = "full", seed: int = 0) -> CriterionResult:
     """
     first = [criterion_2("quick", seed), criterion_5("quick", seed)]
     second = [criterion_2("quick", seed), criterion_5("quick", seed)]
-    blob_a = json.dumps([c.to_json_dict() for c in first], sort_keys=True)
-    blob_b = json.dumps([c.to_json_dict() for c in second], sort_keys=True)
+    blob_a = json.dumps(jsonable(first), sort_keys=True)
+    blob_b = json.dumps(jsonable(second), sort_keys=True)
     ok = blob_a == blob_b
     return CriterionResult(
         11,
@@ -476,11 +468,11 @@ CRITERIA = (
 
 
 def run_all(level: str = "full", seed: int = 0) -> dict:
-    """Run the full battery; the result dict is JSON-ready and deterministic."""
+    """Run the full battery; ``jsonable`` of the result is deterministic."""
     results = [fn(level, seed) for fn in CRITERIA]
     return {
         "level": level,
         "seed": seed,
-        "criteria": [r.to_json_dict() for r in results],
+        "criteria": results,
         "all_passed": all(r.passed for r in results),
     }

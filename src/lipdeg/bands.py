@@ -251,13 +251,6 @@ class DyadicPartition:
             prev = low  # the only lowpass kept across the yield
             yield k, window
 
-    def band_of_radius(self, r: float) -> int:
-        """Index of the band whose plateau contains radius r."""
-        if r <= 0:
-            return self.k_min
-        k = int(np.ceil(np.log2(r)))
-        return min(max(k, self.k_min), self.k_max)
-
 
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
     """Partition covering the whole lattice: lowest nonzero |xi| up to Nyquist."""
@@ -471,9 +464,6 @@ class BandProfile:
     def orthogonality_ratio(self) -> float:
         s = sum(v**2 for v in self.l2.values())
         return s / self.total_l2**2 if self.total_l2 else 0.0
-
-    def mass(self, k: int, which: str = "l1") -> float:
-        return getattr(self, which).get(k, 0.0)
 
 
 def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandProfile:

@@ -7,7 +7,8 @@ artifacts (CSV tables, grid containers, profile CSVs) land in ``--out``
 when given, and every CSV carries a header row plus the seed column.
 
 Exit status: 0 on success, 1 on a domain error (the error is reported as
-a one-line JSON object on stderr), 2 on usage errors (argparse).
+a one-line JSON object on stderr; a result holding NaN or Infinity is one),
+2 on usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .degbound import (
     uniform_layer_profile,
 )
 from .errors import LipdegError, ParameterError
+from .exterior import jsonable
 from .gridio import read_gridform, write_band_profile, write_gridform
 from .rings import (
     intersection_form,
@@ -88,8 +90,8 @@ def _cmd_scalable(args) -> tuple:
     payload = {
         "preset": args.preset,
         "parameters": _preset_params(args),
-        "verdict": verdict.to_json_dict(),
-        "search": search.to_json_dict(),
+        "verdict": verdict,
+        "search": search,
     }
     return payload, 0
 
@@ -104,13 +106,13 @@ def _cmd_lp(args) -> tuple:
         "dim": d,
         "degree": p,
         "resolution": N,
-        "bands": list(part.bands),
+        "bands": part.bands,
         "reconstruction_error": recon,
         "commutator_error": commute,
         "commutator_band": k_mid,
         "orthogonality_ratio": prof.orthogonality_ratio(),
-        "band_l1": {str(k): v for k, v in prof.l1.items()},
-        "band_l2": {str(k): v for k, v in prof.l2.items()},
+        "band_l1": prof.l1,
+        "band_l2": prof.l2,
         "total_l2": prof.total_l2,
         "artifacts": [],
     }
@@ -133,22 +135,20 @@ def _cmd_bound(args) -> tuple:
     window = tuple(args.window)
     if args.sweep is not None:
         e_lo, e_hi = args.sweep
-        if e_lo >= e_hi:
-            raise ParameterError("sweep needs exponents lo < hi")
+        if not e_lo < e_hi < 1024:
+            raise ParameterError("sweep needs exponents lo < hi < 1024")
         exponents = list(range(e_lo, e_hi + 1))
     elif args.scale is not None:
-        if not (math.isfinite(args.scale) and args.scale > 0):
+        mantissa, e = math.frexp(args.scale)
+        if mantissa != 0.5:
             raise ParameterError("scale must be a positive power of two")
-        exponents = [int(round(math.log2(args.scale)))]
-        if 2.0 ** exponents[0] != args.scale:
-            raise ParameterError("scale must be a power of two")
+        exponents = [e - 1]
     else:
         raise ParameterError("need --scale or --sweep")
     # a stored grid's profile does not depend on L: measure it once
     grid_profile = None
     if args.gridform is not None:
         grid_profile = band_profile(read_gridform(args.gridform))
-    rows = []
     reports = []
     for e in exponents:
         L = 2.0**e
@@ -158,40 +158,34 @@ def _cmd_bound(args) -> tuple:
             prof = spectral_gap_profile(L, args.gap[0], args.gap[1])
         else:
             prof = uniform_layer_profile(L)
-        rep = averaged_bound([prof], L, window, args.tail)
-        reports.append((L, rep))
-        rows.append(
-            [
-                e,
-                repr(rep.final_bound),
-                repr(rep.averaged),
-                repr(rep.averaged_cross),
-                args.seed,
-            ]
-        )
+        reports.append((e, averaged_bound([prof], L, window, args.tail)))
     payload = {
-        "window": list(window),
+        "window": window,
         "tail": args.tail,
         "sweep": [
             {
-                "log2_L": int(round(math.log2(L))),
+                "log2_L": e,
                 "final_bound": rep.final_bound,
                 "averaged": rep.averaged,
                 "averaged_cross": rep.averaged_cross,
             }
-            for L, rep in reports
+            for e, rep in reports
         ],
         "artifacts": [],
     }
     if len(reports) == 1:
-        payload["report"] = reports[0][1].to_json_dict()
-    if len(reports) >= 2:
+        payload["report"] = reports[0][1]
+    else:
         payload["fitted_polylog_exponent"] = fit_polylog_exponent(
-            [(L, rep.averaged_cross) for L, rep in reports]
+            [(rep.scale, rep.averaged_cross) for _, rep in reports]
         )
     if args.out:
         out = _out_dir(args)
         table = out / "bound_sweep.csv"
+        rows = [
+            [e, repr(rep.final_bound), repr(rep.averaged), repr(rep.averaged_cross), args.seed]
+            for e, rep in reports
+        ]
         _write_csv(
             table,
             ["log2_L", "final_bound", "averaged", "averaged_cross", "seed"],
@@ -209,10 +203,10 @@ def _cmd_profile(args) -> tuple:
         "dim": a.spatial_dim,
         "degree": a.form_degree,
         "resolution": a.resolution,
-        "bands": list(prof.bands),
-        "l1": {str(k): v for k, v in prof.l1.items()},
-        "l2": {str(k): v for k, v in prof.l2.items()},
-        "linf": {str(k): v for k, v in prof.linf.items()},
+        "bands": prof.bands,
+        "l1": prof.l1,
+        "l2": prof.l2,
+        "linf": prof.linf,
         "total_l2": prof.total_l2,
         "orthogonality_ratio": prof.orthogonality_ratio(),
         "artifacts": [],
@@ -228,7 +222,7 @@ def _cmd_profile(args) -> tuple:
 def _cmd_plan(args) -> tuple:
     geometry = GeometryConstants.unit() if args.geometry == "unit" else None
     plan = recursion_plan(args.p, args.levels, args.degree_count, geometry)
-    payload = {"plan": plan.to_json_dict(), "artifacts": []}
+    payload = {"plan": plan, "artifacts": []}
     if args.out:
         out = _out_dir(args)
         table = out / "plan_levels.csv"
@@ -254,7 +248,7 @@ def _cmd_synth(args) -> tuple:
         T=args.period,
         seed=args.seed,
     )
-    payload = {"ensemble": ens.to_json_dict(), "artifacts": []}
+    payload = {"ensemble": ens, "artifacts": []}
     if ens.ensemble is not None:
         payload["closedness"] = float(
             lp_norm(exterior_derivative(ens.ensemble), "inf")
@@ -275,29 +269,21 @@ def _cmd_synth(args) -> tuple:
 def _cmd_exponent(args) -> tuple:
     action = preset_cohomology_action(args.preset, t=args.t)
     rep = lipschitz_lower_exponent(action, tol=args.tol)
-    payload = {"preset": args.preset, "exponent": rep.to_json_dict()}
+    payload = {"preset": args.preset, "exponent": rep}
     try:
         weights = preset_weights(args.preset)
     except LipdegError:
         weights = None
     if weights is not None:
         alpha, mult = positive_weight_exponents(weights)
-        payload["weights"] = {
-            "pairs": [list(w) for w in weights],
-            "alpha": f"{alpha.numerator}/{alpha.denominator}",
-            "multiplicity": mult,
-        }
+        payload["weights"] = {"pairs": weights, "alpha": alpha, "multiplicity": mult}
     return payload, 0
 
 
 def _cmd_verify(args) -> tuple:
     report = acceptance.run_all(args.level, args.seed)
     for crit in report["criteria"]:
-        tag = "PASS" if crit["passed"] else "FAIL"
-        sys.stderr.write(
-            f"criterion {crit['number']:2d} [{tag}] {crit['name']}: "
-            f"{crit['details'].get('summary', '')}\n"
-        )
+        sys.stderr.write(crit.line() + "\n")
     sys.stderr.write(
         ("all criteria passed\n" if report["all_passed"] else "FAILURES above\n")
     )
@@ -396,16 +382,20 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         payload, code = args.func(args)
+        payload["meta"] = {
+            "subcommand": args.subcommand,
+            "seed": args.seed,
+            "tol": args.tol,
+        }
+        try:
+            text = json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
+        except ValueError as exc:
+            raise ParameterError(f"result is not finite: {exc}") from None
     except (LipdegError, OSError) as exc:
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 1
-    payload["meta"] = {
-        "subcommand": args.subcommand,
-        "seed": args.seed,
-        "tol": args.tol,
-    }
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(text + "\n")
     return code
 
 

@@ -41,6 +41,7 @@ from .errors import (
     ParameterError,
     ResolutionError,
 )
+from .exterior import jsonable
 
 __all__ = [
     "SampledSphereMap",
@@ -317,12 +318,12 @@ class RecursionPlan:
         return None
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "p": self.p,
             "levels": self.levels,
             "degree_count": self.degree_count,
             "bound": self.bound,
-            "bounds_by_level": list(self.bounds_by_level),
+            "bounds_by_level": self.bounds_by_level,
             "naive_rate": self.naive_rate,
             "naive_crossover_level": self.naive_crossover_level(),
             "envelope_constant": self.envelope_constant,
@@ -339,7 +340,7 @@ class RecursionPlan:
                 }
                 for s in self.layers
             ],
-        }
+        })
 
 
 def recursion_plan(
@@ -446,13 +447,13 @@ class LayeredEnsemble:
     layer_frequencies: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "requested": {str(k): v for k, v in self.requested.items()},
-            "bands": list(self.profile.bands),
-            "l1": {str(k): v for k, v in self.profile.l1.items()},
-            "layer_frequencies": list(self.layer_frequencies),
+        return jsonable({
+            "requested": self.requested,
+            "bands": self.profile.bands,
+            "l1": self.profile.l1,
+            "layer_frequencies": self.layer_frequencies,
             "grid_realized": self.ensemble is not None,
-        }
+        })
 
 
 def _dominant_band(rho: float, k_min: int) -> int:
@@ -501,12 +502,13 @@ def layered_profile(
     for f in freqs:
         band = _dominant_band(f / T, k_min)
         requested[band] = requested.get(band, 0.0) + per_layer
+    try:
+        total_l2 = math.sqrt(sum(v**2 for v in requested.values()))
+    except OverflowError:
+        raise ParameterError(f"mass {mass_total!r} overflows the band L2 norms") from None
     if N is None:
-        profile = synthetic_profile(
-            requested, total_l2=math.sqrt(sum(v**2 for v in requested.values()))
-        )
         return LayeredEnsemble(
-            profile=profile,
+            profile=synthetic_profile(requested, total_l2),
             ensemble=None,
             requested=requested,
             layer_frequencies=tuple(freqs),

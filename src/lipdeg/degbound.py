@@ -57,6 +57,7 @@ from .errors import (
     ShapeError,
     WindowError,
 )
+from .exterior import JsonFields
 from .rings import RingPresentation
 
 __all__ = [
@@ -322,7 +323,7 @@ def low_band_relation_check(
 
 
 @dataclass(frozen=True)
-class BoundReport:
+class BoundReport(JsonFields):
     scale: float
     window: tuple  # (low cutoff, high cutoff), inclusive dyadic exponents
     per_cutoff: dict  # cutoff -> (T_high, T_low, T_cross)
@@ -332,21 +333,6 @@ class BoundReport:
     averaged_cross: float  # the Cauchy-Schwarz cross component alone
     averaged_highlow: float  # the window-endpoint component (scales ~ L^3.9)
     fitted_exponent: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "scale": self.scale,
-            "window": list(self.window),
-            "per_cutoff": {
-                str(k): list(v) for k, v in sorted(self.per_cutoff.items())
-            },
-            "chosen_cutoff": self.chosen_cutoff,
-            "final_bound": self.final_bound,
-            "averaged": self.averaged,
-            "averaged_cross": self.averaged_cross,
-            "averaged_highlow": self.averaged_highlow,
-            "fitted_exponent": self.fitted_exponent,
-        }
 
 
 def _profile_bands(profile: BandProfile):
@@ -369,6 +355,10 @@ def _tail_mode(profile: BandProfile, tail: str, L: float) -> str:
     return "zero" if profile.bands[-1] >= math.floor(math.log2(L)) else "hold"
 
 
+# the high-frequency term L^4 stays inside float64 below this scale
+_MAX_SCALE = 2.0**256
+
+
 def finalbound_terms(
     profiles: Sequence[BandProfile],
     L: float,
@@ -389,8 +379,8 @@ def finalbound_terms(
         raise EmptyData("no band profiles supplied")
     if tail not in ("auto", "hold", "zero"):
         raise ParameterError("tail must be auto, hold, or zero")
-    if L <= 1:
-        raise ParameterError("scale must exceed 1")
+    if not 1 < L < _MAX_SCALE:
+        raise ParameterError("scale must exceed 1 and stay below 2^256")
     lo = min(p.bands[0] for p in profiles)
     hi = max(p.bands[-1] for p in profiles)
     if not lo - 1 <= cutoff <= hi:
@@ -528,8 +518,8 @@ def fit_polylog_exponent(samples: Sequence[tuple], power: float = 4.0) -> float:
 
 def uniform_layer_profile(L: float, mass_total: Optional[float] = None) -> BandProfile:
     """Equal-mass synthetic profile on bands 0..log2 L (worst case)."""
-    if L < 4:
-        raise ParameterError("scale must be at least 4")
+    if not 4 <= L < _MAX_SCALE:
+        raise ParameterError("scale must be at least 4 and below 2^256")
     top = int(round(math.log2(L)))
     mass_total = L**2 if mass_total is None else mass_total
     per = mass_total / math.sqrt(top + 1)
@@ -542,6 +532,8 @@ def spectral_gap_profile(
     """Uniform masses with a gap: nothing between L^beta1 and L^beta2."""
     if not 0.0 < beta1 < beta2 < 1.0:
         raise ParameterError("need 0 < beta1 < beta2 < 1")
+    if not L < _MAX_SCALE:
+        raise ParameterError("scale must stay below 2^256")
     top = int(round(math.log2(L)))
     lo = beta1 * math.log2(L)
     hi = beta2 * math.log2(L)

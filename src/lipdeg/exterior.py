@@ -17,12 +17,12 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
-from typing import Iterable, Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -43,10 +43,52 @@ __all__ = [
     "volume_element",
     "selfdual_triple",
     "antiselfdual_triple",
+    "jsonable",
+    "JsonFields",
+    "scalar_from_json",
 ]
 
 Scalar = Union[int, float, Fraction]
 MultiIndex = tuple  # strictly increasing tuple of ints in {1..n}
+
+
+# -- JSON encoding -----------------------------------------------------------
+
+
+def jsonable(x):
+    """A JSON-ready copy of x, the one encoder every result goes through.
+
+    Objects with ``to_json_dict`` use it, a Fraction becomes ``"p/q"``, a
+    numpy scalar its Python value, tuples and ranges become lists, and
+    mapping keys become strings (before ``json.dumps(sort_keys=True)``
+    sorts them, so band 10 sorts before band 4 as in every saved output).
+    """
+    if hasattr(x, "to_json_dict"):
+        return x.to_json_dict()
+    if isinstance(x, Fraction):
+        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, np.generic):
+        return x.item()
+    if isinstance(x, Mapping):
+        return {str(key): jsonable(val) for key, val in x.items()}
+    if isinstance(x, (list, tuple, range)):
+        return [jsonable(v) for v in x]
+    return x
+
+
+def scalar_from_json(c):
+    """Inverse of ``jsonable`` on scalars: ``"p/q"`` and ``"p"`` give a Fraction."""
+    if isinstance(c, str):
+        num, _, den = c.partition("/")
+        return Fraction(int(num), int(den) if den else 1)
+    return c
+
+
+class JsonFields:
+    """Dataclass mixin: ``to_json_dict`` is the fields through ``jsonable``."""
+
+    def to_json_dict(self) -> dict:
+        return {f.name: jsonable(getattr(self, f.name)) for f in fields(self)}
 
 
 def multi_indices(n: int, p: int) -> list:
@@ -160,23 +202,11 @@ class ExteriorElement:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def to_float(self) -> "ExteriorElement":
-        return ExteriorElement(
-            self.ambient_dim, {I: float(v) for I, v in self.coefficients.items()}
-        )
-
     # -- serialization -----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for I in sorted(self.coefficients):
-            c = self.coefficients[I]
-            if isinstance(c, Fraction):
-                c = f"{c.numerator}/{c.denominator}"
-            elif isinstance(c, (np.floating, np.integer)):
-                c = c.item()
-            terms.append({"I": list(I), "c": c})
-        return {"n": self.ambient_dim, "terms": terms}
+        terms = [{"I": I, "c": c} for I, c in sorted(self.coefficients.items())]
+        return jsonable({"n": self.ambient_dim, "terms": terms})
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -185,12 +215,8 @@ class ExteriorElement:
     def from_json_dict(cls, data: Mapping) -> "ExteriorElement":
         coeffs = {}
         for term in data["terms"]:
-            c = term["c"]
-            if isinstance(c, str):
-                num, _, den = c.partition("/")
-                c = Fraction(int(num), int(den) if den else 1)
             I = tuple(term["I"])
-            coeffs[I] = coeffs.get(I, 0) + c
+            coeffs[I] = coeffs.get(I, 0) + scalar_from_json(term["c"])
         return cls(int(data["n"]), coeffs)
 
     @classmethod

@@ -53,6 +53,8 @@ def read_gridform(path) -> GridForm:
     if len(body) != 8 * count:
         raise ShapeError(f"{path}: payload {len(body)} bytes, want {8 * count}")
     data = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    if not np.isfinite(data).all():
+        raise ShapeError(f"{path}: non-finite samples")
     return GridForm(d, p, N, T, data.reshape((comb(d, p),) + (N,) * d))
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -27,7 +27,6 @@ import numpy as np
 
 from .errors import (
     AssignmentError,
-    DegenerateForm,
     DimensionMismatch,
     EmptyData,
     ParameterError,
@@ -36,7 +35,7 @@ from .errors import (
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from .exterior import ExteriorElement, wedge_many
+from .exterior import ExteriorElement, JsonFields, jsonable, scalar_from_json, wedge_many
 
 __all__ = [
     "Relation",
@@ -110,21 +109,17 @@ class RingPresentation:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
+        rels = [
+            {"name": r.name, "monomials": [{"c": c, "word": w} for c, w in r.monomials]}
+            for r in self.relations
+        ]
+        return jsonable({
             "n": self.manifold_dim,
             "gens": [{"name": g, "deg": d} for g, d in self.generators],
-            "rels": [
-                {
-                    "name": r.name,
-                    "monomials": [
-                        {"c": _scalar_out(c), "word": list(w)} for c, w in r.monomials
-                    ],
-                }
-                for r in self.relations
-            ],
+            "rels": rels,
             "top": "*".join(self.top_class),
             "pd": self.poincare_duality,
-        }
+        })
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -134,7 +129,7 @@ class RingPresentation:
         rels = tuple(
             Relation(
                 r["name"],
-                tuple((_scalar_in(m["c"]), tuple(m["word"])) for m in r["monomials"]),
+                tuple((scalar_from_json(m["c"]), tuple(m["word"])) for m in r["monomials"]),
             )
             for r in data["rels"]
         )
@@ -151,23 +146,8 @@ class RingPresentation:
         return cls.from_json_dict(json.loads(text))
 
 
-def _scalar_out(c):
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    if isinstance(c, (np.floating, np.integer)):
-        return c.item()
-    return c
-
-
-def _scalar_in(c):
-    if isinstance(c, str):
-        num, _, den = c.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return c
-
-
 @dataclass(frozen=True)
-class Assignment:
+class Assignment(JsonFields):
     """Exterior-algebra images of the generators, shared ambient dimension."""
 
     ambient_dim: int
@@ -343,30 +323,13 @@ class CohomologyAction:
 
 
 @dataclass(frozen=True)
-class ExponentReport:
+class ExponentReport(JsonFields):
     rho: float
     rho_rational: Optional[Fraction]
     degree_exponent: float
     degree_exponent_rational: Optional[Fraction]
     lip_exponent: float  # rho / n; Lip f >= c |deg f|^{lip_exponent}
     witnesses: tuple  # of (degree k, |eigenvalue|, exponent)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "rho_rational": None
-            if self.rho_rational is None
-            else f"{self.rho_rational.numerator}/{self.rho_rational.denominator}",
-            "degree_exponent": self.degree_exponent,
-            "degree_exponent_rational": None
-            if self.degree_exponent_rational is None
-            else (
-                f"{self.degree_exponent_rational.numerator}/"
-                f"{self.degree_exponent_rational.denominator}"
-            ),
-            "lip_exponent": self.lip_exponent,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
 
 
 def _snap(x: float, tol: float = 1e-9) -> Optional[Fraction]:
@@ -451,25 +414,10 @@ def positive_weight_exponents(weights: Sequence) -> tuple:
 
 
 def _xk(k: int) -> RingPresentation:
+    """k positive-definite summands: the connected sum of k copies of CP^2."""
     if k < 1:
         raise ParameterError("Xk needs k >= 1")
-    gens = tuple((f"u{i}", 2) for i in range(1, k + 1))
-    rels = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            rels.append(
-                Relation(f"u{i}u{j}", ((Fraction(1), (f"u{i}", f"u{j}")),))
-            )
-            rels.append(
-                Relation(
-                    f"u{i}^2-u{j}^2",
-                    (
-                        (Fraction(1), (f"u{i}", f"u{i}")),
-                        (Fraction(-1), (f"u{j}", f"u{j}")),
-                    ),
-                )
-            )
-    return RingPresentation(4, gens, tuple(rels), ("u1", "u1"))
+    return _connected_sum(k, 0)
 
 
 def _cpn(n: int) -> RingPresentation:

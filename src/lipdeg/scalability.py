@@ -32,10 +32,12 @@ from .errors import (
     DegenerateForm,
     DimensionMismatch,
     EmptyData,
+    LipdegError,
     ParameterError,
     ShapeError,
 )
 from .exterior import (
+    JsonFields,
     dense_vector,
     from_dense,
     multi_indices,
@@ -46,7 +48,6 @@ from .exterior import (
     wedge_pairing_matrix,
     wedge_right_matrix,
 )
-from .errors import LipdegError
 from .rings import Assignment, RingPresentation, Relation, intersection_form
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
 class SearchConfig:
     restarts: int = 16
     max_iters: int = 300
-    step_size: float = 0.5
     tolerance: float = 1e-8
     seed: int = 0
     # coefficient ball for the search domain; None lifts the cap (used when
@@ -86,7 +86,7 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class ScalabilityVerdict:
+class ScalabilityVerdict(JsonFields):
     status: str  # "scalable" | "not_scalable" | "evidence_only"
     certificate: Optional[Assignment] = None
     obstruction: Optional[dict] = None
@@ -100,20 +100,7 @@ class ScalabilityVerdict:
             raise ParameterError("scalable verdict requires a witness assignment")
 
     def to_json_dict(self) -> dict:
-        out = {"status": self.status, "notes": self.notes}
-        if self.defect is not None:
-            out["defect"] = self.defect
-        if self.certificate is not None:
-            out["certificate"] = {
-                "ambient_dim": self.certificate.ambient_dim,
-                "forms": {
-                    name: el.to_json_dict()
-                    for name, el in self.certificate.forms.items()
-                },
-            }
-        if self.obstruction is not None:
-            out["obstruction"] = self.obstruction
-        return out
+        return {k: v for k, v in super().to_json_dict().items() if v is not None}
 
 
 # -- exact middle-degree criterion --------------------------------------------
@@ -374,7 +361,7 @@ class _Workspace:
 
 
 @dataclass(frozen=True)
-class EmbeddingSearch:
+class EmbeddingSearch(JsonFields):
     assignment: Assignment
     defect: float
     restart_defects: tuple
@@ -382,23 +369,6 @@ class EmbeddingSearch:
     summand_dim: int
     converged: bool
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "defect": self.defect,
-            "restart_defects": list(self.restart_defects),
-            "best_restart": self.best_restart,
-            "summand_dim": self.summand_dim,
-            "converged": self.converged,
-            "seed": self.seed,
-            "assignment": {
-                "ambient_dim": self.assignment.ambient_dim,
-                "forms": {
-                    name: el.to_json_dict()
-                    for name, el in self.assignment.forms.items()
-                },
-            },
-        }
 
 
 def _flatten(ws: _Workspace, vecs: dict) -> np.ndarray:
@@ -568,7 +538,7 @@ def search_embedding(pres: RingPresentation, ambient, cfg: SearchConfig = Search
 
 
 @dataclass(frozen=True)
-class Kge4Report:
+class Kge4Report(JsonFields):
     status: str  # "estimated" | "counterexample"
     c_est: Optional[float]
     worst_case: Assignment
@@ -577,21 +547,6 @@ class Kge4Report:
     tuples: int
     seed: int
     k: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "c_est": self.c_est,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tuples": self.tuples,
-            "seed": self.seed,
-            "k": self.k,
-            "worst_case": {
-                name: el.to_json_dict()
-                for name, el in self.worst_case.forms.items()
-            },
-        }
 
 
 def _pair_stats(B: np.ndarray, W: np.ndarray):
@@ -702,23 +657,13 @@ def kge4_certificate(
 
 
 @dataclass(frozen=True)
-class TopclassFit:
+class TopclassFit(JsonFields):
     theta: float
     eps: tuple
     best_top: tuple
     flagged_scalable: bool
     witness_defect: Optional[float]
     intercept: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "eps": list(self.eps),
-            "best_top": list(self.best_top),
-            "flagged_scalable": self.flagged_scalable,
-            "witness_defect": self.witness_defect,
-            "intercept": self.intercept,
-        }
 
 
 def _feasible_rescale(ws: _Workspace, vecs: dict, eps: float) -> dict:

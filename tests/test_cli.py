@@ -6,7 +6,7 @@ import struct
 
 import pytest
 
-from lipdeg import errors
+from lipdeg import cli, errors
 from lipdeg.bands import zero_form
 from lipdeg.cli import main
 from lipdeg.gridio import write_gridform
@@ -81,11 +81,16 @@ def test_missing_input_file_exits_one(capsys, tmp_path):
     assert json.loads(err)["error"] == "FileNotFoundError"
 
 
-def _nan_period_gfrm(tmp_path):
+# byte offsets of a NaN written into a GFRM file: the period follows the
+# magic and three u32 fields, the first sample follows the period
+NAN_AT = {"NAN_PERIOD_GFRM": 16, "NAN_SAMPLE_GFRM": 24}
+
+
+def _nan_gfrm(tmp_path, offset):
     path = tmp_path / "nan.gfrm"
     write_gridform(path, zero_form(2, 0, 8))
     raw = bytearray(path.read_bytes())
-    struct.pack_into("<d", raw, 16, float("nan"))  # period after magic + 3 u32
+    struct.pack_into("<d", raw, offset, float("nan"))
     path.write_bytes(bytes(raw))
     return str(path)
 
@@ -103,16 +108,27 @@ def _nan_period_gfrm(tmp_path):
         ["synth", "--period", "nan"],
         ["synth", "--mass", "inf"],
         ["profile", "--input", "NAN_PERIOD_GFRM"],
+        ["profile", "--input", "NAN_SAMPLE_GFRM"],
+        ["bound", "--sweep", "200", "260", "--uniform"],
+        ["synth", "--mass", "1e308", "--levels", "3"],
     ],
 )
 def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
-    argv = [_nan_period_gfrm(tmp_path) if a == "NAN_PERIOD_GFRM" else a for a in argv]
+    argv = [_nan_gfrm(tmp_path, NAN_AT[a]) if a in NAN_AT else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] in errors.__all__
+
+
+def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_cmd_plan", lambda args: ({"bound": float("nan")}, 0))
+    code, out, err = run_cli(capsys, "plan")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "ParameterError"
 
 
 def test_bound_requires_scale_or_sweep(capsys):

@@ -7,7 +7,6 @@ from lipdeg.bands import exterior_derivative, lp_norm
 from lipdeg.construct import (
     GeometryConstants,
     LayerSpec,
-    RecursionPlan,
     default_geometry,
     homotopy_bound,
     layered_profile,

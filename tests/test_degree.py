@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from lipdeg.bands import (
-    band_profile,
     bandlimited_noise_form,
     exterior_derivative,
     grid_form,

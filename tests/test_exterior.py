@@ -27,7 +27,6 @@ from lipdeg.exterior import (
     volume_element,
     wedge,
     wedge_dense,
-    wedge_many,
     wedge_pairing_matrix,
 )
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from lipdeg.bands import (
-    BandProfile,
-    DyadicPartition,
     GridForm,
     band_decompose,
     band_profile,
