@@ -20,7 +20,7 @@ from .bands import (
     BandProfile,
     DyadicPartition,
     GridForm,
-    band_decompose,
+    band_fields,
     band_profile,
     bandlimited_noise_form,
     build_partition,
@@ -151,10 +151,11 @@ def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
     the commutator compares d P_k a with P_k d a at the middle band k, both
     relative to the form's (or its derivative's) sup norm.
     """
-    pieces = band_decompose(a, part)
-    total = sum(piece.data for piece in pieces.values())
+    total = np.zeros_like(a.data)
+    for _, c, fld in band_fields(a, part):
+        total[c] += fld
     recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
-    del pieces, total
+    del total, fld
     da = exterior_derivative(a)
     k_mid = part.bands[len(part.bands) // 2]
     left = exterior_derivative(project_band(a, k_mid, part))

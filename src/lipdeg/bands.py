@@ -18,8 +18,9 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
   norms by ``~ 2^{-k}``.
 
-d, its closedness residual and the primitive all read one operator table
-per (d, p), and every band loop reads one stream of band windows.
+d, its closedness residual and the primitive all read exterior's (1, p)
+wedge table, so Koszul signs and basis order come from ``exterior`` alone;
+every band loop reads one stream of band windows.
 
 Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 ``L2 = sqrt(sum_I integral a_I^2)``, ``Linf = max |a_I|``.
@@ -44,7 +45,7 @@ from .errors import (
     ResolutionError,
     ShapeError,
 )
-from .exterior import multi_indices, wedge_table
+from .exterior import multi_indices, wedge_nonzeros
 
 __all__ = [
     "GridForm",
@@ -57,6 +58,7 @@ __all__ = [
     "project_band",
     "project_upto",
     "band_decompose",
+    "band_fields",
     "exterior_derivative",
     "primitive",
     "lp_norm",
@@ -167,29 +169,24 @@ def grid_form(
 # -- frequency lattice and the dyadic partition ------------------------------
 
 
-@lru_cache(maxsize=3)
-def _freq_radius(d: int, N: int, T: float, half: bool) -> np.ndarray:
-    """|xi| on the (half-)lattice; xi = m / T."""
-    full = np.fft.fftfreq(N) * N
-    axes = []
-    for i in range(d):
-        m = full if not (half and i == d - 1) else np.arange(N // 2 + 1)
-        shape = [1] * d
-        shape[i] = len(m)
-        axes.append((m / T).reshape(shape) ** 2)
-    r2 = axes[0]
-    for a in axes[1:]:
-        r2 = r2 + a
-    return np.sqrt(r2)
-
-
 @lru_cache(maxsize=64)
 def _freq_axis(d: int, N: int, T: float, axis: int, half: bool) -> np.ndarray:
+    """xi along one axis, broadcastable (read-only); xi = m / T."""
     full = np.fft.fftfreq(N) * N
     m = full if not (half and axis == d - 1) else np.arange(N // 2 + 1)
     shape = [1] * d
     shape[axis] = len(m)
-    return (m / T).reshape(shape)
+    out = (m / T).reshape(shape)
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=3)
+def _freq_radius(d: int, N: int, T: float, half: bool) -> np.ndarray:
+    """|xi| on the (half-)lattice (read-only)."""
+    r = np.sqrt(sum(_freq_axis(d, N, T, i, half) ** 2 for i in range(d)))
+    r.setflags(write=False)
+    return r
 
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
@@ -284,7 +281,7 @@ def project_upto(a: GridForm, k: int, part: Optional[DyadicPartition] = None) ->
     return _apply_multiplier(a, part.lowpass_multiplier(k, half=True))
 
 
-def _band_fields(a: GridForm, part: DyadicPartition):
+def band_fields(a: GridForm, part: DyadicPartition):
     """Yield (k, c, component c of P_k a) band by band, one field at a time."""
     N, d = a.resolution, a.spatial_dim
     axes = tuple(range(d))
@@ -298,7 +295,7 @@ def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
     """All band projections in one spectral pass: {k: P_k a}."""
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
     out = {k: a.copy_with(np.empty_like(a.data)) for k in part.bands}
-    for k, c, fld in _band_fields(a, part):
+    for k, c, fld in band_fields(a, part):
         out[k].data[c] = fld
         del fld  # free it before the stream computes the next field
     return out
@@ -307,31 +304,17 @@ def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
 # -- exterior derivative and primitive ---------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _d_table(d: int, p: int) -> tuple:
-    """Rows (in-component, axis, out-component, sign) of dx_j ^ dx_I.
-
-    Rows run over input components in order, then over axes; the sign
-    reorders dx_j ^ dx_I into dx_{sorted(I + {j})}.
-    """
-    pos = {K: i for i, K in enumerate(multi_indices(d, p + 1))}
-    return tuple(
-        (ci, j - 1, pos[tuple(sorted(I + (j,)))], (-1) ** sum(i < j for i in I))
-        for ci, I in enumerate(multi_indices(d, p))
-        for j in range(1, d + 1)
-        if j not in I
-    )
-
-
-def _combine(specs, rows, factor, n_out: int) -> list:
-    """out[o] = sum of factor(axis, sign) * specs[i] over rows (i, axis, o, sign).
+def _combine(specs, table, factor, n_out: int) -> list:
+    """out[o] = sum of factor(axis, sign) * specs[i] over rows (o, axis, i, sign)
+    of ``table``, exterior's wedge_nonzeros(d, 1, p) or its transpose.
 
     ``specs`` is consumed in component order, so a generator keeps one input
     spectrum live; an output no row reaches stays None.
     """
+    rows = list(zip(*(x.tolist() for x in table)))
     out = [None] * n_out
     for src, spec in enumerate(specs):
-        for _, axis, tgt, sign in (r for r in rows if r[0] == src):
+        for tgt, axis, _, sign in (r for r in rows if r[2] == src):
             term = spec * factor(axis, sign)
             if out[tgt] is None:
                 out[tgt] = term
@@ -359,7 +342,7 @@ def exterior_derivative(a: GridForm) -> GridForm:
     axes = tuple(range(d))
     out_spec = _combine(
         (np.fft.rfftn(c, axes=axes) for c in a.data),
-        _d_table(d, p),
+        wedge_nonzeros(d, 1, p),
         lambda axis, sign: 2j * np.pi * sign * _freq_axis(d, N, T, axis, True),
         comb(d, p + 1),
     )
@@ -371,7 +354,7 @@ def _closedness_residual(a: GridForm, specs: list) -> float:
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     acc = _combine(
         specs,
-        _d_table(d, p),
+        wedge_nonzeros(d, 1, p),
         lambda axis, sign: sign * _freq_axis(d, N, T, axis, True),
         comb(d, p + 1),
     )
@@ -426,9 +409,10 @@ def primitive(
         inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
     # contraction with xi is the adjoint of xi ^: read the degree p-1 table
     # transposed, then divide by 2 pi i |xi|^2
+    high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
     out_spec = _combine(
         specs,
-        [(i, axis, o, sign) for o, axis, i, sign in _d_table(d, p - 1)],
+        (low, axis, high, sign),
         lambda axis, sign: sign * _freq_axis(d, N, T, axis, True) * inv * (-1j),
         comb(d, p - 1),
     )
@@ -471,7 +455,7 @@ def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandPro
     cell = (a.period / a.resolution) ** a.spatial_dim
     idx = a.indices
     l1, s2, linf, per = {}, {}, {}, {}
-    for k, c, fld in _band_fields(a, part):
+    for k, c, fld in band_fields(a, part):
         c1 = float(np.abs(fld).sum() * cell)
         c2 = float(np.sqrt((fld**2).sum() * cell))
         ci = float(np.max(np.abs(fld)))
@@ -549,13 +533,9 @@ def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
     p, q = a.form_degree, b.form_degree
     if p + q > d:
         raise ShapeError(f"wedge degree {p} + {q} exceeds dimension {d}")
-    target, sign = wedge_table(d, p, q)
     out = np.zeros((comb(d, p + q),) + (N,) * d)
-    for i in range(target.shape[0]):
-        for j in range(target.shape[1]):
-            t = target[i, j]
-            if t >= 0:
-                out[t] += sign[i, j] * a.data[i] * b.data[j]
+    for t, i, j, s in zip(*wedge_nonzeros(d, p, q)):
+        out[t] += s * a.data[i] * b.data[j]
     return GridForm(d, p + q, N, T, out)
 
 

@@ -495,6 +495,8 @@ def layered_profile(
     if not (math.isfinite(mass_total) and mass_total > 0):
         raise ParameterError("mass must be positive and finite")
     _check_period(T)
+    if levels * math.log2(p) - math.log2(T) > 1000:  # top radius p^levels / T
+        raise ParameterError(f"{levels} levels at base {p}, period {T} overflow float64")
     per_layer = mass_total / math.sqrt(levels + 1)
     freqs = [p**k for k in range(levels + 1)]
     k_min = int(math.floor(math.log2(1.0 / T)))

@@ -58,7 +58,7 @@ from .errors import (
     WindowError,
 )
 from .exterior import JsonFields
-from .rings import RingPresentation
+from .rings import RingPresentation, relation_value, word_value
 
 __all__ = [
     "PullbackEnsemble",
@@ -216,21 +216,6 @@ def _forms_by_name(E: PullbackEnsemble, P: RingPresentation) -> dict:
     return dict(zip(gens, E.forms))
 
 
-def _word_form(words_values: Mapping, word) -> GridForm:
-    out = words_values[word[0]]
-    for g in word[1:]:
-        out = wedge_grid(out, words_values[g])
-    return out
-
-
-def _relation_form(rel, named: Mapping) -> GridForm:
-    total = None
-    for coeff, word in rel.monomials:
-        term = _word_form(named, word).scale(float(coeff))
-        total = term if total is None else total + term
-    return total
-
-
 def relation_primitives(
     E: PullbackEnsemble, P: RingPresentation, tol: float = 1e-6
 ) -> PullbackEnsemble:
@@ -245,7 +230,7 @@ def relation_primitives(
     named = _forms_by_name(E, P)
     prims, norms = {}, {}
     for rel in P.relations:
-        form = _relation_form(rel, named)
+        form = relation_value(rel, named, wedge_grid)
         cell = (form.period / form.resolution) ** form.spatial_dim
         mean = float(form.data[0].sum() * cell / form.period**form.spatial_dim)
         size = max(lp_norm(form, "inf"), 1e-300)
@@ -303,7 +288,7 @@ def low_band_relation_check(
     )
     out = {}
     for rel in P.relations:
-        form = _relation_form(rel, named)
+        form = relation_value(rel, named, wedge_grid)
         low = project_upto(form, k, part)
         low_norm = lp_norm(low, "inf")
         gnorm = E.primitive_norms[rel.name]
@@ -332,7 +317,6 @@ class BoundReport(JsonFields):
     averaged: float  # cutoff-averaged Cauchy-Schwarz bound
     averaged_cross: float  # the Cauchy-Schwarz cross component alone
     averaged_highlow: float  # the window-endpoint component (scales ~ L^3.9)
-    fitted_exponent: Optional[float] = None
 
 
 def _profile_bands(profile: BandProfile):
@@ -588,11 +572,11 @@ def nullstellensatz_bound(
     low_sum = 0.0
     low_terms = {}
     for rel in P.relations:
-        form = _relation_form(rel, low_named)
+        form = relation_value(rel, low_named, wedge_grid)
         integral = float((psi.data[0] * np.abs(form.data[0])).sum() * cell)
         low_terms[rel.name] = integral
         low_sum += integral ** (1.0 / (2.0 * m))
-    a_top = _word_form(named, P.top_class)
+    a_top = word_value(P.top_class, named, wedge_grid)
     dpsi = exterior_derivative(psi)
     tail_sum = 0.0
     tail_terms = {}

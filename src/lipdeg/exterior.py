@@ -12,6 +12,9 @@ Conventions used throughout the package:
   middle-degree pairing matrix is the volume coefficient of ``e_I ^ e_J``.
 * Two arithmetic modes coexist: exact (``fractions.Fraction``) and float.
   The exact mode is the oracle for the float mode in tests.
+* ``merge_sign`` defines the sign; ``wedge_table``/``wedge_nonzeros``
+  tabulate it per (n, p, q) as read-only arrays, and are the one sign table
+  that ``bands`` (d, primitive, pointwise wedge) and ``scalability`` read.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb, sqrt
-from typing import Mapping, NamedTuple, Sequence, Union
+from typing import Mapping, NamedTuple, Union
 
 import numpy as np
 
@@ -247,14 +250,6 @@ def wedge(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
     return ExteriorElement(a.ambient_dim, out)
 
 
-def wedge_many(factors: Sequence[ExteriorElement]) -> ExteriorElement:
-    """Left-to-right wedge of a nonempty list of elements."""
-    acc = factors[0]
-    for f in factors[1:]:
-        acc = wedge(acc, f)
-    return acc
-
-
 # -- middle-degree pairing -------------------------------------------------
 
 
@@ -268,24 +263,17 @@ class SignatureTriple(NamedTuple):
 def wedge_pairing_matrix(n: int, p: int) -> np.ndarray:
     """Pairing M[i, j] = volume coefficient of e_{I_i} ^ e_{I_j} on degree p.
 
-    Requires 2p = n (so products land in top degree) and p even (odd p
-    gives an antisymmetric pairing, which has no signature in this sense).
-    Basis order is lexicographic, matching multi_indices(n, p).
-    Entries are exact integers.
+    Requires 2p = n (so every nonzero product is +-e_{1..n}) and p even
+    (odd p gives an antisymmetric pairing, which has no signature in this
+    sense).  Basis order is lexicographic, matching multi_indices(n, p).
+    Entries are exact integers; the cached array is read-only.
     """
     if 2 * p != n:
         raise UnsupportedPairing(f"pairing needs 2p = n, got n={n}, p={p}")
     if p % 2 != 0:
         raise UnsupportedPairing(f"pairing needs even degree, got p={p}")
-    basis = multi_indices(n, p)
-    m = len(basis)
-    M = np.zeros((m, m), dtype=np.int64)
-    for i, I in enumerate(basis):
-        for j in range(i, m):
-            sign, K = merge_sign(I, basis[j])
-            if sign and len(K) == n:
-                M[i, j] = sign
-                M[j, i] = sign  # p even => symmetric
+    M = wedge_table(n, p, p)[1].astype(np.int64)
+    M.setflags(write=False)
     return M
 
 
@@ -369,19 +357,19 @@ def signature(M, tol: float = 1e-9) -> SignatureTriple:
 # -- distinguished middle bases in dimension 4 ------------------------------
 
 
-def _sd_terms(exact: bool):
+def _middle_triple(sign: int, normalized: bool, exact: bool) -> list:
+    """b_i = e_I + sign * (*e_I) for I = (1,2), (1,3), (1,4), where the Hodge
+    star *e_I = s * e_J is read from e_I ^ e_J = s * vol."""
+    if normalized and exact:
+        raise UnsupportedPairing("1/sqrt(2) normalization is not rational")
     one = Fraction(1) if exact else 1.0
-    plus = [
-        {(1, 2): one, (3, 4): one},
-        {(1, 3): one, (2, 4): -one},
-        {(1, 4): one, (2, 3): one},
-    ]
-    minus = [
-        {(1, 2): one, (3, 4): -one},
-        {(1, 3): one, (2, 4): one},
-        {(1, 4): one, (2, 3): -one},
-    ]
-    return plus, minus
+    scale = 1.0 / sqrt(2.0) if normalized else one
+    out = []
+    for I in multi_indices(4, 2)[:3]:
+        J = tuple(j for j in range(1, 5) if j not in I)
+        s, _ = merge_sign(I, J)
+        out.append(ExteriorElement(4, {I: scale * one, J: scale * (sign * s * one)}))
+    return out
 
 
 def selfdual_triple(normalized: bool = True, exact: bool = False) -> list:
@@ -391,20 +379,12 @@ def selfdual_triple(normalized: bool = True, exact: bool = False) -> list:
     (coefficients 1/sqrt(2), float only); unnormalized coefficients are 1
     and b_i ^ b_i = 2 * vol exactly, available in exact mode.
     """
-    if normalized and exact:
-        raise UnsupportedPairing("1/sqrt(2) normalization is not rational")
-    plus, _ = _sd_terms(exact)
-    scale = 1.0 / sqrt(2.0) if normalized else (Fraction(1) if exact else 1.0)
-    return [ExteriorElement(4, {I: scale * c for I, c in t.items()}) for t in plus]
+    return _middle_triple(+1, normalized, exact)
 
 
 def antiselfdual_triple(normalized: bool = True, exact: bool = False) -> list:
     """The three -1-eigenvector 2-forms; b_i ^ b_i = -vol when normalized."""
-    if normalized and exact:
-        raise UnsupportedPairing("1/sqrt(2) normalization is not rational")
-    _, minus = _sd_terms(exact)
-    scale = 1.0 / sqrt(2.0) if normalized else (Fraction(1) if exact else 1.0)
-    return [ExteriorElement(4, {I: scale * c for I, c in t.items()}) for t in minus]
+    return _middle_triple(-1, normalized, exact)
 
 
 # -- dense representation (flat coefficient vectors per degree) -------------
@@ -420,7 +400,7 @@ def wedge_table(n: int, p: int, q: int):
     """Structure constants of wedge: (target, sign) arrays, -1 for zero.
 
     target[i, j] is the position of e_{I_i} ^ e_{J_j} in the (p+q)-basis,
-    sign[i, j] the Koszul sign; used by the numpy fast path.
+    sign[i, j] the Koszul sign; both arrays are cached and read-only.
     """
     bp, bq = multi_indices(n, p), multi_indices(n, q)
     pos = _index_positions(n, p + q) if p + q <= n else {}
@@ -432,6 +412,8 @@ def wedge_table(n: int, p: int, q: int):
             if s and K in pos:
                 target[i, j] = pos[K]
                 sign[i, j] = s
+    target.setflags(write=False)
+    sign.setflags(write=False)
     return target, sign
 
 

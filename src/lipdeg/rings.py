@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from .exterior import ExteriorElement, JsonFields, jsonable, scalar_from_json, wedge_many
+from .exterior import ExteriorElement, JsonFields, jsonable, scalar_from_json, wedge
 
 __all__ = [
     "Relation",
@@ -43,6 +43,8 @@ __all__ = [
     "Assignment",
     "CohomologyAction",
     "ExponentReport",
+    "word_value",
+    "relation_value",
     "evaluate_relations",
     "relation_defect",
     "intersection_form",
@@ -173,17 +175,27 @@ class Assignment(JsonFields):
                 )
 
 
+def word_value(word: Word, values: Mapping, wedge: Callable):
+    """Left-to-right ``wedge`` of the generator values along a word."""
+    acc = values[word[0]]
+    for g in word[1:]:
+        acc = wedge(acc, values[g])
+    return acc
+
+
+def relation_value(rel: Relation, values: Mapping, wedge: Callable):
+    """Sum of c * word over the monomials, in any algebra with scale and +."""
+    total = None
+    for c, word in rel.monomials:
+        term = word_value(word, values, wedge).scale(c)
+        total = term if total is None else total + term
+    return total
+
+
 def evaluate_relations(pres: RingPresentation, a: Assignment) -> list:
     """Images of all relations under the assignment (exact when rational)."""
     a.check_degrees(pres)
-    out = []
-    for rel in pres.relations:
-        acc = ExteriorElement(a.ambient_dim, {})
-        for c, word in rel.monomials:
-            term = wedge_many([a.forms[g] for g in word]).scale(c)
-            acc = acc + term
-        out.append(acc)
-    return out
+    return [relation_value(rel, a.forms, wedge) for rel in pres.relations]
 
 
 def relation_defect(pres: RingPresentation, a: Assignment) -> float:
@@ -194,7 +206,7 @@ def relation_defect(pres: RingPresentation, a: Assignment) -> float:
 
 def evaluate_word(pres: RingPresentation, a: Assignment, word: Word) -> ExteriorElement:
     a.check_degrees(pres)
-    return wedge_many([a.forms[g] for g in word])
+    return word_value(word, a.forms, wedge)
 
 
 # -- intersection forms ------------------------------------------------------

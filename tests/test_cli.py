@@ -111,6 +111,9 @@ def _nan_gfrm(tmp_path, offset):
         ["profile", "--input", "NAN_SAMPLE_GFRM"],
         ["bound", "--sweep", "200", "260", "--uniform"],
         ["synth", "--mass", "1e308", "--levels", "3"],
+        ["synth", "--levels", "1024"],
+        ["synth", "--levels", "1100", "--resolution", "32"],
+        ["synth", "--levels", "1000", "--period", "1e-10"],
     ],
 )
 def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):

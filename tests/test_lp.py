@@ -5,6 +5,8 @@ import pytest
 
 from lipdeg.bands import (
     GridForm,
+    _freq_axis,
+    _freq_radius,
     band_decompose,
     band_profile,
     bandlimited_noise_form,
@@ -29,6 +31,14 @@ from lipdeg.errors import (
     ParameterError,
     ResolutionError,
     ShapeError,
+)
+from lipdeg.exterior import (
+    ExteriorElement,
+    dense_vector,
+    multi_indices,
+    wedge,
+    wedge_pairing_matrix,
+    wedge_table,
 )
 
 TAU = 2.0 * np.pi
@@ -267,6 +277,54 @@ def test_wedge_grid_cross_term():
     assert np.max(np.abs(ab.component((1, 2)) - want)) < 1e-14
     ba = wedge_grid(b, a)
     assert np.max(np.abs(ba.data + ab.data)) < 1e-14
+
+
+def _constant_form(d, p, N, rng):
+    """Random integer-valued constant p-form on the grid and in exterior."""
+    coeffs = {I: float(rng.integers(-3, 4)) for I in multi_indices(d, p)}
+    return grid_form(d, p, N, components=coeffs), ExteriorElement(d, coeffs)
+
+
+@pytest.mark.parametrize(
+    "d,p,q",
+    [(d, p, q) for d in (2, 3, 4) for p in range(d + 1) for q in range(d + 1 - p)],
+)
+def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
+    """wedge_grid and d agree with the exact exterior.wedge oracle."""
+    N = 4
+    rng = np.random.default_rng(100 * d + 10 * p + q)
+    a, A = _constant_form(d, p, N, rng)
+    b, B = _constant_form(d, q, N, rng)
+    want = dense_vector(wedge(A, B), p + q).reshape((-1,) + (1,) * d)
+    np.testing.assert_array_equal(
+        wedge_grid(a, b).data, np.broadcast_to(want, (len(want),) + (N,) * d)
+    )
+    if p == d:
+        return
+    # d(cos(2 pi m.x) c) = -2 pi sin(2 pi m.x) (m ^ c), frequencies below Nyquist
+    m = (1, -1, 1, 1)[:d]
+    phase = TAU * sum(mi * x for mi, x in zip(m, grid_axes(d, N)))
+    got = exterior_derivative(a.copy_with(a.data * np.cos(phase)))
+    M = ExteriorElement(d, {(i + 1,): float(mi) for i, mi in enumerate(m)})
+    mc = dense_vector(wedge(M, A), p + 1).reshape((-1,) + (1,) * d)
+    assert np.max(np.abs(got.data + TAU * np.sin(phase) * mc)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "cached",
+    [
+        lambda: wedge_pairing_matrix(4, 2),
+        lambda: wedge_table(4, 2, 1)[0],
+        lambda: wedge_table(4, 2, 1)[1],
+        lambda: _freq_radius(3, 8, 1.0, True),
+        lambda: _freq_axis(3, 8, 1.0, 1, True),
+    ],
+    ids=["pairing", "table-target", "table-sign", "freq-radius", "freq-axis"],
+)
+def test_cached_arrays_are_read_only(cached):
+    arr = cached()
+    with pytest.raises(ValueError):
+        arr[(0,) * arr.ndim] = 7
 
 
 def test_wedge_grid_degree_overflow():
