@@ -63,8 +63,6 @@ __all__ = [
     "primitive",
     "lp_norm",
     "band_profile",
-    "kernel_l1_diagnostics",
-    "gradient_kernels",
     "synthetic_profile",
     "wedge_grid",
     "spectral_support",
@@ -73,9 +71,28 @@ __all__ = [
 ]
 
 
+# largest grid one form may hold: 2**27 float64 samples, 1 GiB
+_MAX_SAMPLES = 2**27
+
+
 def _check_resolution(N: int) -> None:
     if N < 4 or (N & (N - 1)) != 0:
         raise ResolutionError(f"resolution must be a power of two >= 4, got {N}")
+
+
+def _check_grid(d: int, p: int, N: int) -> None:
+    """Reject a degree-p form on the N^d grid before anything is allocated."""
+    if d < 1:
+        raise DimensionMismatch("spatial dimension must be >= 1")
+    if not 0 <= p <= d:
+        raise ShapeError(f"form degree {p} outside 0..{d}")
+    _check_resolution(N)
+    # N^d alone past the cap settles it before any big-integer power
+    if d * math.log2(N) > math.log2(_MAX_SAMPLES) or comb(d, p) * N**d > _MAX_SAMPLES:
+        raise ResolutionError(
+            f"a degree-{p} form on the {N}^{d} grid exceeds the cap of "
+            f"{_MAX_SAMPLES} samples"
+        )
 
 
 def _check_period(T: float) -> None:
@@ -95,11 +112,7 @@ class GridForm:
 
     def __post_init__(self):
         d, p, N = self.spatial_dim, self.form_degree, self.resolution
-        if d < 1:
-            raise DimensionMismatch("spatial dimension must be >= 1")
-        if not 0 <= p <= d:
-            raise ShapeError(f"form degree {p} outside 0..{d}")
-        _check_resolution(N)
+        _check_grid(d, p, N)
         _check_period(self.period)
         want = (comb(d, p),) + (N,) * d
         if self.data.shape != want:
@@ -121,14 +134,8 @@ class GridForm:
             and abs(self.period - other.period) < 1e-12
         )
 
-    def copy_with(self, data: np.ndarray, degree: Optional[int] = None) -> "GridForm":
-        return GridForm(
-            self.spatial_dim,
-            self.form_degree if degree is None else degree,
-            self.resolution,
-            self.period,
-            data,
-        )
+    def copy_with(self, data: np.ndarray) -> "GridForm":
+        return GridForm(self.spatial_dim, self.form_degree, self.resolution, self.period, data)
 
     def __add__(self, other: "GridForm") -> "GridForm":
         if not self.same_grid(other) or self.form_degree != other.form_degree:
@@ -143,6 +150,7 @@ class GridForm:
 
 
 def zero_form(d: int, p: int, N: int, T: float = 1.0) -> GridForm:
+    _check_grid(d, p, N)
     return GridForm(d, p, N, T, np.zeros((comb(d, p),) + (N,) * d))
 
 
@@ -239,11 +247,12 @@ class DyadicPartition:
             return self.lowpass_multiplier(k, half)
         return self.lowpass_multiplier(k, half) - self.lowpass_multiplier(k - 1, half)
 
-    def windows(self, half: bool = False):
-        """Yield (k, band window) for every band, one lowpass per band."""
+    def windows(self):
+        """Yield (k, band window) on the half lattice for every band, one
+        lowpass per band."""
         prev = None
         for k in self.bands:
-            low = self.lowpass_multiplier(k, half)
+            low = self.lowpass_multiplier(k, half=True)
             window = low if prev is None else low - prev
             prev = low  # the only lowpass kept across the yield
             yield k, window
@@ -286,7 +295,7 @@ def band_fields(a: GridForm, part: DyadicPartition):
     N, d = a.resolution, a.spatial_dim
     axes = tuple(range(d))
     specs = [np.fft.rfftn(c, axes=axes) for c in a.data]
-    for k, mult in part.windows(half=True):
+    for k, mult in part.windows():
         for c, spec in enumerate(specs):
             yield k, c, np.fft.irfftn(spec * mult, s=(N,) * d, axes=axes)
 
@@ -487,41 +496,6 @@ def synthetic_profile(masses: Mapping, total_l2: float) -> BandProfile:
     )
 
 
-def kernel_l1_diagnostics(part: DyadicPartition) -> dict:
-    """Discrete kernel sums per band.
-
-    For each band: ``l1`` is the absolute sum of the convolution kernel
-    (the operator norm of P_k on every L^p), ``dl1`` the absolute sum of
-    its gradient kernel, and ``dl1_scaled`` = dl1 / (2 pi 2^k / T); both
-    reported ratios stay bounded uniformly across interior bands.
-    """
-    axes = tuple(range(part.spatial_dim))
-    out = {}
-    for k, mult in part.windows():
-        ker = np.fft.ifftn(mult, axes=axes).real
-        l1 = float(np.abs(ker).sum())
-        g2 = np.zeros_like(ker)
-        for gk in gradient_kernels(part, mult):
-            g2 += gk.real**2 + gk.imag**2
-        dl1 = float(np.sqrt(g2).sum())
-        out[k] = {
-            "l1": l1,
-            "dl1": dl1,
-            "dl1_scaled": dl1 / (2.0 * np.pi * 2.0**k / part.period),
-        }
-    return out
-
-
-def gradient_kernels(part: DyadicPartition, mult: np.ndarray):
-    """Yield the per-axis gradient kernels ifftn(mult * 2 pi i xi_axis) of a
-    full-lattice multiplier."""
-    d, N, T = part.spatial_dim, part.resolution, part.period
-    for axis in range(d):
-        yield np.fft.ifftn(
-            mult * (2j * np.pi * _freq_axis(d, N, T, axis, False)), axes=tuple(range(d))
-        )
-
-
 # -- pointwise wedge and spectral supports ------------------------------------
 
 
@@ -592,6 +566,7 @@ def bandlimited_noise_form(
     seed: int = 0,
 ) -> GridForm:
     """Random real form with spectrum confined to |xi| <= radius."""
+    _check_grid(d, p, N)
     rng = np.random.default_rng(seed)
     a = GridForm(d, p, N, T, rng.standard_normal((comb(d, p),) + (N,) * d))
     r = _freq_radius(d, N, T, True)

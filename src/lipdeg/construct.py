@@ -45,13 +45,11 @@ from .exterior import jsonable
 
 __all__ = [
     "SampledSphereMap",
-    "SphereMapPlan",
     "GeometryConstants",
     "LayerSpec",
     "RecursionPlan",
     "LayeredEnsemble",
     "sphere_map",
-    "sphere_map_plan",
     "homotopy_bound",
     "recursion_plan",
     "layered_profile",
@@ -99,27 +97,6 @@ class SampledSphereMap:
         return self.block_count**self.target_dim
 
 
-@dataclass(frozen=True)
-class SphereMapPlan:
-    """Plan-level record: d^n subcubes, degree d^n, Lipschitz c1 * d."""
-
-    target_dim: int
-    block_count: int
-    c1: float
-
-    @property
-    def subcubes(self) -> int:
-        return self.block_count**self.target_dim
-
-    @property
-    def degree(self) -> int:
-        return self.block_count**self.target_dim
-
-    @property
-    def lipschitz_bound(self) -> float:
-        return self.c1 * self.block_count
-
-
 def _measured_lipschitz(values: np.ndarray, N: int) -> float:
     """Max chordal slope over grid edges and diagonals (periodic)."""
     h = 1.0 / N
@@ -142,8 +119,7 @@ def sphere_map(d: int, N: int, n: int = 2) -> SampledSphereMap:
     """
     if n != 2:
         raise ParameterError(
-            "grid realization covers the two-dimensional target; "
-            "use sphere_map_plan for other dimensions"
+            f"grid realization covers the two-dimensional target only, got n={n}"
         )
     if d < 1:
         raise ParameterError("block count must be >= 1")
@@ -169,14 +145,6 @@ def sphere_map(d: int, N: int, n: int = 2) -> SampledSphereMap:
         lipschitz=_measured_lipschitz(values, N),
         boundary_collapsed=True,
     )
-
-
-def sphere_map_plan(n: int, d: int, c1: Optional[float] = None) -> SphereMapPlan:
-    if n < 1 or d < 1:
-        raise ParameterError("target dimension and block count must be >= 1")
-    if c1 is None:
-        c1 = default_geometry().c1
-    return SphereMapPlan(target_dim=n, block_count=d, c1=c1)
 
 
 # -- geometry constants ---------------------------------------------------------

@@ -1,20 +1,14 @@
 """Degree bounds from band-limited analysis of pulled-back forms.
 
-The pipeline in this module turns sampled maps and closed-form ensembles
-into degree estimates:
+The pipeline in this module turns sampled maps and band profiles into
+degree estimates:
 
 * ``pullback_area_form`` / ``degree_integral`` compute mapping degrees by
   integrating the pulled-back normalized area form;
-* ``relation_primitives`` and ``low_band_relation_check`` quantify how
-  well the ensemble satisfies its ring relations band by band, through
-  primitives of the relation forms;
 * ``finalbound_terms`` / ``averaged_bound`` evaluate the three-term
   cutoff estimate (high-frequency, low-band relation, cross terms) and
   its cutoff-averaged Cauchy-Schwarz refinement, including the polylog
-  exponent fit over a scale sweep;
-* ``nullstellensatz_bound`` evaluates the certificate-exponent variant,
-  and ``ball_extension`` provides the radial extension used to localize
-  degree counts to a ball.
+  exponent fit over a scale sweep.
 
 All implicit inequality constants are set to 1 and the terms are
 reported separately, so callers see the exponent structure rather than
@@ -24,59 +18,33 @@ tuned prefactors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .bands import (
-    BandProfile,
-    DyadicPartition,
-    GridForm,
-    _smooth_step,
-    build_partition,
-    exterior_derivative,
-    gradient_kernels,
-    grid_axes,
-    lp_norm,
-    primitive,
-    project_band,
-    project_upto,
-    synthetic_profile,
-    wedge_grid,
-    zero_form,
-)
+from .bands import BandProfile, GridForm, synthetic_profile, zero_form
 from .construct import SampledSphereMap
 from .errors import (
     BandRangeError,
     DimensionMismatch,
     EmptyData,
     GeometryError,
-    NotExact,
     ParameterError,
     ShapeError,
     WindowError,
 )
 from .exterior import JsonFields
-from .rings import RingPresentation, relation_value, word_value
 
 __all__ = [
-    "PullbackEnsemble",
     "BoundReport",
-    "RelationBandCheck",
     "pullback_area_form",
     "degree_integral",
-    "bump_cutoff",
-    "relation_primitives",
-    "low_band_relation_check",
     "finalbound_terms",
     "averaged_bound",
     "fit_polylog_exponent",
     "uniform_layer_profile",
     "spectral_gap_profile",
-    "allfreq_exponent",
-    "nullstellensatz_bound",
-    "ball_extension",
 ]
 
 
@@ -143,165 +111,6 @@ def degree_integral(top: GridForm, psi: Optional[GridForm] = None) -> float:
     if float(psi.data[0].min()) < -1e-12:
         raise GeometryError("weight must be nonnegative")
     return float((psi.data[0] * top.data[0]).sum() * cell)
-
-
-def bump_cutoff(d: int, N: int, T: float = 1.0, margin: float = 0.25) -> GridForm:
-    """Smooth tensor-product bump: 1 on the center block, 0 near the seam.
-
-    Each axis factor ramps smoothly from 0 at the seam to 1 on
-    [margin*T, (1-margin)*T]; the product is a valid localization weight
-    whose derivative is supported in the ramp collars.
-    """
-    if not 0.0 < margin < 0.5:
-        raise ParameterError("margin must lie in (0, 1/2)")
-    out = zero_form(d, 0, N, T)
-    vals = np.ones((N,) * d)
-    for axis, x in enumerate(grid_axes(d, N, T)):
-        t = np.minimum(x, T - x) / (margin * T)
-        vals = vals * _smooth_step(t)
-    out.data[0] = vals
-    return out
-
-
-# -- ensembles and relation checks ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PullbackEnsemble:
-    """Closed 2-forms with a localization weight and optional primitives.
-
-    forms are the per-generator closed 2-forms (all on one grid), scale
-    is the nominal Lipschitz budget L they were built for, psi the
-    nonnegative localization 0-form.  primitives, when present, map
-    relation names to 3-forms g_r with d g_r = R_r(forms).
-    """
-
-    forms: tuple
-    scale: float
-    psi: GridForm
-    primitives: Optional[Mapping] = None
-    primitive_norms: Optional[Mapping] = None
-
-    def __post_init__(self):
-        if not self.forms:
-            raise EmptyData("ensemble needs at least one form")
-        base = self.forms[0]
-        for a in self.forms:
-            if not a.same_grid(base):
-                raise DimensionMismatch("ensemble forms live on different grids")
-            if a.form_degree != 2:
-                raise ShapeError("ensemble forms must be 2-forms")
-        if self.psi.form_degree != 0 or not self.psi.same_grid(base):
-            raise ShapeError("psi must be a 0-form on the ensemble grid")
-        if self.scale <= 0:
-            raise ParameterError("scale must be positive")
-
-    def validate_closedness(self, tol: float = 1e-8) -> float:
-        worst = 0.0
-        for a in self.forms:
-            da = exterior_derivative(a)
-            scale = max(lp_norm(a, "inf"), 1e-300)
-            worst = max(worst, lp_norm(da, "inf") / scale)
-        if worst > tol:
-            raise NotExact(f"ensemble forms are not closed: residual {worst:.3e}")
-        return worst
-
-
-def _forms_by_name(E: PullbackEnsemble, P: RingPresentation) -> dict:
-    gens = [g for g, _ in P.generators]
-    if len(gens) != len(E.forms):
-        raise DimensionMismatch(
-            f"presentation has {len(gens)} generators, ensemble {len(E.forms)} forms"
-        )
-    return dict(zip(gens, E.forms))
-
-
-def relation_primitives(
-    E: PullbackEnsemble, P: RingPresentation, tol: float = 1e-6
-) -> PullbackEnsemble:
-    """Attach primitives g_r with d g_r = R_r(forms) to the ensemble.
-
-    Each relation form is a top-degree (hence closed) combination of
-    wedge products; it admits a primitive exactly when its mean
-    vanishes, i.e. when the relation holds in cohomology.  A mean beyond
-    tol (relative to the form's size) raises; a tiny numerical mean is
-    removed before inverting d.
-    """
-    named = _forms_by_name(E, P)
-    prims, norms = {}, {}
-    for rel in P.relations:
-        form = relation_value(rel, named, wedge_grid)
-        cell = (form.period / form.resolution) ** form.spatial_dim
-        mean = float(form.data[0].sum() * cell / form.period**form.spatial_dim)
-        size = max(lp_norm(form, "inf"), 1e-300)
-        if abs(mean) > tol * max(size, 1.0):
-            raise NotExact(
-                f"relation {rel.name} has nonzero mean {mean:.3e}: "
-                "it fails in cohomology, no primitive exists"
-            )
-        form = form.copy_with(form.data - np.asarray(mean).reshape((1,) * form.data.ndim))
-        if lp_norm(form, "inf") <= 1e-14:
-            g = zero_form(form.spatial_dim, form.form_degree - 1,
-                          form.resolution, form.period)
-        else:
-            g = primitive(form)
-        check = exterior_derivative(g) - form
-        if lp_norm(check, "inf") > 1e-7 * max(size, 1.0):
-            raise NotExact(
-                f"primitive for relation {rel.name} failed verification"
-            )
-        prims[rel.name] = g
-        norms[rel.name] = lp_norm(g, "inf")
-    return replace(E, primitives=prims, primitive_norms=norms)
-
-
-@dataclass(frozen=True)
-class RelationBandCheck:
-    low_norm: float  # sup of the lowpassed relation form
-    dyadic_ratio: float  # low_norm / (2^k * sup g_r)
-    kernel_ratio: float  # low_norm / (grad-kernel L1 * sup g_r), <= 1 by Young
-
-
-def low_band_relation_check(
-    E: PullbackEnsemble,
-    P: RingPresentation,
-    k: int,
-    part: Optional[DyadicPartition] = None,
-) -> dict:
-    """Per-relation sup norms of P_{<=k} R_r(a) against the 2^k g_r scale.
-
-    The identity P_{<=k} d g_r = (d K_{<=k}) * g_r bounds the lowpassed
-    relation form by the L1 mass of the gradient lowpass kernel times
-    the primitive's sup; kernel_ratio reports the sharpness of that
-    bound (Young's inequality keeps it at most 1 up to the form's
-    component count), dyadic_ratio the classical 2^k-scaled version.
-    """
-    if E.primitives is None:
-        raise EmptyData("attach primitives first (relation_primitives)")
-    base = E.forms[0]
-    part = part or build_partition(base.spatial_dim, base.resolution, base.period)
-    named = _forms_by_name(E, P)
-    # L1 mass of the lowpass kernel's gradient, summed over axes
-    grad_l1 = sum(
-        float(np.abs(g).sum())
-        for g in gradient_kernels(part, part.lowpass_multiplier(k))
-    )
-    out = {}
-    for rel in P.relations:
-        form = relation_value(rel, named, wedge_grid)
-        low = project_upto(form, k, part)
-        low_norm = lp_norm(low, "inf")
-        gnorm = E.primitive_norms[rel.name]
-        if gnorm <= 1e-13 and low_norm <= 1e-10:
-            out[rel.name] = RelationBandCheck(low_norm, 0.0, 0.0)
-            continue
-        denom = max(gnorm, 1e-300)
-        out[rel.name] = RelationBandCheck(
-            low_norm=low_norm,
-            dyadic_ratio=low_norm / (2.0**k * denom),
-            kernel_ratio=low_norm / (grad_l1 * denom),
-        )
-    return out
 
 
 # -- the three-term bound ----------------------------------------------------------
@@ -527,148 +336,3 @@ def spectral_gap_profile(
     mass_total = L**2 if mass_total is None else mass_total
     per = mass_total / math.sqrt(len(bands))
     return synthetic_profile({k: per for k in bands}, total_l2=mass_total)
-
-
-def allfreq_exponent(beta1: float, beta2: float, gamma: float) -> float:
-    """Degree-saving exponent min(beta1, beta2 - beta1, gamma)."""
-    if not 0.0 < beta1 < beta2 < 1.0:
-        raise ParameterError("need 0 < beta1 < beta2 < 1")
-    if gamma <= 0.0:
-        raise ParameterError("gamma must be positive")
-    return min(beta1, beta2 - beta1, gamma)
-
-
-# -- certificate-exponent variant ---------------------------------------------------
-
-
-def nullstellensatz_bound(
-    E: PullbackEnsemble,
-    P: RingPresentation,
-    m: int,
-    k: int,
-    psi: Optional[GridForm] = None,
-    part: Optional[DyadicPartition] = None,
-    details: bool = False,
-):
-    """Certificate-exponent bound on the localized top-class integral.
-
-    Low part: sum over relations of (integral psi |R_r(P_{<=k} a)|)^(1/2m),
-    from the certificate identity that controls the 2m-th power of the
-    top form by the relation forms.  High part: for every band above k,
-    the integration-by-parts remainder  integral |d psi wedge Prim(P_l a_top)|
-    with a_top the top-class word of the ensemble.  Returns their sum
-    (the caller scales by L^n); with details=True also the breakdown.
-    """
-    if m < 1:
-        raise ParameterError("certificate exponent m must be >= 1")
-    psi = psi if psi is not None else E.psi
-    base = E.forms[0]
-    part = part or build_partition(base.spatial_dim, base.resolution, base.period)
-    if not part.bands or not part.bands[0] - 1 <= k <= part.bands[-1]:
-        raise BandRangeError(f"cutoff {k} outside partition range")
-    named = _forms_by_name(E, P)
-    low_named = {g: project_upto(a, k, part) for g, a in named.items()}
-    cell = (base.period / base.resolution) ** base.spatial_dim
-    low_sum = 0.0
-    low_terms = {}
-    for rel in P.relations:
-        form = relation_value(rel, low_named, wedge_grid)
-        integral = float((psi.data[0] * np.abs(form.data[0])).sum() * cell)
-        low_terms[rel.name] = integral
-        low_sum += integral ** (1.0 / (2.0 * m))
-    a_top = word_value(P.top_class, named, wedge_grid)
-    dpsi = exterior_derivative(psi)
-    tail_sum = 0.0
-    tail_terms = {}
-    for band in part.bands:
-        if band <= k:
-            continue
-        piece = project_band(a_top, band, part)
-        if lp_norm(piece, "inf") <= 1e-13 * max(lp_norm(a_top, "inf"), 1e-300):
-            tail_terms[band] = 0.0
-            continue
-        g = primitive(piece, band=band, part=part)
-        boundary = wedge_grid(dpsi, g)
-        term = float(np.abs(boundary.data[0]).sum() * cell)
-        tail_terms[band] = term
-        tail_sum += term
-    total = low_sum + tail_sum
-    if details:
-        return total, {
-            "low_terms": low_terms,
-            "low_sum": low_sum,
-            "tail_terms": tail_terms,
-            "tail_sum": tail_sum,
-        }
-    return total
-
-
-# -- ball extension ----------------------------------------------------------------
-
-
-def _bilinear(values: np.ndarray, x: np.ndarray, y: np.ndarray, M: int):
-    """Bilinear sample of (C, M, M) values on [-1,1]^2 at points (x, y)."""
-    gx = (x + 1.0) * (M - 1) / 2.0
-    gy = (y + 1.0) * (M - 1) / 2.0
-    i0 = np.clip(np.floor(gx).astype(int), 0, M - 2)
-    j0 = np.clip(np.floor(gy).astype(int), 0, M - 2)
-    tx = gx - i0
-    ty = gy - j0
-    v00 = values[:, i0, j0]
-    v10 = values[:, i0 + 1, j0]
-    v01 = values[:, i0, j0 + 1]
-    v11 = values[:, i0 + 1, j0 + 1]
-    # lerp-of-lerps keeps constants exact (weights sum to 1 bit-exactly)
-    vx0 = v00 + tx * (v10 - v00)
-    vx1 = v01 + tx * (v11 - v01)
-    return vx0 + ty * (vx1 - vx0)
-
-
-def ball_extension(
-    f: Union[np.ndarray, Callable], M: Optional[int] = None
-) -> Union[np.ndarray, Callable]:
-    """Extend a map on the unit ball to the radius-2 ball, constant on rays.
-
-    Callable input: returns x -> f(x / max(|x|, 1)) (exact radial
-    extension, any dimension).  Array input (C, M, M) sampled on the
-    [-1,1]^2 grid with M odd: returns (C, 2M-1, 2M-1) samples on
-    [-2,2]^2 at the same spacing; nodes inside the closed unit disk are
-    bit-exact copies, all other nodes (the square's corners included)
-    take the bilinear value at the radial projection onto the unit
-    circle.  Rays are collapsed, so the extension's top-degree Jacobian
-    vanishes outside the unit ball and its Lipschitz constant is at
-    most twice the input's.
-    """
-    if callable(f):
-
-        def extended(x, _f=f):
-            x = np.asarray(x, dtype=float)
-            r = np.sqrt((x**2).sum(axis=0))
-            scale = np.maximum(r, 1.0)
-            return _f(x / scale)
-
-        return extended
-    values = np.asarray(f, dtype=float)
-    if values.ndim != 3:
-        raise ShapeError("expected samples of shape (components, M, M)")
-    Mv = values.shape[1]
-    if values.shape[2] != Mv:
-        raise ShapeError("sample grid must be square")
-    if Mv < 3 or Mv % 2 == 0:
-        raise ParameterError("grid side must be odd and at least 3")
-    K = 2 * Mv - 1
-    h = 2.0 / (Mv - 1)
-    coords = -2.0 + h * np.arange(K)
-    X, Y = np.meshgrid(coords, coords, indexing="ij")
-    R = np.sqrt(X**2 + Y**2)
-    out = np.zeros((values.shape[0], K, K))
-    # bit-exact copy on the aligned interior block (unit-ball nodes
-    # never get touched again below)
-    half = (Mv - 1) // 2
-    out[:, half : half + Mv, half : half + Mv] = values
-    proj = np.maximum(R, 1.0)
-    samp = _bilinear(values, (X / proj).ravel(), (Y / proj).ravel(), Mv)
-    samp = samp.reshape(values.shape[0], K, K)
-    mask = R > 1.0
-    out[:, mask] = samp[:, mask]
-    return out

@@ -21,7 +21,6 @@ __all__ = [
     "BandRangeError",
     "MeanObstruction",
     "NotClosed",
-    "NotExact",
     "ParameterError",
     "WindowError",
     "GeometryError",
@@ -79,10 +78,6 @@ class MeanObstruction(LipdegError):
 
 class NotClosed(LipdegError):
     """A closed form was required but d(a) != 0 beyond tolerance."""
-
-
-class NotExact(LipdegError):
-    """A relation value fails to be exact (nonzero mean in top degree)."""
 
 
 class ParameterError(LipdegError):

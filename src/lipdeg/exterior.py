@@ -45,7 +45,6 @@ __all__ = [
     "basis_element",
     "volume_element",
     "selfdual_triple",
-    "antiselfdual_triple",
     "jsonable",
     "JsonFields",
     "scalar_from_json",
@@ -357,9 +356,15 @@ def signature(M, tol: float = 1e-9) -> SignatureTriple:
 # -- distinguished middle bases in dimension 4 ------------------------------
 
 
-def _middle_triple(sign: int, normalized: bool, exact: bool) -> list:
-    """b_i = e_I + sign * (*e_I) for I = (1,2), (1,3), (1,4), where the Hodge
-    star *e_I = s * e_J is read from e_I ^ e_J = s * vol."""
+def selfdual_triple(normalized: bool = True, exact: bool = False) -> list:
+    """The three +1-eigenvector 2-forms of the middle pairing on R^4.
+
+    b_i = e_I + (*e_I) for I = (1,2), (1,3), (1,4), where the Hodge star
+    *e_I = s * e_J is read from e_I ^ e_J = s * vol.  With ``normalized``
+    each b_i satisfies b_i ^ b_j = delta_ij * vol (coefficients 1/sqrt(2),
+    float only); unnormalized coefficients are 1 and b_i ^ b_i = 2 * vol
+    exactly, available in exact mode.
+    """
     if normalized and exact:
         raise UnsupportedPairing("1/sqrt(2) normalization is not rational")
     one = Fraction(1) if exact else 1.0
@@ -368,23 +373,8 @@ def _middle_triple(sign: int, normalized: bool, exact: bool) -> list:
     for I in multi_indices(4, 2)[:3]:
         J = tuple(j for j in range(1, 5) if j not in I)
         s, _ = merge_sign(I, J)
-        out.append(ExteriorElement(4, {I: scale * one, J: scale * (sign * s * one)}))
+        out.append(ExteriorElement(4, {I: scale * one, J: scale * (s * one)}))
     return out
-
-
-def selfdual_triple(normalized: bool = True, exact: bool = False) -> list:
-    """The three +1-eigenvector 2-forms of the middle pairing on R^4.
-
-    With ``normalized`` each b_i satisfies b_i ^ b_j = delta_ij * vol
-    (coefficients 1/sqrt(2), float only); unnormalized coefficients are 1
-    and b_i ^ b_i = 2 * vol exactly, available in exact mode.
-    """
-    return _middle_triple(+1, normalized, exact)
-
-
-def antiselfdual_triple(normalized: bool = True, exact: bool = False) -> list:
-    """The three -1-eigenvector 2-forms; b_i ^ b_i = -vol when normalized."""
-    return _middle_triple(-1, normalized, exact)
 
 
 # -- dense representation (flat coefficient vectors per degree) -------------

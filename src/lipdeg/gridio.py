@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bands import BandProfile, GridForm
+from .bands import BandProfile, GridForm, _check_grid
 from .errors import ShapeError
 
 __all__ = [
@@ -48,6 +48,7 @@ def read_gridform(path) -> GridForm:
     magic, d, p, N, T = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise ShapeError(f"{path}: bad magic {magic!r}")
+    _check_grid(d, p, N)
     count = comb(d, p) * N**d
     body = raw[_HEADER.size :]
     if len(body) != 8 * count:

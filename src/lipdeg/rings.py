@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -175,19 +175,19 @@ class Assignment(JsonFields):
                 )
 
 
-def word_value(word: Word, values: Mapping, wedge: Callable):
-    """Left-to-right ``wedge`` of the generator values along a word."""
+def word_value(word: Word, values: Mapping) -> ExteriorElement:
+    """Left-to-right wedge of the generator values along a word."""
     acc = values[word[0]]
     for g in word[1:]:
         acc = wedge(acc, values[g])
     return acc
 
 
-def relation_value(rel: Relation, values: Mapping, wedge: Callable):
-    """Sum of c * word over the monomials, in any algebra with scale and +."""
+def relation_value(rel: Relation, values: Mapping) -> ExteriorElement:
+    """Sum of c * word over the monomials."""
     total = None
     for c, word in rel.monomials:
-        term = word_value(word, values, wedge).scale(c)
+        term = word_value(word, values).scale(c)
         total = term if total is None else total + term
     return total
 
@@ -195,18 +195,13 @@ def relation_value(rel: Relation, values: Mapping, wedge: Callable):
 def evaluate_relations(pres: RingPresentation, a: Assignment) -> list:
     """Images of all relations under the assignment (exact when rational)."""
     a.check_degrees(pres)
-    return [relation_value(rel, a.forms, wedge) for rel in pres.relations]
+    return [relation_value(rel, a.forms) for rel in pres.relations]
 
 
 def relation_defect(pres: RingPresentation, a: Assignment) -> float:
     """Largest sup-coefficient norm among all relation images (0 if none)."""
     values = evaluate_relations(pres, a)
     return max((float(v.sup_norm()) for v in values), default=0.0)
-
-
-def evaluate_word(pres: RingPresentation, a: Assignment, word: Word) -> ExteriorElement:
-    a.check_degrees(pres)
-    return word_value(word, a.forms, wedge)
 
 
 # -- intersection forms ------------------------------------------------------

@@ -11,20 +11,19 @@ Three layers of evidence, kept strictly apart:
 * numerical embedding search (projected gradient over assignments of
   constant-coefficient forms) — produces witnesses and defect floors,
   never impossibility claims;
-* quantitative obstruction estimates: the four-tuple wedge inequality
-  constant and the top-class-versus-defect exponent.
+* a quantitative obstruction estimate: the four-tuple wedge inequality
+  constant.
 
 Defects and norms use the maximum absolute basis coefficient throughout.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,12 +54,10 @@ __all__ = [
     "SearchConfig",
     "EmbeddingSearch",
     "Kge4Report",
-    "TopclassFit",
     "check_middle_form",
     "presentation_from_intersection_form",
     "search_embedding",
     "kge4_certificate",
-    "estimate_topclass_exponent",
 ]
 
 
@@ -296,10 +293,6 @@ class _Workspace:
             for coeff, word in monomials:
                 self._add_word(r[rows], J[rows], coeff, word, vecs)
         return r, J
-
-    def defect(self, vecs) -> float:
-        r, _ = self.residual_jacobian(vecs)
-        return float(np.max(np.abs(r), initial=0.0))
 
     def value_and_grad(self, vecs):
         """Sum of squared relation coefficients and its gradient."""
@@ -650,111 +643,4 @@ def kge4_certificate(
         tuples=samples,
         seed=seed,
         k=k,
-    )
-
-
-# -- top class versus defect --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TopclassFit(JsonFields):
-    theta: float
-    eps: tuple
-    best_top: tuple
-    flagged_scalable: bool
-    witness_defect: Optional[float]
-    intercept: float
-
-
-def _feasible_rescale(ws: _Workspace, vecs: dict, eps: float) -> dict:
-    """Scale the whole assignment down until the defect is <= eps (exact)."""
-    if ws.defect(vecs) <= eps:
-        return vecs
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ws.defect({g: mid * v for g, v in vecs.items()}) <= eps:
-            lo = mid
-        else:
-            hi = mid
-    return {g: lo * v for g, v in vecs.items()}
-
-
-def estimate_topclass_exponent(
-    pres: RingPresentation,
-    ambient: int,
-    eps_grid: Sequence[float],
-    cfg: SearchConfig = SearchConfig(restarts=6, max_iters=250, seed=0),
-) -> TopclassFit:
-    """Fit how large the top-class image can be at relation defect eps.
-
-    For each eps the top coefficient is pushed up by penalized gradient
-    ascent over unit-ball assignments, then the iterate is rescaled so
-    the defect constraint holds exactly before the value is recorded; a
-    warm start from the previous (larger) eps keeps solution quality
-    consistent across the grid.  Output is the log-log slope.  If the
-    presentation embeds outright (search defect below tolerance), the
-    exponent is 0 by definition and the fit is flagged rather than run.
-    """
-    eps_list = [float(e) for e in eps_grid]
-    if len(eps_list) < 2:
-        raise ParameterError("need at least two defect levels to fit a slope")
-    if any(e <= 0 for e in eps_list):
-        raise ParameterError("defect levels must be positive")
-    if any(a <= b for a, b in zip(eps_list, eps_list[1:])):
-        raise ParameterError("defect levels must be strictly decreasing")
-    probe = search_embedding(pres, ambient, cfg)
-    if probe.defect < max(cfg.tolerance, 1e-6):
-        return TopclassFit(
-            theta=0.0,
-            eps=tuple(eps_list),
-            best_top=tuple(1.0 for _ in eps_list),
-            flagged_scalable=True,
-            witness_defect=probe.defect,
-            intercept=0.0,
-        )
-    ws = _Workspace(pres, ambient)
-    seeds = np.random.SeedSequence(cfg.seed + 7).spawn(cfg.restarts)
-    tops = []
-    warm = None
-    for eps in eps_list:
-        best_val = 0.0
-        starts = []
-        for ridx in range(cfg.restarts):
-            rng = np.random.default_rng(seeds[ridx])
-            starts.append(
-                {g: 0.3 * rng.standard_normal(ws.dims[g]) for g in ws.names}
-            )
-        if warm is not None:
-            starts.append(dict(warm))
-        best_vecs = None
-        for vecs in starts:
-            mu = 4.0 / eps
-            for t in range(cfg.max_iters):
-                frac = t / max(cfg.max_iters - 1, 1)
-                step = 0.08 * (0.5 * (1.0 + math.cos(math.pi * frac)) + 0.05)
-                F, gF = ws.value_and_grad(vecs)
-                gT = ws.top_grad(vecs)
-                vecs = {
-                    g: np.clip(
-                        vecs[g] + step * (gT[g] - mu * gF[g]), -1.0, 1.0
-                    )
-                    for g in ws.names
-                }
-            vecs = _feasible_rescale(ws, vecs, eps)
-            val = abs(ws.top_value(vecs))
-            if val > best_val:
-                best_val, best_vecs = val, vecs
-        tops.append(max(best_val, 1e-300))
-        warm = best_vecs
-    x = np.log(np.array(eps_list))
-    y = np.log(np.array(tops))
-    slope, intercept = np.polyfit(x, y, 1)
-    return TopclassFit(
-        theta=float(slope),
-        eps=tuple(eps_list),
-        best_top=tuple(float(t) for t in tops),
-        flagged_scalable=False,
-        witness_defect=probe.defect,
-        intercept=float(intercept),
     )

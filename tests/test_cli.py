@@ -114,6 +114,9 @@ def _nan_gfrm(tmp_path, offset):
         ["synth", "--levels", "1024"],
         ["synth", "--levels", "1100", "--resolution", "32"],
         ["synth", "--levels", "1000", "--period", "1e-10"],
+        ["lp", "--dim", "-1"],
+        ["lp", "--degree", "-1"],
+        ["lp", "--dim", "4", "--resolution", "256"],
     ],
 )
 def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):

@@ -12,7 +12,6 @@ from lipdeg.construct import (
     layered_profile,
     recursion_plan,
     sphere_map,
-    sphere_map_plan,
 )
 from lipdeg.errors import (
     GeometryError,
@@ -56,6 +55,7 @@ def test_sphere_map_blocks_glue_at_south_pole():
     assert np.allclose(f.values[:, 8, :], south, atol=1e-12)
     assert np.allclose(f.values[:, :, 8], south, atol=1e-12)
     assert np.allclose(f.values[:, 0, :], south, atol=1e-12)
+    assert f.degree_target == 4
 
 
 def test_sphere_map_lipschitz_scales_linearly_in_blocks():
@@ -68,14 +68,6 @@ def test_sphere_map_lipschitz_scales_linearly_in_blocks():
     # the cap profile has |gradient| <= 2 pi d; the measured chordal
     # slope must sit just under that
     assert 0.85 * 2 * math.pi <= ratios[0] <= 2 * math.pi + 1e-6
-
-
-def test_sphere_map_plan_records():
-    plan = sphere_map_plan(3, 4, c1=7.0)
-    assert plan.subcubes == 64
-    assert plan.degree == 64
-    assert plan.lipschitz_bound == pytest.approx(28.0)
-    assert sphere_map(2, 64).degree_target == 4
 
 
 # -- homotopy bound ------------------------------------------------------------

@@ -15,7 +15,6 @@ from lipdeg.errors import DimensionMismatch, ShapeError, UnsupportedPairing
 from lipdeg.exterior import (
     ExteriorElement,
     SignatureTriple,
-    antiselfdual_triple,
     basis_element,
     dense_vector,
     from_dense,
@@ -84,8 +83,6 @@ def test_selfdual_triple_squares_to_volume():
     # exact, unnormalized: squares are exactly 2 vol
     for bi in selfdual_triple(normalized=False, exact=True):
         assert wedge(bi, bi) == volume_element(4, Fraction(2))
-    for bi in antiselfdual_triple(normalized=False, exact=True):
-        assert wedge(bi, bi) == volume_element(4, Fraction(-2))
 
 
 def test_mixed_degree_and_errors():

@@ -1,10 +1,12 @@
 """Round trips for the binary grid container and the profile CSV."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from lipdeg.bands import band_profile, bandlimited_noise_form
-from lipdeg.errors import ShapeError
+from lipdeg.errors import ResolutionError, ShapeError
 from lipdeg.gridio import (
     read_band_profile,
     read_gridform,
@@ -47,6 +49,11 @@ def test_gridform_rejects_corruption(tmp_path):
     short.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ShapeError):
         read_gridform(short)
+    # a header alone claiming a huge grid fails before its size is computed
+    huge = tmp_path / "huge.gfrm"
+    huge.write_bytes(struct.pack("<4sIIId", b"GFRM", 2**32 - 1, 0, 2**31, 1.0))
+    with pytest.raises(ResolutionError):
+        read_gridform(huge)
 
 
 def test_band_profile_csv_round_trip(tmp_path):

@@ -1,8 +1,11 @@
-"""Source hygiene: no module in src/ or tests/ imports a name it never uses.
+"""Source hygiene, by stdlib-only AST checks.
 
-A stdlib-only AST check.  A name counts as used when it appears as a
-``Name`` anywhere in the module or is listed in the module's ``__all__``;
-``from __future__`` imports are exempt.
+* No module in src/ or tests/ imports a name it never uses.  A name counts
+  as used when it appears as a ``Name`` anywhere in the module or is listed
+  in the module's ``__all__``; ``from __future__`` imports are exempt.
+* Every top-level definition in src/lipdeg/ is reached from the command
+  line, the benchmark or a kept test oracle (see ``unreached``).
+* src/ holds no ``assert`` statement: ``python -O`` strips them.
 """
 
 import ast
@@ -12,6 +15,17 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = ROOT / "src" / "lipdeg"
+
+# exact oracles and constructors that only tests call: the float kernels
+# are checked against them
+TEST_ORACLES = (
+    "evaluate_relations",
+    "relation_defect",
+    "basis_element",
+    "volume_element",
+    "project_upto",
+)
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -60,3 +74,104 @@ def test_check_sees_an_unused_import(tmp_path):
         "def f(x: p) -> float:\n    return math.pi\n"
     )
     assert unused_imports(mod) == ["json (line 2)"]
+
+
+def _read_names(node) -> set:
+    """Identifiers a node reads: bare names and attribute names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _defined_names(node) -> list:
+    """Names a top-level statement defines (dunders such as __all__ excluded)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
+def unreached(package: Path, entry: str, clients: list, oracles=()) -> list:
+    """Top-level definitions of ``package`` that no root reaches.
+
+    Roots are every definition in the ``entry`` module, every name the
+    ``clients`` files read or import, every name in ``oracles``, and every
+    name a module reads outside its definitions at import time.  Reaching a
+    definition reaches every name its body reads; names resolve across
+    modules by name alone.  Imports and ``__all__`` strings are no use.
+    """
+    defs = {}  # name -> [(module, node)]
+    roots = set(oracles)
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            names = _defined_names(node)
+            for name in names:
+                defs.setdefault(name, []).append((path.stem, node))
+            if path.stem == entry:
+                roots.update(names)
+            if not names and not isinstance(
+                node, (ast.Import, ast.ImportFrom, ast.Assign, ast.AnnAssign)
+            ):
+                roots |= _read_names(node)
+    for path in clients:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        roots |= _read_names(tree)
+        roots |= set(_imported(tree))
+    seen, todo = set(), [n for n in roots if n in defs]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for _, node in defs[name]:
+            todo.extend(n for n in _read_names(node) if n in defs and n not in seen)
+    return sorted(
+        f"{mod}.{name}"
+        for name, sites in defs.items()
+        if name not in seen
+        for mod, _ in sites
+    )
+
+
+def test_every_definition_is_reached():
+    clients = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unreached(PACKAGE, "cli", clients, TEST_ORACLES) == []
+
+
+def test_reach_check_sees_dead_code(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "cli.py").write_text("from .core import run\ndef main():\n    return run()\n")
+    (pkg / "core.py").write_text(
+        "__all__ = ['run', 'dead']\n"
+        "LIMIT = 3\n"
+        "def run():\n    return _helper() + LIMIT\n"
+        "def _helper():\n    return 1\n"
+        "def dead():\n    return _orphan()\n"
+        "def _orphan():\n    return 2\n"
+        "def oracle():\n    return 4\n"
+        "def bench_only():\n    return 5\n"
+    )
+    client = tmp_path / "bench.py"
+    client.write_text("from pkg.core import bench_only\n")
+    assert unreached(pkg, "cli", [client], ("oracle",)) == ["core._orphan", "core.dead"]
+
+
+def test_no_assert_in_src():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

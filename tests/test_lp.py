@@ -14,7 +14,6 @@ from lipdeg.bands import (
     exterior_derivative,
     grid_axes,
     grid_form,
-    kernel_l1_diagnostics,
     lp_norm,
     primitive,
     product_support_radius,
@@ -361,18 +360,6 @@ def test_product_support_alias_guard():
     a = grid_form(2, 0, N, components={(): lambda x, y: np.cos(5 * TAU * x) + 0.0 * y})
     with pytest.raises(BandRangeError):
         product_support_radius(a, a)
-
-
-def test_kernel_diagnostics_uniform_over_bands():
-    part = build_partition(2, 64, 1.0)
-    diag = kernel_l1_diagnostics(part)
-    interior = [k for k in part.bands if part.k_min < k < part.k_max]
-    l1s = [diag[k]["l1"] for k in interior]
-    dl1s = [diag[k]["dl1_scaled"] for k in interior]
-    assert max(l1s) / min(l1s) <= 10.0
-    assert max(dl1s) / min(dl1s) <= 10.0
-    for k in interior:
-        assert diag[k]["l1"] < 50.0
 
 
 def test_bandlimited_noise_respects_radius():

@@ -32,6 +32,7 @@ from lipdeg.rings import (
     preset_presentations,
     preset_weights,
     relation_defect,
+    word_value,
 )
 
 
@@ -205,7 +206,5 @@ def test_evaluate_word_top_class():
     x2 = preset_presentations("Xk", k=2)
     b = selfdual_triple(normalized=False, exact=True)
     a = Assignment(4, {"u1": b[0], "u2": b[1]})
-    from lipdeg.rings import evaluate_word
-
-    top = evaluate_word(x2, a, x2.top_class)
+    top = word_value(x2.top_class, a.forms)
     assert top == volume_element(4, Fraction(2))

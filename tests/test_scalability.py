@@ -16,7 +16,6 @@ from lipdeg.scalability import (
     SearchConfig,
     _Workspace,
     check_middle_form,
-    estimate_topclass_exponent,
     kge4_certificate,
     presentation_from_intersection_form,
     search_embedding,
@@ -204,34 +203,3 @@ def test_kge4_estimate_is_verified_and_deterministic():
         assert el.sup_norm() <= 1.0 + 1e-12
     rep2 = kge4_certificate(samples=4000, seed=9)
     assert rep2.c_est == rep.c_est
-
-
-# -- top class versus defect -------------------------------------------------------
-
-
-def test_topclass_exponent_linear_for_four_sum():
-    pres = preset_presentations("Xk", k=4)
-    fit = estimate_topclass_exponent(
-        pres, 4, [1e-1, 1e-2, 1e-3, 1e-4], SearchConfig(restarts=6, max_iters=250, seed=0)
-    )
-    assert 0.8 <= fit.theta <= 1.2
-    assert not fit.flagged_scalable
-    assert all(t > 0 for t in fit.best_top)
-
-
-def test_topclass_exponent_flags_scalable_input():
-    pres = preset_presentations("Xk", k=3)
-    fit = estimate_topclass_exponent(pres, 4, [1e-1, 1e-2], CFG)
-    assert fit.flagged_scalable
-    assert fit.theta == 0.0
-    assert fit.witness_defect < 1e-6
-
-
-def test_topclass_exponent_grid_validation():
-    pres = preset_presentations("Xk", k=4)
-    with pytest.raises(ParameterError):
-        estimate_topclass_exponent(pres, 4, [1e-2], CFG)
-    with pytest.raises(ParameterError):
-        estimate_topclass_exponent(pres, 4, [1e-3, 1e-2], CFG)
-    with pytest.raises(ParameterError):
-        estimate_topclass_exponent(pres, 4, [1e-2, -1e-3], CFG)
