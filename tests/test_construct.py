@@ -55,7 +55,6 @@ def test_sphere_map_blocks_glue_at_south_pole():
     assert np.allclose(f.values[:, 8, :], south, atol=1e-12)
     assert np.allclose(f.values[:, :, 8], south, atol=1e-12)
     assert np.allclose(f.values[:, 0, :], south, atol=1e-12)
-    assert f.degree_target == 4
 
 
 def test_sphere_map_lipschitz_scales_linearly_in_blocks():
@@ -68,6 +67,14 @@ def test_sphere_map_lipschitz_scales_linearly_in_blocks():
     # the cap profile has |gradient| <= 2 pi d; the measured chordal
     # slope must sit just under that
     assert 0.85 * 2 * math.pi <= ratios[0] <= 2 * math.pi + 1e-6
+
+
+def test_sphere_map_plan_records():
+    f = sphere_map(2, 64)
+    assert (f.block_count, f.resolution, f.target_dim) == (2, 64, 2)
+    assert f.values.shape == (3, 64, 64)
+    assert f.boundary_collapsed
+    assert f.degree_target == 4
 
 
 # -- homotopy bound ------------------------------------------------------------
