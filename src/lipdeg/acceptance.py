@@ -20,8 +20,8 @@ from .bands import (
     BandProfile,
     DyadicPartition,
     GridForm,
+    _stream_profile,
     band_fields,
-    band_profile,
     bandlimited_noise_form,
     build_partition,
     exterior_derivative,
@@ -145,17 +145,24 @@ def criterion_3(level: str = "full", seed: int = 0) -> CriterionResult:
 
 
 def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
-    """(reconstruction error, commutator error, middle band) of one form.
+    """(recon error, commutator error, middle band, band profile) of one form.
 
     Reconstruction compares the sum of all band projections with the form;
     the commutator compares d P_k a with P_k d a at the middle band k, both
-    relative to the form's (or its derivative's) sup norm.
+    relative to the form's (or its derivative's) sup norm.  The profile is
+    read off the same band stream that the reconstruction sums.
     """
     total = np.zeros_like(a.data)
-    for _, c, fld in band_fields(a, part):
-        total[c] += fld
+
+    def summed():
+        for k, c, fld in band_fields(a, part):
+            total[c] += fld
+            yield k, c, fld
+            del fld  # free it before the stream computes the next field
+
+    profile = _stream_profile(a, part, summed())
     recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
-    del total, fld
+    del total
     k_mid = part.bands[len(part.bands) // 2]
     da = exterior_derivative(a)
     scale = max(lp_norm(da, "inf"), 1e-300)
@@ -164,7 +171,7 @@ def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
     left = exterior_derivative(project_band(a, k_mid, part))
     np.subtract(left.data, right.data, out=left.data)
     commute = float(lp_norm(left, "inf") / scale)
-    return recon, commute, k_mid
+    return recon, commute, k_mid, profile
 
 
 def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
@@ -179,10 +186,10 @@ def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
     for d, N in cases:
         a = bandlimited_noise_form(d, 0, N, 1.0, radius=N / 2.5, seed=seed + d)
         part = build_partition(d, N, 1.0)
-        recon, commute, _ = lp_battery(a, part)
+        recon, commute, _, profile = lp_battery(a, part)
         worst["recon"] = max(worst["recon"], recon)
         worst["commute"] = max(worst["commute"], commute)
-        ortho[f"{d}x{N}"] = band_profile(a, part).orthogonality_ratio()
+        ortho[f"{d}x{N}"] = profile.orthogonality_ratio()
 
         # product support: band-k factors multiply into radius 2^(k+2),
         # checked on the integer frequency lattice
@@ -195,11 +202,7 @@ def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
         prod = wedge_grid(pa, pb)
         radius = product_support_radius(pa, pb)
         lattice = spectral_support(prod, 1e-10)
-        lattice_max = (
-            float(np.sqrt((np.asarray(lattice, dtype=float) ** 2).sum(axis=1)).max())
-            if len(lattice)
-            else 0.0
-        )
+        lattice_max = float(np.linalg.norm(lattice, axis=1).max()) if len(lattice) else 0.0
         cap = 2.0 ** (k_sup + 2)
         support_ok = support_ok and radius <= cap and lattice_max <= cap
         del a, b, pa, pb, prod

@@ -6,6 +6,9 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
 
 * frequencies are integer lattice vectors ``m``; the physical frequency is
   ``xi = m / T`` and plane waves are ``exp(2 pi i <m, x> / T)``;
+* every spectrum lives on the half lattice of a real FFT (last axis
+  ``0..N/2``), and one transform pair moves between grid and spectrum:
+  ``_spectra`` (rfftn, one component at a time) and ``_field`` (irfftn);
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -178,10 +181,9 @@ def grid_form(
 
 
 @lru_cache(maxsize=64)
-def _freq_axis(d: int, N: int, T: float, axis: int, half: bool) -> np.ndarray:
-    """xi along one axis, broadcastable (read-only); xi = m / T."""
-    full = np.fft.fftfreq(N) * N
-    m = full if not (half and axis == d - 1) else np.arange(N // 2 + 1)
+def _freq_axis(d: int, N: int, T: float, axis: int) -> np.ndarray:
+    """xi = m / T along one half-lattice axis, broadcastable (read-only)."""
+    m = np.arange(N // 2 + 1) if axis == d - 1 else np.fft.fftfreq(N) * N
     shape = [1] * d
     shape[axis] = len(m)
     out = (m / T).reshape(shape)
@@ -190,9 +192,9 @@ def _freq_axis(d: int, N: int, T: float, axis: int, half: bool) -> np.ndarray:
 
 
 @lru_cache(maxsize=3)
-def _freq_radius(d: int, N: int, T: float, half: bool) -> np.ndarray:
-    """|xi| on the (half-)lattice (read-only)."""
-    r = np.sqrt(sum(_freq_axis(d, N, T, i, half) ** 2 for i in range(d)))
+def _freq_radius(d: int, N: int, T: float) -> np.ndarray:
+    """|xi| on the half lattice (read-only)."""
+    r = np.sqrt(sum(_freq_axis(d, N, T, i) ** 2 for i in range(d)))
     r.setflags(write=False)
     return r
 
@@ -230,29 +232,26 @@ class DyadicPartition:
     def bands(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
-    def _radius(self, half: bool) -> np.ndarray:
-        return _freq_radius(self.spatial_dim, self.resolution, self.period, half)
-
-    def lowpass_multiplier(self, k: int, half: bool = False) -> np.ndarray:
+    def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(|xi| / 2^k); exactly 1 once k >= k_max."""
         if k < self.k_min - 1 or k > self.k_max:
             raise BandRangeError(f"cutoff {k} outside bands {self.k_min}..{self.k_max}")
-        return _chi(self._radius(half) / float(2.0**k))
+        r = _freq_radius(self.spatial_dim, self.resolution, self.period)
+        return _chi(r / float(2.0**k))
 
-    def band_multiplier(self, k: int, half: bool = False) -> np.ndarray:
+    def band_multiplier(self, k: int) -> np.ndarray:
         """Band window; the lowest band absorbs everything below (zero mode)."""
         if k not in self.bands:
             raise BandRangeError(f"band {k} outside {self.k_min}..{self.k_max}")
         if k == self.k_min:
-            return self.lowpass_multiplier(k, half)
-        return self.lowpass_multiplier(k, half) - self.lowpass_multiplier(k - 1, half)
+            return self.lowpass_multiplier(k)
+        return self.lowpass_multiplier(k) - self.lowpass_multiplier(k - 1)
 
     def windows(self):
-        """Yield (k, band window) on the half lattice for every band, one
-        lowpass per band."""
+        """Yield (k, band window) for every band, one lowpass per band."""
         prev = None
         for k in self.bands:
-            low = self.lowpass_multiplier(k, half=True)
+            low = self.lowpass_multiplier(k)
             window = low if prev is None else low - prev
             prev = low  # the only lowpass kept across the yield
             yield k, window
@@ -268,36 +267,46 @@ def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
     return DyadicPartition(d, N, T, k_min, k_max)
 
 
-def _apply_multiplier(a: GridForm, mult_half: np.ndarray) -> GridForm:
+# -- the transform pair: every spectrum in this module passes through these ---
+
+
+def _spectra(a: GridForm):
+    """Yield each component's half-spectrum in component order (one live)."""
+    axes = tuple(range(a.spatial_dim))
+    for c in a.data:
+        yield np.fft.rfftn(c, axes=axes)
+
+
+def _field(spec: np.ndarray, d: int, N: int) -> np.ndarray:
+    """The real field on the N^d grid with half-spectrum ``spec``."""
+    return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
+
+
+def _apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
     """Multiply every component's half-spectrum by a real radial multiplier."""
-    N, d = a.resolution, a.spatial_dim
-    axes = tuple(range(d))
     out = np.empty_like(a.data)
-    for c in range(a.data.shape[0]):
-        spec = np.fft.rfftn(a.data[c], axes=axes)
-        spec *= mult_half
-        out[c] = np.fft.irfftn(spec, s=(N,) * d, axes=axes)
+    for c, spec in enumerate(_spectra(a)):
+        spec *= mult
+        out[c] = _field(spec, a.spatial_dim, a.resolution)
     return a.copy_with(out)
 
 
 def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    return _apply_multiplier(a, part.band_multiplier(k, half=True))
+    return _apply_multiplier(a, part.band_multiplier(k))
 
 
 def project_upto(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    return _apply_multiplier(a, part.lowpass_multiplier(k, half=True))
+    return _apply_multiplier(a, part.lowpass_multiplier(k))
 
 
 def band_fields(a: GridForm, part: DyadicPartition):
     """Yield (k, c, component c of P_k a) band by band, one field at a time."""
-    N, d = a.resolution, a.spatial_dim
-    axes = tuple(range(d))
-    specs = [np.fft.rfftn(c, axes=axes) for c in a.data]
+    specs = list(_spectra(a))
     for k, mult in part.windows():
         for c, spec in enumerate(specs):
-            yield k, c, np.fft.irfftn(spec * mult, s=(N,) * d, axes=axes)
+            yield k, c, _field(spec * mult, a.spatial_dim, a.resolution)
 
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
@@ -336,10 +345,7 @@ def _synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
     """Component planes from half-spectra (None is the zero plane)."""
     data = np.empty((len(out_spec),) + (N,) * d)
     for i, spec in enumerate(out_spec):
-        if spec is None:
-            data[i] = 0.0
-        else:
-            data[i] = np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
+        data[i] = 0.0 if spec is None else _field(spec, d, N)
     return data
 
 
@@ -348,11 +354,10 @@ def exterior_derivative(a: GridForm) -> GridForm:
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     if p == d:
         return zero_form(d, d, N, T)
-    axes = tuple(range(d))
     out_spec = _combine(
-        (np.fft.rfftn(c, axes=axes) for c in a.data),
+        _spectra(a),
         wedge_nonzeros(d, 1, p),
-        lambda axis, sign: 2j * np.pi * sign * _freq_axis(d, N, T, axis, True),
+        lambda axis, sign: 2j * np.pi * sign * _freq_axis(d, N, T, axis),
         comb(d, p + 1),
     )
     return GridForm(d, p + 1, N, T, _synthesize(out_spec, d, N))
@@ -364,11 +369,11 @@ def _closedness_residual(a: GridForm, specs: list) -> float:
     acc = _combine(
         specs,
         wedge_nonzeros(d, 1, p),
-        lambda axis, sign: sign * _freq_axis(d, N, T, axis, True),
+        lambda axis, sign: sign * _freq_axis(d, N, T, axis),
         comb(d, p + 1),
     )
     num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
-    r = _freq_radius(d, N, T, True)
+    r = _freq_radius(d, N, T)
     den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
     return np.sqrt(num / den) if den > 0 else 0.0
 
@@ -391,8 +396,7 @@ def primitive(
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     if p == 0:
         raise ShapeError("a 0-form has no primitive")
-    axes = tuple(range(d))
-    specs = [np.fft.rfftn(a.data[c], axes=axes) for c in range(a.data.shape[0])]
+    specs = list(_spectra(a))
     total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for s in specs))
     if total == 0.0:
         return zero_form(d, p - 1, N, T)
@@ -404,7 +408,7 @@ def primitive(
     resid = _closedness_residual(a, specs)
     if resid > tol:
         raise NotClosed(f"input is not closed: relative residual {resid:.3e}")
-    r = _freq_radius(d, N, T, True)
+    r = _freq_radius(d, N, T)
     if band is not None:
         inside = (r >= 2.0 ** (band - 1)) & (r <= 2.0 ** (band + 1))
         leak = np.sqrt(
@@ -422,7 +426,7 @@ def primitive(
     out_spec = _combine(
         specs,
         (low, axis, high, sign),
-        lambda axis, sign: sign * _freq_axis(d, N, T, axis, True) * inv * (-1j),
+        lambda axis, sign: sign * _freq_axis(d, N, T, axis) * inv * (-1j),
         comb(d, p - 1),
     )
     return GridForm(d, p - 1, N, T, _synthesize(out_spec, d, N))
@@ -434,11 +438,11 @@ def primitive(
 def lp_norm(a: GridForm, which) -> float:
     """Riemann-sum norms: which in {1, 2, "inf"}."""
     cell = (a.period / a.resolution) ** a.spatial_dim
-    if which == 1 or which == "1" or which == "l1":
+    if which == 1:
         return float(sum(np.abs(c).sum() * cell for c in a.data))
-    if which == 2 or which == "2" or which == "l2":
+    if which == 2:
         return float(np.sqrt(sum((c**2).sum() * cell for c in a.data)))
-    if which in ("inf", "linf", np.inf):
+    if which == "inf":
         return float(np.max(np.abs(a.data))) if a.data.size else 0.0
     raise ParameterError(f"unsupported norm {which!r}")
 
@@ -461,10 +465,15 @@ class BandProfile:
 
 def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandProfile:
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
+    return _stream_profile(a, part, band_fields(a, part))
+
+
+def _stream_profile(a: GridForm, part: DyadicPartition, fields) -> BandProfile:
+    """Band norms of a, read off a stream of its (k, c, field) band fields."""
     cell = (a.period / a.resolution) ** a.spatial_dim
     idx = a.indices
     l1, s2, linf, per = {}, {}, {}, {}
-    for k, c, fld in band_fields(a, part):
+    for k, c, fld in fields:
         c1 = float(np.abs(fld).sum() * cell)
         c2 = float(np.sqrt((fld**2).sum() * cell))
         ci = float(np.max(np.abs(fld)))
@@ -517,16 +526,17 @@ def spectral_support(a: GridForm, thresh: float = 1e-12) -> np.ndarray:
     """Integer lattice points where some component's spectrum exceeds
     thresh * (largest spectral magnitude); shape (m, d)."""
     d, N = a.spatial_dim, a.resolution
-    axes = tuple(range(1, d + 1))
-    spec = np.fft.fftn(a.data, axes=axes)
-    mag = np.max(np.abs(spec), axis=0)
+    mag = None
+    for spec in _spectra(a):
+        mag = np.abs(spec) if mag is None else np.maximum(mag, np.abs(spec), out=mag)
     top = float(mag.max())
     if top == 0.0:
         return np.zeros((0, d), dtype=np.int64)
-    mask = mag > thresh * top
-    coords = np.argwhere(mask)
-    freqs = (np.fft.fftfreq(N) * N).astype(np.int64)
-    return freqs[coords]
+    pts = np.argwhere(mag > thresh * top)
+    # a real form's spectrum is Hermitian, so add -m off the last-index 0 and
+    # N/2 planes (the half lattice holds both there); wrap like fftfreq
+    inner = (pts[:, -1] > 0) & (pts[:, -1] < N // 2)
+    return (np.concatenate([pts, -pts[inner]]) + N // 2) % N - N // 2
 
 
 def product_support_radius(a: GridForm, b: GridForm, thresh: float = 1e-12) -> float:
@@ -549,12 +559,13 @@ def product_support_radius(a: GridForm, b: GridForm, thresh: float = 1e-12) -> f
         raise BandRangeError(
             f"support radii {ra:.1f} + {rb:.1f} reach Nyquist {a.resolution // 2}"
         )
-    best = 0.0
+    # squared norms in exact integers, one axis at a time
+    best = 0
     chunk = max(1, 10**7 // max(len(sb), 1))
     for lo in range(0, len(sa), chunk):
-        sums = sa[lo : lo + chunk, None, :] + sb[None, :, :]
-        best = max(best, float(np.sqrt((sums.astype(float) ** 2).sum(axis=2)).max()))
-    return best
+        sq = sum((sa[lo : lo + chunk, None, i] + sb[:, i]) ** 2 for i in range(sa.shape[1]))
+        best = max(best, int(sq.max()))
+    return math.sqrt(best)
 
 
 def bandlimited_noise_form(
@@ -569,6 +580,6 @@ def bandlimited_noise_form(
     _check_grid(d, p, N)
     rng = np.random.default_rng(seed)
     a = GridForm(d, p, N, T, rng.standard_normal((comb(d, p),) + (N,) * d))
-    r = _freq_radius(d, N, T, True)
+    r = _freq_radius(d, N, T)
     mask = (r <= radius).astype(float)
     return _apply_multiplier(a, mask)

@@ -100,8 +100,7 @@ def _cmd_lp(args) -> tuple:
     d, N, p = args.dim, args.resolution, args.degree
     a = bandlimited_noise_form(d, p, N, 1.0, radius=N / 2.5, seed=args.seed)
     part = build_partition(d, N, 1.0)
-    recon, commute, k_mid = acceptance.lp_battery(a, part)
-    prof = band_profile(a, part)
+    recon, commute, k_mid, prof = acceptance.lp_battery(a, part)
     payload = {
         "dim": d,
         "degree": p,

@@ -233,7 +233,6 @@ class _Workspace:
         n = pres.manifold_dim
         # normalization slot: the volume element when m == n, else the
         # first lexicographic degree-n basis index
-        self.top_dim = comb(m, n)
         self.top_slot = multi_indices(m, n).index(tuple(range(1, n + 1)))
         # per-degree masks of basis indices containing axis 1 (for the
         # orientation flip by the reflection of the first coordinate)
@@ -294,19 +293,8 @@ class _Workspace:
                 self._add_word(r[rows], J[rows], coeff, word, vecs)
         return r, J
 
-    def value_and_grad(self, vecs):
-        """Sum of squared relation coefficients and its gradient."""
-        r, J = self.residual_jacobian(vecs)
-        return float(r @ r), _unflatten(self, 2.0 * (J.T @ r))
-
     def top_value(self, vecs) -> float:
         return float(self._prefixes(self.pres.top_class, vecs)[-1][self.top_slot])
-
-    def top_grad(self, vecs):
-        r = np.zeros(self.top_dim)
-        J = np.zeros((self.top_dim, self.n_params))
-        self._add_word(r, J, 1.0, self.pres.top_class, vecs)
-        return _unflatten(self, J[self.top_slot])
 
     # -- normalization ------------------------------------------------------
 

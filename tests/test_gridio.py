@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipdeg.bands import band_profile, bandlimited_noise_form
-from lipdeg.errors import ResolutionError, ShapeError
+from lipdeg.errors import DimensionMismatch, ResolutionError, ShapeError
 from lipdeg.gridio import (
     read_band_profile,
     read_gridform,
@@ -54,6 +54,16 @@ def test_gridform_rejects_corruption(tmp_path):
     huge.write_bytes(struct.pack("<4sIIId", b"GFRM", 2**32 - 1, 0, 2**31, 1.0))
     with pytest.raises(ResolutionError):
         read_gridform(huge)
+    # headers whose payload size matches still fail on their grid
+    for name, (d, N, samples), err in [
+        ("dim0", (0, 8, 1), DimensionMismatch),
+        ("res6", (1, 6, 6), ResolutionError),
+    ]:
+        bad = tmp_path / f"{name}.gfrm"
+        header = struct.pack("<4sIIId", b"GFRM", d, 0, N, 1.0)
+        bad.write_bytes(header + bytes(8 * samples))
+        with pytest.raises(err):
+            read_gridform(bad)
 
 
 def test_band_profile_csv_round_trip(tmp_path):

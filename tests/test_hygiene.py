@@ -6,6 +6,8 @@
 * Every top-level definition in src/lipdeg/ is reached from the command
   line, the benchmark or a kept test oracle (see ``unreached``).
 * src/ holds no ``assert`` statement: ``python -O`` strips them.
+* src/lipdeg/ touches numpy.fft through one transform pair, one
+  ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
 """
 
 import ast
@@ -175,3 +177,36 @@ def test_no_assert_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def fft_names(path: Path) -> list:
+    """Every numpy.fft name a module reads or imports, one entry per site."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "fft"
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id in ("np", "numpy")
+        ):
+            out.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            out.extend(alias.name for alias in node.names)
+    return sorted(out)
+
+
+def test_one_transform_pair():
+    names = [n for path in sorted(PACKAGE.glob("*.py")) for n in fft_names(path)]
+    assert [n for n in names if n != "fftfreq"] == ["irfftn", "rfftn"]
+
+
+def test_fft_check_sees_every_transform(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import numpy as np\nfrom numpy.fft import ifftn\n"
+        "def f(x):\n    y = np.fft.rfftn(x)\n    g = np.fft.fftn\n"
+        "    return np.fft.irfftn(y), g, np.fft.fftfreq(4), ifftn\n"
+    )
+    assert fft_names(mod) == ["fftfreq", "fftn", "ifftn", "irfftn", "rfftn"]

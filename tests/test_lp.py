@@ -1,8 +1,11 @@
 """Band calculus on periodic grids: partitions, d, primitives, supports."""
 
+import math
+
 import numpy as np
 import pytest
 
+from lipdeg.acceptance import lp_battery
 from lipdeg.bands import (
     GridForm,
     _freq_axis,
@@ -74,6 +77,8 @@ def test_lp_norm_exact_values():
     # discrete |sin| average over N nodes has the closed form (2/N) cot(pi/N)
     assert lp_norm(g, 1) == pytest.approx(2.0 / N / np.tan(np.pi / N), abs=1e-12)
     assert lp_norm(g, 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
+    with pytest.raises(ParameterError):
+        lp_norm(f, "l1")  # only the documented 1, 2 and "inf"
 
 
 # -- partition structure -------------------------------------------------------
@@ -147,6 +152,19 @@ def test_band_index_validation():
         project_band(a, part.k_max + 1, part)
     with pytest.raises(BandRangeError):
         part.band_multiplier(part.k_min - 1)
+
+
+@pytest.mark.parametrize("d,p,N", [(2, 1, 32), (3, 2, 16), (4, 0, 16)])
+def test_lp_battery_profile_is_band_profile(d, p, N):
+    a = noise(d, p, N, seed=d + p, radius=N / 2.5)
+    part = build_partition(d, N, 1.0)
+    got, want = lp_battery(a, part)[3], band_profile(a, part)
+    assert got.bands == want.bands
+    assert got.l1 == want.l1
+    assert got.l2 == want.l2
+    assert got.linf == want.linf
+    assert got.per_component == want.per_component
+    assert len(got.per_component) == len(part.bands) * a.data.shape[0]
 
 
 def test_orthogonality_ratio_window():
@@ -315,8 +333,8 @@ def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
         lambda: wedge_pairing_matrix(4, 2),
         lambda: wedge_table(4, 2, 1)[0],
         lambda: wedge_table(4, 2, 1)[1],
-        lambda: _freq_radius(3, 8, 1.0, True),
-        lambda: _freq_axis(3, 8, 1.0, 1, True),
+        lambda: _freq_radius(3, 8, 1.0),
+        lambda: _freq_axis(3, 8, 1.0, 1),
     ],
     ids=["pairing", "table-target", "table-sign", "freq-radius", "freq-axis"],
 )
@@ -331,6 +349,43 @@ def test_wedge_grid_degree_overflow():
     b = noise(2, 2, 16, seed=17)
     with pytest.raises(ShapeError):
         wedge_grid(a, b)
+
+
+def _support_oracle(a, thresh=1e-12):
+    """Support read off the complex FFT of every component (full lattice)."""
+    d, N = a.spatial_dim, a.resolution
+    mag = np.max(np.abs(np.fft.fftn(a.data, axes=tuple(range(1, d + 1)))), axis=0)
+    freqs = (np.fft.fftfreq(N) * N).astype(np.int64)
+    return freqs[np.argwhere(mag > thresh * mag.max())]
+
+
+@pytest.mark.parametrize("d,p,N", [(2, 0, 32), (2, 1, 8), (3, 2, 16), (4, 2, 8)])
+@pytest.mark.parametrize("kind", ["white", "bandlimited"])
+def test_spectral_support_matches_complex_fft(d, p, N, kind):
+    if kind == "white":  # every mode, the Nyquist planes included
+        rng = np.random.default_rng(10 * d + p)
+        a = GridForm(d, p, N, 1.0, rng.standard_normal((math.comb(d, p),) + (N,) * d))
+    else:
+        a = noise(d, p, N, seed=d + p, radius=N / 4)
+    got = [tuple(int(x) for x in row) for row in spectral_support(a)]
+    pts = set(got)
+    assert len(got) == len(pts)  # no lattice point listed twice
+    assert pts == {tuple(int(x) for x in row) for row in _support_oracle(a)}
+    assert all(-N // 2 <= x < N // 2 for m in pts for x in m)
+    # a real form's support is closed under negation mod N
+    assert {tuple((-x + N // 2) % N - N // 2 for x in m) for m in pts} == pts
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_product_support_radius_is_exact(d):
+    a = noise(d, 0, 16, seed=30 + d, radius=3.0)
+    b = noise(d, 1, 16, seed=40 + d, radius=3.5)
+    want = max(
+        math.sqrt(sum((int(x) + int(y)) ** 2 for x, y in zip(u, v)))
+        for u in spectral_support(a)
+        for v in spectral_support(b)
+    )
+    assert product_support_radius(a, b) == want
 
 
 def test_spectral_support_exact_points():
