@@ -108,8 +108,11 @@ def _measured_lipschitz(values: np.ndarray, N: int) -> float:
     return best
 
 
-def sphere_map(d: int, N: int, n: int = 2) -> SampledSphereMap:
+def sphere_map(d: int, N: int) -> SampledSphereMap:
     """Realize the degree d^2 block cap map on an N x N periodic grid.
+
+    The map goes from the 2-torus to the 2-sphere, the one target
+    dimension the grid realization covers.
 
     Each of the d x d subsquares runs the radial cap: with r the radial
     coordinate scaled so the inscribed circle is r = 1, the point maps to
@@ -117,10 +120,6 @@ def sphere_map(d: int, N: int, n: int = 2) -> SampledSphereMap:
     at the south pole.  Subsquare edges are therefore constant, which is
     what makes the blocks (and the periodic wrap) glue.
     """
-    if n != 2:
-        raise ParameterError(
-            f"grid realization covers the two-dimensional target only, got n={n}"
-        )
     if d < 1:
         raise ParameterError("block count must be >= 1")
     if N < 4 or N % d != 0:
@@ -199,17 +198,13 @@ def default_geometry(N: int = 128) -> GeometryConstants:
     return GeometryConstants.measured(N)
 
 
-def homotopy_bound(
-    n: int, p: int, d: int, geometry: Optional[GeometryConstants] = None
-) -> float:
+def homotopy_bound(p: int, d: int, geometry: Optional[GeometryConstants] = None) -> float:
     """Plan-level Lipschitz bound c2 * p * d for the block-map homotopy.
 
     This is the cost of sliding between the pd-block map and the
     composite of the p-block and d-block maps; it feeds the homotopy
     shell of the recursion.  Symmetric and linear in each factor.
     """
-    if n < 1:
-        raise ParameterError("target dimension must be >= 1")
     if p < 1 or d < 1:
         raise ParameterError("block counts must be >= 1")
     geo = geometry or default_geometry()
@@ -353,7 +348,7 @@ def recursion_plan(
         )
     # stage 1: block maps and their homotopies
     K_prev = [geo.c1 * p**t for t in range(levels + 1)]
-    H_prev = [homotopy_bound(2, p, p ** max(t - 1, 0), geo) for t in range(levels + 1)]
+    H_prev = [homotopy_bound(p, p ** max(t - 1, 0), geo) for t in range(levels + 1)]
     layers = []
     for stage in range(2, degree_count + 1):
         K = [1.0]  # level 0 is the identity

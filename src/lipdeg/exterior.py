@@ -19,7 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -47,7 +46,6 @@ __all__ = [
     "selfdual_triple",
     "jsonable",
     "JsonFields",
-    "scalar_from_json",
 ]
 
 Scalar = Union[int, float, Fraction]
@@ -76,14 +74,6 @@ def jsonable(x):
     if isinstance(x, (list, tuple, range)):
         return [jsonable(v) for v in x]
     return x
-
-
-def scalar_from_json(c):
-    """Inverse of ``jsonable`` on scalars: ``"p/q"`` and ``"p"`` give a Fraction."""
-    if isinstance(c, str):
-        num, _, den = c.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return c
 
 
 class JsonFields:
@@ -209,21 +199,6 @@ class ExteriorElement:
     def to_json_dict(self) -> dict:
         terms = [{"I": I, "c": c} for I, c in sorted(self.coefficients.items())]
         return jsonable({"n": self.ambient_dim, "terms": terms})
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "ExteriorElement":
-        coeffs = {}
-        for term in data["terms"]:
-            I = tuple(term["I"])
-            coeffs[I] = coeffs.get(I, 0) + scalar_from_json(term["c"])
-        return cls(int(data["n"]), coeffs)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExteriorElement":
-        return cls.from_json_dict(json.loads(text))
 
 
 def basis_element(n: int, I, c: Scalar = 1) -> ExteriorElement:

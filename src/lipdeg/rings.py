@@ -17,7 +17,6 @@ Two exponent extractors live here as well:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .errors import (
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from .exterior import ExteriorElement, JsonFields, jsonable, scalar_from_json, wedge
+from .exterior import ExteriorElement, JsonFields, jsonable, wedge
 
 __all__ = [
     "Relation",
@@ -122,30 +121,6 @@ class RingPresentation:
             "top": "*".join(self.top_class),
             "pd": self.poincare_duality,
         })
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "RingPresentation":
-        rels = tuple(
-            Relation(
-                r["name"],
-                tuple((scalar_from_json(m["c"]), tuple(m["word"])) for m in r["monomials"]),
-            )
-            for r in data["rels"]
-        )
-        return cls(
-            manifold_dim=int(data["n"]),
-            generators=tuple((g["name"], int(g["deg"])) for g in data["gens"]),
-            relations=rels,
-            top_class=tuple(data["top"].split("*")),
-            poincare_duality=bool(data.get("pd", True)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "RingPresentation":
-        return cls.from_json_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ Three layers of evidence, kept strictly apart:
 
 * exact middle-degree signature tests — the only source of a
   ``not_scalable`` verdict;
-* numerical embedding search (projected gradient over assignments of
-  constant-coefficient forms) — produces witnesses and defect floors,
-  never impossibility claims;
+* numerical embedding search (damped least squares, i.e.
+  Levenberg–Marquardt, over assignments of constant-coefficient forms,
+  projected onto a normalized coefficient ball after each step) —
+  produces witnesses and defect floors, never impossibility claims;
 * a quantitative obstruction estimate: the four-tuple wedge inequality
   constant.
 
@@ -203,21 +204,33 @@ def check_middle_form(Q, n: int, cfg: Optional[SearchConfig] = None) -> Scalabil
 
 
 class _Workspace:
-    """Dense-vector evaluation of one presentation inside Lambda(R^m)."""
+    """Dense-vector evaluation of one presentation inside Lambda(R^m).
+
+    The search state is one flat vector x: the generators' coefficient
+    vectors laid end to end in generator order, ``cols[g]`` slicing out g's.
+    """
 
     def __init__(self, pres: RingPresentation, m: int, ball_cap: Optional[float] = 1.0):
         self.pres = pres
         self.m = m
         self.ball_cap = ball_cap
         self.deg = dict(pres.generators)
-        self.names = [nm for nm, _ in pres.generators]
-        self.dims = {nm: comb(m, d) for nm, d in pres.generators}
         self.cols = {}
+        flip, in_top = [], []
         at = 0
-        for nm in self.names:
-            self.cols[nm] = slice(at, at + self.dims[nm])
-            at += self.dims[nm]
+        for nm, d in pres.generators:
+            basis = multi_indices(m, d)
+            self.cols[nm] = slice(at, at + len(basis))
+            at += len(basis)
+            flip += [1 in I for I in basis]
+            in_top += [nm in pres.top_class] * len(basis)
         self.n_params = at
+        # coefficients whose basis index contains axis 1 (negated by the
+        # reflection of the first coordinate), and those of generators in
+        # the top word (rescaled to pin the top value)
+        self.flip = np.array(flip)
+        self.in_top = np.array(in_top)
+        self.top_len = len(pres.top_class)
         # residual rows per relation; relations of degree above m vanish
         # identically in Lambda(R^m) and get none
         self.relations = []
@@ -234,30 +247,19 @@ class _Workspace:
         # normalization slot: the volume element when m == n, else the
         # first lexicographic degree-n basis index
         self.top_slot = multi_indices(m, n).index(tuple(range(1, n + 1)))
-        # per-degree masks of basis indices containing axis 1 (for the
-        # orientation flip by the reflection of the first coordinate)
-        self._flip = {
-            d: np.array([1 in I for I in multi_indices(m, d)])
-            for d in sorted({dg for _, dg in pres.generators})
-        }
-        counts = {}
-        for g in pres.top_class:
-            counts[g] = counts.get(g, 0) + 1
-        self.top_counts = counts
-        self.top_len = len(pres.top_class)
 
     # -- the residual/Jacobian kernel ----------------------------------------
 
-    def _prefixes(self, word, vecs) -> list:
+    def _prefixes(self, word, x) -> list:
         """Images of the word's prefixes: x1, x1^x2, ..., the whole word."""
-        out = [vecs[word[0]]]
+        out = [x[self.cols[word[0]]]]
         deg = self.deg[word[0]]
         for g in word[1:]:
-            out.append(wedge_dense(self.m, deg, self.deg[g], out[-1], vecs[g]))
+            out.append(wedge_dense(self.m, deg, self.deg[g], out[-1], x[self.cols[g]]))
             deg += self.deg[g]
         return out
 
-    def _add_word(self, r, J, coeff, word, vecs) -> None:
+    def _add_word(self, r, J, coeff, word, x) -> None:
         """Add coeff times the word's image to r and its Jacobian to J.
 
         The block of slot t is S @ L: L wedges the prefix before slot t on
@@ -265,7 +267,7 @@ class _Workspace:
         running matrix from the end of the word, so a word of length k
         costs O(k) wedges.
         """
-        prefixes = self._prefixes(word, vecs)
+        prefixes = self._prefixes(word, x)
         r += coeff * prefixes[-1]
         if len(word) == 1:
             J[:, self.cols[word[0]]] += coeff * np.eye(r.size)
@@ -277,42 +279,28 @@ class _Workspace:
             g, p = word[t], degs[t - 1]
             left = wedge_left_matrix(self.m, p, self.deg[g], prefixes[t - 1])
             blocks[t] = left if suffix is None else suffix @ left
-            right = wedge_right_matrix(self.m, p, self.deg[g], vecs[g])
+            right = wedge_right_matrix(self.m, p, self.deg[g], x[self.cols[g]])
             suffix = right if suffix is None else suffix @ right
         blocks[0] = suffix
         for g, block in zip(word, blocks):
             J[:, self.cols[g]] += coeff * block
 
-    def residual_jacobian(self, vecs):
-        """Stacked relation coefficients and their Jacobian in the flat
-        generator vector.  The max absolute residual is the defect."""
+    def residual_jacobian(self, x):
+        """Stacked relation coefficients and their Jacobian in x.  The max
+        absolute residual is the defect."""
         r = np.zeros(self.n_rows)
         J = np.zeros((self.n_rows, self.n_params))
         for rows, monomials in self.relations:
             for coeff, word in monomials:
-                self._add_word(r[rows], J[rows], coeff, word, vecs)
+                self._add_word(r[rows], J[rows], coeff, word, x)
         return r, J
 
-    def top_value(self, vecs) -> float:
-        return float(self._prefixes(self.pres.top_class, vecs)[-1][self.top_slot])
+    def top_value(self, x) -> float:
+        return float(self._prefixes(self.pres.top_class, x)[-1][self.top_slot])
 
     # -- normalization ------------------------------------------------------
 
-    def _pin_top(self, vecs) -> Optional[dict]:
-        c = self.top_value(vecs)
-        if abs(c) < 1e-12:
-            return None
-        out = dict(vecs)
-        if c < 0:
-            out = {
-                g: np.where(self._flip[self.deg[g]], -v, v) for g, v in out.items()
-            }
-            c = -c
-        for g in self.top_counts:
-            out[g] = out[g] * c ** (-1.0 / self.top_len)
-        return out
-
-    def project_top(self, vecs) -> Optional[dict]:
+    def project_top(self, x) -> Optional[np.ndarray]:
         """Project onto the search domain: unit-ball coefficients with the
         top word landing on the reference slot with value +1.
 
@@ -324,20 +312,19 @@ class _Workspace:
         letting coefficients blow up, and the reported floors for
         non-embeddable presentations would be meaningless.  Returns None
         when the top value is numerically zero or the two constraints
-        cannot be reconciled.
+        cannot be reconciled within 60 clips.
         """
-        out = self._pin_top(vecs)
-        if out is None or self.ball_cap is None:
-            return out
         cap = self.ball_cap
         for _ in range(60):
-            worst = max(float(np.max(np.abs(v))) for v in out.values())
-            if worst <= cap + 1e-12:
-                return out
-            out = {g: np.clip(v, -cap, cap) for g, v in out.items()}
-            out = self._pin_top(out)
-            if out is None:
+            c = self.top_value(x)
+            if abs(c) < 1e-12:
                 return None
+            if c < 0:
+                x, c = np.where(self.flip, -x, x), -c
+            x = np.where(self.in_top, x * c ** (-1.0 / self.top_len), x)
+            if cap is None or float(np.max(np.abs(x))) <= cap + 1e-12:
+                return x
+            x = np.clip(x, -cap, cap)
         return None
 
 
@@ -352,24 +339,16 @@ class EmbeddingSearch(JsonFields):
     seed: int
 
 
-def _flatten(ws: _Workspace, vecs: dict) -> np.ndarray:
-    return np.concatenate([vecs[g] for g in ws.names])
-
-
-def _unflatten(ws: _Workspace, x: np.ndarray) -> dict:
-    return {g: x[ws.cols[g]] for g in ws.names}
-
-
-def _descend(ws: _Workspace, vecs: dict, cfg: SearchConfig):
+def _descend(ws: _Workspace, x: np.ndarray, cfg: SearchConfig):
     """Damped least-squares descent; returns the best-defect incumbent."""
-    r, J = ws.residual_jacobian(vecs)
+    r, J = ws.residual_jacobian(x)
     if r.size == 0:
-        return 0.0, vecs
+        return 0.0, x
     F = float(r @ r)
     lam = 1e-3
     n_params = J.shape[1]
     best_defect = float(np.max(np.abs(r)))
-    best_vecs = vecs
+    best_x = x
     for _ in range(cfg.max_iters):
         stepped = False
         for _ in range(12):
@@ -379,27 +358,27 @@ def _descend(ws: _Workspace, vecs: dict, cfg: SearchConfig):
             except np.linalg.LinAlgError:
                 lam *= 4.0
                 continue
-            cand = ws.project_top(_unflatten(ws, _flatten(ws, vecs) - delta))
+            cand = ws.project_top(x - delta)
             if cand is None:
                 lam *= 4.0
                 continue
             r2, J2 = ws.residual_jacobian(cand)
             F2 = float(r2 @ r2)
             if F2 < F:
-                vecs, r, J, F = cand, r2, J2, F2
+                x, r, J, F = cand, r2, J2, F2
                 lam = max(lam / 3.0, 1e-12)
                 stepped = True
                 break
             lam *= 4.0
         defect = float(np.max(np.abs(r)))
         if defect < best_defect:
-            best_defect, best_vecs = defect, vecs
+            best_defect, best_x = defect, x
         if best_defect < cfg.tolerance or not stepped:
             break
-    return best_defect, best_vecs
+    return best_defect, best_x
 
 
-def _structured_start(pres: RingPresentation, m: int) -> Optional[dict]:
+def _structured_start(pres: RingPresentation, m: int) -> Optional[np.ndarray]:
     """Spectral initialization for middle-degree presentations.
 
     When the presentation pins all pairwise products (so it has a genuine
@@ -407,7 +386,8 @@ def _structured_start(pres: RingPresentation, m: int) -> Optional[dict]:
     pairing, rescale the pairing eigenbasis to squares of +-1, and match
     inertia directions.  The resulting assignment realizes G exactly
     whenever the signature fits, giving the descent an exact witness to
-    polish; otherwise return None and let random restarts run.
+    polish, as generator rows laid end to end; otherwise return None
+    and let random restarts run.
     """
     if m != pres.manifold_dim:
         return None
@@ -437,8 +417,7 @@ def _structured_start(pres: RingPresentation, m: int) -> Optional[dict]:
             return None
         sel.append(pool.pop())
     M = V * np.sqrt(np.abs(lam))[None, :]
-    rows = M @ basis[:, sel].T
-    return {nm: rows[i].copy() for i, (nm, _) in enumerate(pres.generators)}
+    return (M @ basis[:, sel].T).ravel()
 
 
 def _search_single(pres: RingPresentation, m: int, cfg: SearchConfig):
@@ -449,29 +428,25 @@ def _search_single(pres: RingPresentation, m: int, cfg: SearchConfig):
     defects = []
     for ridx in range(cfg.restarts):
         rng = np.random.default_rng(seeds[ridx])
-        vecs = None
+        x = None
         if ridx == 0 and structured is not None:
-            vecs = ws.project_top(structured)
-        if vecs is None:
+            x = ws.project_top(structured)
+        if x is None:
             for _ in range(32):
-                cand = {g: rng.standard_normal(ws.dims[g]) for g in ws.names}
-                cand = ws.project_top(cand)
-                if cand is not None:
-                    vecs = cand
+                x = ws.project_top(rng.standard_normal(ws.n_params))
+                if x is not None:
                     break
-        if vecs is None:
+        if x is None:
             defects.append(float("inf"))
             continue
-        defect, vecs = _descend(ws, vecs, cfg)
+        defect, x = _descend(ws, x, cfg)
         defects.append(defect)
         if best is None or defect < best[0]:
-            best = (defect, ridx, vecs)
+            best = (defect, ridx, x)
     if best is None:
         raise DegenerateForm("every restart produced a vanishing top class")
-    defect, ridx, vecs = best
-    forms = {
-        g: from_dense(m, ws.deg[g], vecs[g]) for g in ws.names
-    }
+    defect, ridx, x = best
+    forms = {g: from_dense(m, ws.deg[g], x[cols]) for g, cols in ws.cols.items()}
     return defect, ridx, Assignment(ambient_dim=m, forms=forms), tuple(defects)
 
 
@@ -622,12 +597,13 @@ def kge4_certificate(
         worst = int(np.argmax(lhs - c_est * rhs))
         c_est = float(np.max(ratio))
         best_tuple = B[worst]
+    lhs_best, rhs_best = _pair_stats(best_tuple[None], W)
     return Kge4Report(
         status="estimated",
         c_est=float(c_est),
         worst_case=_forms_assignment(best_tuple),
-        lhs=float(_pair_stats(best_tuple[None], W)[0][0]),
-        rhs=float(_pair_stats(best_tuple[None], W)[1][0]),
+        lhs=float(lhs_best[0]),
+        rhs=float(rhs_best[0]),
         tuples=samples,
         seed=seed,
         k=k,

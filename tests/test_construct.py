@@ -29,8 +29,6 @@ def test_sphere_map_rejects_bad_parameters():
     with pytest.raises(ResolutionError):
         sphere_map(3, 64)  # 64 not divisible by 3
     with pytest.raises(ParameterError):
-        sphere_map(2, 64, n=3)
-    with pytest.raises(ParameterError):
         sphere_map(0, 64)
 
 
@@ -82,13 +80,11 @@ def test_sphere_map_plan_records():
 
 def test_homotopy_bound_symmetric_and_linear():
     geo = UNIT
-    assert homotopy_bound(2, 3, 4, geo) == pytest.approx(homotopy_bound(2, 4, 3, geo))
-    assert homotopy_bound(2, 4, 5, geo) == pytest.approx(
-        2 * homotopy_bound(2, 2, 5, geo)
-    )
-    assert homotopy_bound(2, 2, 6, geo) == pytest.approx(12.0)  # c2 = 1
+    assert homotopy_bound(3, 4, geo) == pytest.approx(homotopy_bound(4, 3, geo))
+    assert homotopy_bound(4, 5, geo) == pytest.approx(2 * homotopy_bound(2, 5, geo))
+    assert homotopy_bound(2, 6, geo) == pytest.approx(12.0)  # c2 = 1
     with pytest.raises(ParameterError):
-        homotopy_bound(2, 0, 3, geo)
+        homotopy_bound(0, 3, geo)
 
 
 def test_measured_geometry_comes_from_base_realization():

@@ -182,16 +182,6 @@ def test_signature_float_matches_exact(seed):
     assert signature(S.astype(float)) == signature_exact(S)
 
 
-def test_json_round_trip_rational_and_float():
-    a = ExteriorElement(4, {(1, 2): Fraction(-3, 7), (3, 4): Fraction(2)})
-    b = ExteriorElement.from_json(a.to_json())
-    assert a == b and isinstance(b.coefficients[(1, 2)], Fraction)
-    c = ExteriorElement(3, {(1,): 0.5, (3,): -2.0})
-    assert ExteriorElement.from_json(c.to_json()) == c
-    # canonical text is deterministic
-    assert a.to_json() == ExteriorElement.from_json_dict(a.to_json_dict()).to_json()
-
-
 def test_dense_route_matches_dict_route():
     rng = np.random.default_rng(7)
     n = 5

@@ -4,7 +4,9 @@
   as used when it appears as a ``Name`` anywhere in the module or is listed
   in the module's ``__all__``; ``from __future__`` imports are exempt.
 * Every top-level definition in src/lipdeg/ is reached from the command
-  line, the benchmark or a kept test oracle (see ``unreached``).
+  line, the benchmark or a kept test oracle (see ``unreached``), and every
+  method or property of its classes is read somewhere as an attribute
+  (see ``unread_methods``).
 * src/ holds no ``assert`` statement: ``python -O`` strips them.
 * src/lipdeg/ touches numpy.fft through one transform pair, one
   ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
@@ -19,14 +21,17 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 PACKAGE = ROOT / "src" / "lipdeg"
 
-# exact oracles and constructors that only tests call: the float kernels
-# are checked against them
+# exact oracles and constructors that only tests call (the float kernels
+# are checked against them), and accessors that only tests read
 TEST_ORACLES = (
     "evaluate_relations",
     "relation_defect",
     "basis_element",
     "volume_element",
     "project_upto",
+    "coefficient",
+    "component",
+    "degree_target",
 )
 
 
@@ -167,6 +172,50 @@ def test_reach_check_sees_dead_code(tmp_path):
     client = tmp_path / "bench.py"
     client.write_text("from pkg.core import bench_only\n")
     assert unreached(pkg, "cli", [client], ("oracle",)) == ["core._orphan", "core.dead"]
+
+
+def unread_methods(package: Path, clients: list, oracles=()) -> list:
+    """Non-dunder methods and properties of ``package`` classes that no
+    ``x.name`` in the package or the ``clients`` files reads, unless
+    ``oracles`` names them."""
+    read, methods = set(oracles), []
+    for path in sorted(package.glob("*.py")) + list(clients):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        if path.parent != package:
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (f"{path.stem}.{cls.name}.{node.name}", node.name)
+                    for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
+    return sorted(qual for qual, name in methods if name not in read)
+
+
+def test_every_method_is_read():
+    clients = sorted((ROOT / "perfbench").glob("*.py"))
+    assert unread_methods(PACKAGE, clients, TEST_ORACLES) == []
+
+
+def test_method_check_sees_dead_method(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "core.py").write_text(
+        "class A:\n"
+        "    def __init__(self):\n        self.v = self._helper()\n"
+        "    def _helper(self):\n        return 1\n"
+        "    @property\n    def size(self):\n        return self.v\n"
+        "    def dead(self):\n        return 2\n"
+        "    def oracle(self):\n        return 3\n"
+        "    def bench_only(self):\n        return 4\n"
+        "def run():\n    return A().size\n"
+    )
+    client = tmp_path / "bench.py"
+    client.write_text("from pkg.core import A\nA().bench_only()\n")
+    assert unread_methods(pkg, [client], ("oracle",)) == ["core.A.dead"]
 
 
 def test_no_assert_in_src():

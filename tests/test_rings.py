@@ -194,14 +194,6 @@ def test_positive_weight_exponents():
         positive_weight_exponents([(0, 1)])
 
 
-def test_presentation_json_round_trip():
-    for name in ("CP2", "X3", "S2xS2", "connected-sum(1,2)", "torus(2)"):
-        pres = preset_presentations(name)
-        back = RingPresentation.from_json(pres.to_json())
-        assert back == pres
-        assert back.to_json() == pres.to_json()
-
-
 def test_evaluate_word_top_class():
     x2 = preset_presentations("Xk", k=2)
     b = selfdual_triple(normalized=False, exact=True)

@@ -147,16 +147,15 @@ def test_analytic_gradient_matches_finite_differences(name, params, m):
     pres = preset_presentations(name, **params)
     ws = _Workspace(pres, m)
     rng = np.random.default_rng(3)
-    vecs = {g: rng.standard_normal(ws.dims[g]) for g in ws.names}
-    r0, J = ws.residual_jacobian(vecs)
+    x = rng.standard_normal(ws.n_params)
+    r0, J = ws.residual_jacobian(x)
     h = 1e-6
-    for g in ws.names:
-        for i in range(ws.dims[g]):
-            bumped = {k: v.copy() for k, v in vecs.items()}
-            bumped[g][i] += h
-            fd = (ws.residual_jacobian(bumped)[0] - r0) / h
-            col = J[:, ws.cols[g].start + i]
-            assert np.all(np.abs(fd - col) < 1e-4 * np.maximum(1.0, np.abs(col)))
+    for j in range(ws.n_params):
+        bumped = x.copy()
+        bumped[j] += h
+        fd = (ws.residual_jacobian(bumped)[0] - r0) / h
+        col = J[:, j]
+        assert np.all(np.abs(fd - col) < 1e-4 * np.maximum(1.0, np.abs(col)))
 
 
 def test_top_grad_matches_finite_differences():
@@ -165,20 +164,34 @@ def test_top_grad_matches_finite_differences():
     pres = preset_presentations("torus(3)")
     ws = _Workspace(pres, 6)
     rng = np.random.default_rng(5)
-    vecs = {g: rng.standard_normal(ws.dims[g]) for g in ws.names}
+    x = rng.standard_normal(ws.n_params)
     rows = comb(6, pres.manifold_dim)
     r, J = np.zeros(rows), np.zeros((rows, ws.n_params))
-    ws._add_word(r, J, 1.0, pres.top_class, vecs)
-    T0, grad = ws.top_value(vecs), J[ws.top_slot]
+    ws._add_word(r, J, 1.0, pres.top_class, x)
+    T0, grad = ws.top_value(x), J[ws.top_slot]
     assert r[ws.top_slot] == T0
     h = 1e-6
-    for g in ws.names:
-        for i in range(ws.dims[g]):
-            bumped = {k: v.copy() for k, v in vecs.items()}
-            bumped[g][i] += h
-            fd = (ws.top_value(bumped) - T0) / h
-            j = ws.cols[g].start + i
-            assert abs(fd - grad[j]) < 1e-4 * max(1.0, abs(grad[j]))
+    for j in range(ws.n_params):
+        bumped = x.copy()
+        bumped[j] += h
+        fd = (ws.top_value(bumped) - T0) / h
+        assert abs(fd - grad[j]) < 1e-4 * max(1.0, abs(grad[j]))
+
+
+@pytest.mark.parametrize("name", ["X3", "CP2", "torus(3)"])
+def test_project_top_pins_top_and_respects_ball(name):
+    """project_top lands the top word on +1 inside the coefficient ball,
+    and refuses a state whose top value vanishes."""
+    pres = preset_presentations(name)
+    ws = _Workspace(pres, pres.manifold_dim, ball_cap=1.0)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        x = rng.standard_normal(ws.n_params)
+        y = ws.project_top(x)
+        assert y is not None and y.shape == x.shape
+        assert abs(ws.top_value(y) - 1.0) <= 1e-12
+        assert np.max(np.abs(y)) <= 1.0 + 1e-12
+    assert ws.project_top(np.zeros(ws.n_params)) is None
 
 
 def test_presentation_from_form_round_trips():
