@@ -101,8 +101,7 @@ def criterion_2(level: str = "full", seed: int = 0) -> CriterionResult:
         )
         res = search_embedding(pres, [4], cfg)
         defects[k] = res.defect
-        Q = np.array(intersection_form(pres), dtype=float)
-        statuses[k] = check_middle_form(Q, 2, cfg).status
+        statuses[k] = check_middle_form(intersection_form(pres), 2, cfg).status
     ok = (
         all(defects[k] < 1e-6 for k in (1, 2, 3))
         and defects[4] > 1e-2

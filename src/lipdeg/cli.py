@@ -20,8 +20,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance
 from .bands import (
     band_profile,
@@ -84,8 +82,7 @@ def _cmd_scalable(args) -> tuple:
         seed=args.seed,
         tolerance=args.tol,
     )
-    Q = np.array(intersection_form(pres), dtype=float)
-    verdict = check_middle_form(Q, 2, cfg)
+    verdict = check_middle_form(intersection_form(pres), 2, cfg)
     search = search_embedding(pres, list(args.ambient), cfg)
     payload = {
         "preset": args.preset,
@@ -331,12 +328,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", type=int, nargs=2, default=None, metavar=("LO", "HI"),
         help="log2 L range, inclusive",
     )
-    bd.add_argument("--uniform", action="store_true", help="equal-mass profile")
-    bd.add_argument(
+    kind = bd.add_mutually_exclusive_group()
+    kind.add_argument("--uniform", action="store_true", help="equal-mass profile")
+    kind.add_argument(
         "--gap", type=float, nargs=2, default=None, metavar=("B1", "B2"),
         help="spectral-gap profile exponents",
     )
-    bd.add_argument("--gridform", type=str, default=None, help="measure this container")
+    kind.add_argument("--gridform", type=str, default=None, help="measure this container")
     bd.add_argument("--window", type=float, nargs=2, default=[0.1, 0.9])
     bd.add_argument("--tail", choices=["auto", "hold", "zero"], default="auto")
     bd.set_defaults(func=_cmd_bound)

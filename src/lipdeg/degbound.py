@@ -135,7 +135,8 @@ def _profile_bands(profile: BandProfile):
 def _tail_mode(profile: BandProfile, tail: str, L: float) -> str:
     """Resolve the beyond-last-band convention for one profile.
 
-    Grid-measured profiles (they carry sup norms) cover every
+    Grid-measured profiles (they carry per-component norms, which
+    synthetic ones lack and the profile CSV keeps) cover every
     representable frequency, and synthetic profiles whose bands already
     reach the target scale describe a complete spectrum; in both cases
     the series genuinely ends.  A synthetic profile truncated short of
@@ -143,7 +144,7 @@ def _tail_mode(profile: BandProfile, tail: str, L: float) -> str:
     """
     if tail != "auto":
         return tail
-    if profile.linf:
+    if profile.per_component:
         return "zero"
     return "zero" if profile.bands[-1] >= math.floor(math.log2(L)) else "hold"
 

@@ -7,11 +7,15 @@ sum of them) sending the top class to a nonzero volume multiple?
 Three layers of evidence, kept strictly apart:
 
 * exact middle-degree signature tests — the only source of a
-  ``not_scalable`` verdict;
+  ``not_scalable`` verdict.  When the signature fits, the same layer
+  builds the witness in closed form: matching the inertia directions of
+  the form with those of the ambient wedge pairing gives rows realizing
+  the form, up to float rounding;
 * numerical embedding search (damped least squares, i.e.
   Levenberg–Marquardt, over assignments of constant-coefficient forms,
-  projected onto a normalized coefficient ball after each step) —
-  produces witnesses and defect floors, never impossibility claims;
+  projected onto the unit coefficient ball after each step) — produces
+  witnesses and defect floors for whole presentations, never
+  impossibility claims;
 * a quantitative obstruction estimate: the four-tuple wedge inequality
   constant.
 
@@ -20,8 +24,7 @@ Defects and norms use the maximum absolute basis coefficient throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
 from typing import Optional
@@ -48,7 +51,7 @@ from .exterior import (
     wedge_pairing_matrix,
     wedge_right_matrix,
 )
-from .rings import Assignment, RingPresentation, Relation, intersection_form
+from .rings import Assignment, RingPresentation, intersection_form
 
 __all__ = [
     "ScalabilityVerdict",
@@ -56,7 +59,6 @@ __all__ = [
     "EmbeddingSearch",
     "Kge4Report",
     "check_middle_form",
-    "presentation_from_intersection_form",
     "search_embedding",
     "kge4_certificate",
 ]
@@ -68,9 +70,6 @@ class SearchConfig:
     max_iters: int = 300
     tolerance: float = 1e-8
     seed: int = 0
-    # coefficient ball for the search domain; None lifts the cap (used when
-    # attaching witnesses to exact verdicts, where scale carries no meaning)
-    ball_cap: Optional[float] = 1.0
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -79,8 +78,6 @@ class SearchConfig:
             raise ParameterError("tolerance must be positive")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if self.ball_cap is not None and self.ball_cap <= 0:
-            raise ParameterError("ball_cap must be positive or None")
 
 
 @dataclass(frozen=True)
@@ -104,44 +101,30 @@ class ScalabilityVerdict(JsonFields):
 # -- exact middle-degree criterion --------------------------------------------
 
 
-def presentation_from_intersection_form(Q, half_dim: int = 2) -> RingPresentation:
-    """Presentation of a (half_dim-1)-connected manifold with pairing Q.
+def _pairing_witness(G, p: int) -> Optional[np.ndarray]:
+    """Rows X with X P X^T = G, P the wedge pairing on Lambda^p(R^2p).
 
-    Generators in degree half_dim, one relation per unordered generator
-    pair pinning the product to the right multiple of a reference pair
-    with nonzero pairing; that reference pair is the top word.
+    Diagonalize both G and P, rescale the pairing eigenbasis to squares
+    of +-1, and match inertia directions: row i of X is generator i's
+    coefficient vector.  Returns None when G has a numerically null
+    direction or more directions of one sign than P.
     """
-    Q = np.asarray(Q)
-    r = Q.shape[0]
-    names = tuple(f"x{i + 1}" for i in range(r))
-    ref = None
-    for i in range(r):
-        for j in range(i, r):
-            if Q[i, j] != 0:
-                ref = (i, j)
-                break
-        if ref:
-            break
-    if ref is None:
-        raise DegenerateForm("intersection form is identically zero")
-    a, b = ref
-    qref = Fraction(Q[a, b]) if not isinstance(Q[a, b], float) else Q[a, b]
-    rels = []
-    for i in range(r):
-        for j in range(i, r):
-            if (i, j) == ref:
-                continue
-            ratio = (Fraction(Q[i, j]) if not isinstance(Q[i, j], float) else Q[i, j]) / qref
-            mons = [(1, (names[i], names[j]))]
-            if ratio != 0:
-                mons.append((-ratio, (names[a], names[b])))
-            rels.append(Relation(f"pair_{i + 1}_{j + 1}", tuple(mons)))
-    return RingPresentation(
-        manifold_dim=2 * half_dim,
-        generators=tuple((nm, half_dim) for nm in names),
-        relations=tuple(rels),
-        top_class=(names[a], names[b]),
-    )
+    P = wedge_pairing_matrix(2 * p, p).astype(float)
+    mu, U = np.linalg.eigh(P)
+    basis = U / np.sqrt(np.abs(mu))[None, :]
+    lam, V = np.linalg.eigh(np.asarray(G, dtype=float))
+    if np.any(np.abs(lam) < 1e-12):
+        return None
+    pos_cols = [i for i, v in enumerate(mu) if v > 0]
+    neg_cols = [i for i, v in enumerate(mu) if v < 0]
+    sel = []
+    for lv in lam:
+        pool = pos_cols if lv > 0 else neg_cols
+        if not pool:
+            return None
+        sel.append(pool.pop())
+    M = V * np.sqrt(np.abs(lam))[None, :]
+    return M @ basis[:, sel].T
 
 
 def check_middle_form(Q, n: int, cfg: Optional[SearchConfig] = None) -> ScalabilityVerdict:
@@ -150,57 +133,54 @@ def check_middle_form(Q, n: int, cfg: Optional[SearchConfig] = None) -> Scalabil
     The positive and negative inertia indices must each fit inside the
     corresponding inertia index of the wedge pairing on middle-degree
     constant forms in 2n ambient dimensions — each equal to half of
-    (2n choose n).  A decision this way is exact; only the attached
-    witness (when scalable) comes from numerical search.
+    (2n choose n).  Integer and Fraction forms are decided exactly.  When
+    the signature fits, the witness rows x1..xr come from
+    ``_pairing_witness`` in float arithmetic, and the reported defect is
+    max |X P X^T - Q| / max |Q|; cfg supplies only its tolerance.
     """
     Q = np.asarray(Q)
-    if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
-        raise ShapeError(f"intersection form must be square, got {Q.shape}")
+    if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.size == 0:
+        raise ShapeError(f"intersection form must be square and nonempty, got {Q.shape}")
     if n % 2 != 0:
         raise ParameterError("middle degree must be even for a symmetric pairing")
     pos, neg, zero = signature(Q)
     if zero > 0:
-        raise DegenerateForm(
-            f"intersection form degenerate: {zero} null directions"
-        )
+        raise DegenerateForm(f"intersection form degenerate: {zero} null directions")
     cap = comb(2 * n, n) // 2
-    sig = {"positive": pos, "negative": neg, "cap_each_sign": cap}
-    if pos <= cap and neg <= cap:
-        pres = presentation_from_intersection_form(Q, half_dim=n)
-        cfg = cfg or SearchConfig()
-        # witnesses certify exact relations; their scale carries no meaning,
-        # so the coefficient ball is lifted for this search only
-        wcfg = replace(cfg, ball_cap=None)
-        search = search_embedding(pres, [2 * n], wcfg)
-        witness_ok = search.defect < max(cfg.tolerance, 1e-6)
-        if witness_ok:
-            return ScalabilityVerdict(
-                status="scalable",
-                certificate=search.assignment,
-                defect=search.defect,
-                obstruction=None,
-                notes=f"signature ({pos},{neg}) fits cap {cap}; witness defect {search.defect:.3e}",
-            )
+    if pos > cap or neg > cap:
         return ScalabilityVerdict(
-            status="evidence_only",
-            certificate=search.assignment,
-            defect=search.defect,
-            notes=(
-                f"signature ({pos},{neg}) fits cap {cap} but search defect "
-                f"{search.defect:.3e} exceeded tolerance"
-            ),
+            status="not_scalable",
+            obstruction={
+                "positive": pos,
+                "negative": neg,
+                "cap_each_sign": cap,
+                "excess": max(pos - cap, neg - cap),
+            },
+            notes=f"inertia index exceeds {cap}: signature ({pos},{neg})",
         )
+    fits = f"signature ({pos},{neg}) fits cap {cap}"
+    Qf = Q.astype(float)
+    X = _pairing_witness(Qf, n)
+    if X is None:
+        return ScalabilityVerdict("evidence_only", notes=f"{fits}; float form too near singular")
+    P = wedge_pairing_matrix(2 * n, n)
+    defect = float(np.max(np.abs(X @ P @ X.T - Qf)) / np.max(np.abs(Qf)))
+    ok = defect < max((cfg or SearchConfig()).tolerance, 1e-6)
     return ScalabilityVerdict(
-        status="not_scalable",
-        obstruction={
-            **sig,
-            "excess": max(pos - cap, neg - cap),
-        },
-        notes=f"inertia index exceeds {cap}: signature ({pos},{neg})",
+        status="scalable" if ok else "evidence_only",
+        certificate=Assignment(
+            ambient_dim=2 * n,
+            forms={f"x{i + 1}": from_dense(2 * n, n, row) for i, row in enumerate(X)},
+        ),
+        defect=defect,
+        notes=f"{fits}; witness defect {defect:.3e}" + ("" if ok else " exceeds tolerance"),
     )
 
 
 # -- dense workspace for the search -------------------------------------------
+
+# float64 entries in the search Jacobian; the sample cap of bands._check_grid
+_MAX_JACOBIAN = 2**27
 
 
 class _Workspace:
@@ -210,11 +190,20 @@ class _Workspace:
     vectors laid end to end in generator order, ``cols[g]`` slicing out g's.
     """
 
-    def __init__(self, pres: RingPresentation, m: int, ball_cap: Optional[float] = 1.0):
+    def __init__(self, pres: RingPresentation, m: int):
         self.pres = pres
         self.m = m
-        self.ball_cap = ball_cap
         self.deg = dict(pres.generators)
+        # relations of degree above m vanish identically in Lambda(R^m) and
+        # get no residual rows; sizes are settled before anything is built
+        rel_degs = [pres.word_degree(rel.monomials[0][1]) for rel in pres.relations]
+        self.n_params = sum(comb(m, d) for _, d in pres.generators)
+        self.n_rows = sum(comb(m, deg) for deg in rel_degs if deg <= m)
+        # the Jacobian and its normal matrix
+        if max(self.n_rows, self.n_params) * self.n_params > _MAX_JACOBIAN:
+            raise ParameterError(
+                f"search in Lambda(R^{m}) exceeds the cap of {_MAX_JACOBIAN} Jacobian entries"
+            )
         self.cols = {}
         flip, in_top = [], []
         at = 0
@@ -224,29 +213,23 @@ class _Workspace:
             at += len(basis)
             flip += [1 in I for I in basis]
             in_top += [nm in pres.top_class] * len(basis)
-        self.n_params = at
         # coefficients whose basis index contains axis 1 (negated by the
         # reflection of the first coordinate), and those of generators in
         # the top word (rescaled to pin the top value)
         self.flip = np.array(flip)
         self.in_top = np.array(in_top)
         self.top_len = len(pres.top_class)
-        # residual rows per relation; relations of degree above m vanish
-        # identically in Lambda(R^m) and get none
         self.relations = []
         at = 0
-        for rel in pres.relations:
-            deg = pres.word_degree(rel.monomials[0][1])
+        for rel, deg in zip(pres.relations, rel_degs):
             if deg > m:
                 continue
             monomials = [(float(c), word) for c, word in rel.monomials]
             self.relations.append((slice(at, at + comb(m, deg)), monomials))
             at += comb(m, deg)
-        self.n_rows = at
-        n = pres.manifold_dim
-        # normalization slot: the volume element when m == n, else the
-        # first lexicographic degree-n basis index
-        self.top_slot = multi_indices(m, n).index(tuple(range(1, n + 1)))
+        # normalization slot: e_{1..n}, first in lexicographic order (the
+        # volume element when m == n)
+        self.top_slot = 0
 
     # -- the residual/Jacobian kernel ----------------------------------------
 
@@ -314,7 +297,6 @@ class _Workspace:
         when the top value is numerically zero or the two constraints
         cannot be reconciled within 60 clips.
         """
-        cap = self.ball_cap
         for _ in range(60):
             c = self.top_value(x)
             if abs(c) < 1e-12:
@@ -322,9 +304,9 @@ class _Workspace:
             if c < 0:
                 x, c = np.where(self.flip, -x, x), -c
             x = np.where(self.in_top, x * c ** (-1.0 / self.top_len), x)
-            if cap is None or float(np.max(np.abs(x))) <= cap + 1e-12:
+            if float(np.max(np.abs(x))) <= 1.0 + 1e-12:
                 return x
-            x = np.clip(x, -cap, cap)
+            x = np.clip(x, -1.0, 1.0)
         return None
 
 
@@ -382,9 +364,7 @@ def _structured_start(pres: RingPresentation, m: int) -> Optional[np.ndarray]:
     """Spectral initialization for middle-degree presentations.
 
     When the presentation pins all pairwise products (so it has a genuine
-    pair-product matrix G), diagonalize both G and the ambient wedge
-    pairing, rescale the pairing eigenbasis to squares of +-1, and match
-    inertia directions.  The resulting assignment realizes G exactly
+    pair-product matrix G), ``_pairing_witness`` realizes G exactly
     whenever the signature fits, giving the descent an exact witness to
     polish, as generator rows laid end to end; otherwise return None
     and let random restarts run.
@@ -398,30 +378,15 @@ def _structured_start(pres: RingPresentation, m: int) -> Optional[np.ndarray]:
     if 2 * p0 != m or p0 % 2 != 0:
         return None
     try:
-        G = np.array(intersection_form(pres), dtype=float)
-    except (LipdegError, TypeError, ValueError):
+        G = intersection_form(pres)
+    except LipdegError:
         return None
-    P = wedge_pairing_matrix(m, p0).astype(float)
-    mu, U = np.linalg.eigh(P)
-    basis = U / np.sqrt(np.abs(mu))[None, :]
-    basis_sign = np.sign(mu)
-    lam, V = np.linalg.eigh(G)
-    if np.any(np.abs(lam) < 1e-12):
-        return None
-    pos_cols = [i for i in range(len(mu)) if basis_sign[i] > 0]
-    neg_cols = [i for i in range(len(mu)) if basis_sign[i] < 0]
-    sel = []
-    for lv in lam:
-        pool = pos_cols if lv > 0 else neg_cols
-        if not pool:
-            return None
-        sel.append(pool.pop())
-    M = V * np.sqrt(np.abs(lam))[None, :]
-    return (M @ basis[:, sel].T).ravel()
+    X = _pairing_witness(G, p0)
+    return None if X is None else X.ravel()
 
 
 def _search_single(pres: RingPresentation, m: int, cfg: SearchConfig):
-    ws = _Workspace(pres, m, ball_cap=cfg.ball_cap)
+    ws = _Workspace(pres, m)
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     structured = _structured_start(pres, m)
     best = None

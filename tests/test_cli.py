@@ -117,6 +117,7 @@ def _nan_gfrm(tmp_path, offset):
         ["lp", "--dim", "-1"],
         ["lp", "--degree", "-1"],
         ["lp", "--dim", "4", "--resolution", "256"],
+        ["scalable", "--preset", "X3", "--ambient", "60"],
     ],
 )
 def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
@@ -135,6 +136,12 @@ def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_bound_profile_flags_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--scale", "1048576", "--uniform", "--gap", "0.3", "0.6"])
+    assert exc.value.code == 2
 
 
 def test_bound_requires_scale_or_sweep(capsys):

@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from lipdeg.bands import band_profile, bandlimited_noise_form
+from lipdeg.bands import band_profile, bandlimited_noise_form, synthetic_profile
+from lipdeg.degbound import averaged_bound
 from lipdeg.errors import DimensionMismatch, ResolutionError, ShapeError
 from lipdeg.gridio import (
     read_band_profile,
@@ -80,6 +81,17 @@ def test_band_profile_csv_round_trip(tmp_path):
         assert back.linf[k] == prof.linf[k]
     assert back.per_component == prof.per_component
     assert back.orthogonality_ratio() == pytest.approx(prof.orthogonality_ratio())
+
+
+def test_synthetic_profile_csv_round_trip_keeps_tail(tmp_path):
+    """A truncated synthetic profile read back from CSV still resolves the
+    auto tail to "hold", so its bound report is unchanged."""
+    prof = synthetic_profile({0: 1.0, 1: 1.0, 2: 1.0}, 3.0**0.5)
+    path = tmp_path / "prof.csv"
+    write_band_profile(path, prof)
+    back = read_band_profile(path)
+    L = 2.0**12
+    assert averaged_bound([back], L) == averaged_bound([prof], L)
 
 
 def test_band_profile_csv_rejects_other_files(tmp_path):

@@ -1,5 +1,6 @@
 """Embedding verdicts: exact signature tests, search, obstruction estimates."""
 
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -19,11 +20,11 @@ from lipdeg.scalability import (
     _Workspace,
     check_middle_form,
     kge4_certificate,
-    presentation_from_intersection_form,
     search_embedding,
 )
 
 CFG = SearchConfig(restarts=12, max_iters=200, seed=11)
+SHEAR = np.array([[1, 2, 0], [0, 1, -1], [0, 0, 1]])
 
 
 # -- exact middle-form criterion ------------------------------------------------
@@ -55,6 +56,51 @@ def test_balanced_six_form_scalable():
 def test_hyperbolic_pair_scalable():
     v = check_middle_form(np.array([[0, 1], [1, 0]]), 2, CFG)
     assert v.status == "scalable"
+
+
+@pytest.mark.parametrize(
+    "Q",
+    [
+        np.eye(3, dtype=int),
+        np.diag([1, 1, 1, -1, -1, -1]),
+        np.array([[0, 1], [1, 0]]),
+        SHEAR.T @ np.diag([1, 1, -1]) @ SHEAR,
+    ],
+    ids=["I3", "diag3-3", "hyperbolic", "sheared"],
+)
+def test_witness_realizes_form_under_sparse_wedge(Q):
+    """Every certificate pair x_i ^ x_j has volume coefficient Q[i, j],
+    checked with the sparse wedge rather than the dense pairing matrix."""
+    v = check_middle_form(Q, 2, CFG)
+    assert v.status == "scalable"
+    assert v.defect < 1e-12
+    forms = v.certificate.forms
+    assert v.certificate.ambient_dim == 4
+    assert list(forms) == [f"x{i + 1}" for i in range(Q.shape[0])]
+    scale = np.max(np.abs(Q))
+    for i in range(Q.shape[0]):
+        for j in range(Q.shape[0]):
+            vol = wedge(forms[f"x{i + 1}"], forms[f"x{j + 1}"]).coefficient((1, 2, 3, 4))
+            assert abs(vol - Q[i, j]) <= 1e-12 * scale
+
+
+def test_middle_form_at_eight_dimensions():
+    """The (35, 35) pairing on Lambda^4(R^8) takes 35 squares, not 36."""
+    v = check_middle_form(np.eye(35), 4, SearchConfig())
+    assert v.status == "scalable"
+    assert v.defect < 1e-12
+    v = check_middle_form(np.eye(36, dtype=int), 4, SearchConfig())
+    assert v.status == "not_scalable"
+    assert v.obstruction["cap_each_sign"] == 35
+
+
+def test_near_singular_exact_form_gives_evidence_only():
+    """An exact form whose float image has a near-null direction keeps its
+    signature verdict but gets no float witness."""
+    Q = np.array([[Fraction(1, 10**13)]], dtype=object)
+    v = check_middle_form(Q, 2, CFG)
+    assert v.status == "evidence_only"
+    assert v.certificate is None and v.defect is None
 
 
 def test_degenerate_form_rejected():
@@ -183,7 +229,7 @@ def test_project_top_pins_top_and_respects_ball(name):
     """project_top lands the top word on +1 inside the coefficient ball,
     and refuses a state whose top value vanishes."""
     pres = preset_presentations(name)
-    ws = _Workspace(pres, pres.manifold_dim, ball_cap=1.0)
+    ws = _Workspace(pres, pres.manifold_dim)
     rng = np.random.default_rng(13)
     for _ in range(5):
         x = rng.standard_normal(ws.n_params)
@@ -192,16 +238,6 @@ def test_project_top_pins_top_and_respects_ball(name):
         assert abs(ws.top_value(y) - 1.0) <= 1e-12
         assert np.max(np.abs(y)) <= 1.0 + 1e-12
     assert ws.project_top(np.zeros(ws.n_params)) is None
-
-
-def test_presentation_from_form_round_trips():
-    Q = np.array([[2, 1], [1, -1]])
-    pres = presentation_from_intersection_form(Q, 2)
-    from lipdeg.rings import intersection_form
-
-    back = np.array(intersection_form(pres), dtype=float)
-    # reconstructed pair products match Q up to the top normalization scale
-    assert np.allclose(back * Q[0, 0], Q)
 
 
 # -- four-tuple wedge constant -----------------------------------------------------
