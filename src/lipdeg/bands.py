@@ -25,6 +25,13 @@ d, its closedness residual and the primitive all read exterior's (1, p)
 wedge table, so Koszul signs and basis order come from ``exterior`` alone;
 every band loop reads one stream of band windows.
 
+The band stream skips silent (band, component) pairs: those whose windowed
+half-spectrum peaks at or below ``SILENT_FLOOR`` times the form's largest
+spectral magnitude, the same relative floor ``spectral_support`` cuts at.
+A silent pair gets no inverse transform; ``band_decompose`` leaves its plane
+zero, and a band profile keeps every band and every (band, component) key,
+reporting a silent pair as ``(0, 0, 0)``.
+
 Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 ``L2 = sqrt(sum_I integral a_I^2)``, ``Linf = max |a_I|``.
 """
@@ -76,6 +83,10 @@ __all__ = [
 
 # largest grid one form may hold: 2**27 float64 samples, 1 GiB
 _MAX_SAMPLES = 2**27
+
+# relative spectral floor: magnitudes at or below SILENT_FLOOR times the
+# form's largest spectral magnitude count as roundoff
+SILENT_FLOOR = 1e-12
 
 
 def _check_resolution(N: int) -> None:
@@ -302,17 +313,23 @@ def project_upto(a: GridForm, k: int, part: Optional[DyadicPartition] = None) ->
 
 
 def band_fields(a: GridForm, part: DyadicPartition):
-    """Yield (k, c, component c of P_k a) band by band, one field at a time."""
+    """Yield (k, c, component c of P_k a) band by band, one field at a time,
+    skipping the silent pairs (their field is zero up to roundoff)."""
     specs = list(_spectra(a))
+    floor = SILENT_FLOOR * max(float(np.abs(s).max()) for s in specs)
     for k, mult in part.windows():
         for c, spec in enumerate(specs):
-            yield k, c, _field(spec * mult, a.spatial_dim, a.resolution)
+            out = spec * mult
+            if float(np.abs(out).max()) > floor:
+                out = _field(out, a.spatial_dim, a.resolution)  # frees the spectrum
+                yield k, c, out
+            del out  # free it before the next pair's spectrum is made
 
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
     """All band projections in one spectral pass: {k: P_k a}."""
     part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    out = {k: a.copy_with(np.empty_like(a.data)) for k in part.bands}
+    out = {k: a.copy_with(np.zeros_like(a.data)) for k in part.bands}
     for k, c, fld in band_fields(a, part):
         out[k].data[c] = fld
         del fld  # free it before the stream computes the next field
@@ -469,19 +486,21 @@ def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandPro
 
 
 def _stream_profile(a: GridForm, part: DyadicPartition, fields) -> BandProfile:
-    """Band norms of a, read off a stream of its (k, c, field) band fields."""
+    """Band norms of a, read off a stream of its (k, c, field) band fields;
+    a pair the stream skips keeps its zero entries."""
     cell = (a.period / a.resolution) ** a.spatial_dim
     idx = a.indices
-    l1, s2, linf, per = {}, {}, {}, {}
+    l1, s2, linf = ({k: 0.0 for k in part.bands} for _ in range(3))
+    per = {(k, I): (0.0, 0.0, 0.0) for k in part.bands for I in idx}
     for k, c, fld in fields:
         c1 = float(np.abs(fld).sum() * cell)
         c2 = float(np.sqrt((fld**2).sum() * cell))
         ci = float(np.max(np.abs(fld)))
         del fld  # free it before the stream computes the next field
         per[(k, idx[c])] = (c1, c2, ci)
-        l1[k] = l1.get(k, 0.0) + c1
-        s2[k] = s2.get(k, 0.0) + c2**2
-        linf[k] = max(linf.get(k, 0.0), ci)
+        l1[k] += c1
+        s2[k] += c2**2
+        linf[k] = max(linf[k], ci)
     return BandProfile(
         bands=tuple(part.bands),
         l1=l1,
@@ -522,7 +541,7 @@ def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
     return GridForm(d, p + q, N, T, out)
 
 
-def spectral_support(a: GridForm, thresh: float = 1e-12) -> np.ndarray:
+def spectral_support(a: GridForm, thresh: float = SILENT_FLOOR) -> np.ndarray:
     """Integer lattice points where some component's spectrum exceeds
     thresh * (largest spectral magnitude); shape (m, d)."""
     d, N = a.spatial_dim, a.resolution
@@ -539,7 +558,9 @@ def spectral_support(a: GridForm, thresh: float = 1e-12) -> np.ndarray:
     return (np.concatenate([pts, -pts[inner]]) + N // 2) % N - N // 2
 
 
-def product_support_radius(a: GridForm, b: GridForm, thresh: float = 1e-12) -> float:
+def product_support_radius(
+    a: GridForm, b: GridForm, thresh: float = SILENT_FLOOR
+) -> float:
     """Largest |m1 + m2| over the two spectral supports (exact set sum).
 
     This is the support statement behind low-pass products: inputs
@@ -553,18 +574,30 @@ def product_support_radius(a: GridForm, b: GridForm, thresh: float = 1e-12) -> f
     sb = spectral_support(b, thresh)
     if sa.size == 0 or sb.size == 0:
         return 0.0
-    ra = float(np.max(np.linalg.norm(sa, axis=1)))
-    rb = float(np.max(np.linalg.norm(sb, axis=1)))
+    # squared norms in exact integers
+    na = (sa**2).sum(axis=1)
+    nb = int((sb**2).sum(axis=1).max())
+    ra, rb = math.sqrt(int(na.max())), math.sqrt(nb)
     if ra + rb >= a.resolution / 2:
         raise BandRangeError(
             f"support radii {ra:.1f} + {rb:.1f} reach Nyquist {a.resolution // 2}"
         )
-    # squared norms in exact integers, one axis at a time
-    best = 0
-    chunk = max(1, 10**7 // max(len(sb), 1))
-    for lo in range(0, len(sa), chunk):
+    # rows of sa by norm, largest first, in chunks that double up to the
+    # memory cap; stop once |m1| + max|m2| cannot beat the best, tested as
+    # 2 sqrt(n1 nb) <= best - n1 - nb without square roots
+    order = np.argsort(-na, kind="stable")
+    sa, na = sa[order], na[order]
+    best, lo, chunk = 0, 0, 1
+    cap = max(1, 10**7 // len(sb))
+    while lo < len(sa):
+        n1 = int(na[lo])
+        slack = best - n1 - nb
+        if slack >= 0 and 4 * n1 * nb <= slack * slack:
+            break
         sq = sum((sa[lo : lo + chunk, None, i] + sb[:, i]) ** 2 for i in range(sa.shape[1]))
         best = max(best, int(sq.max()))
+        lo += chunk
+        chunk = min(2 * chunk, cap)
     return math.sqrt(best)
 
 

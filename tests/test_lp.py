@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipdeg.acceptance import lp_battery
 from lipdeg.bands import (
@@ -11,6 +12,7 @@ from lipdeg.bands import (
     _freq_axis,
     _freq_radius,
     band_decompose,
+    band_fields,
     band_profile,
     bandlimited_noise_form,
     build_partition,
@@ -26,6 +28,7 @@ from lipdeg.bands import (
     wedge_grid,
     zero_form,
 )
+from lipdeg.construct import layered_profile
 from lipdeg.errors import (
     BandRangeError,
     MeanObstruction,
@@ -152,6 +155,50 @@ def test_band_index_validation():
         project_band(a, part.k_max + 1, part)
     with pytest.raises(BandRangeError):
         part.band_multiplier(part.k_min - 1)
+
+
+@pytest.fixture(scope="module")
+def layered():
+    # one plane wave per layer at frequencies 1, 2, 4 (N=16 leaves no room
+    # below Nyquist for a fourth layer at 8)
+    return layered_profile(2, 2, 1.0, N=16)
+
+
+def test_band_stream_skips_silent_pairs(layered):
+    a = layered.ensemble
+    part = build_partition(4, 16, 1.0)
+    # a power-of-two frequency lies in exactly one band window
+    live = [(k, c) for k, c, _ in band_fields(a, part)]
+    assert len(live) == len(layered.layer_frequencies) == 3
+    assert {k for k, _ in live} == set(layered.requested)
+    prof = band_profile(a, part)
+    for k in part.bands:
+        if k not in layered.requested:
+            assert prof.l1[k] == 0.0
+    assert list(prof.per_component) == [(k, I) for k in part.bands for I in a.indices]
+    assert all(prof.per_component[(k, a.indices[c])] > (0.0, 0.0, 0.0) for k, c in live)
+    pieces = band_decompose(a, part)
+    for k in part.bands:
+        direct = project_band(a, k, part)
+        for c in range(a.data.shape[0]):
+            if (k, c) in live:
+                assert np.max(np.abs(pieces[k].data[c] - direct.data[c])) < 1e-13
+            else:
+                assert not np.any(pieces[k].data[c])
+
+
+def test_dense_form_streams_every_pair():
+    a = noise(2, 1, 16, seed=8, radius=16.0)  # every lattice point, Nyquist too
+    part = build_partition(2, 16, 1.0)
+    n = sum(1 for _ in band_fields(a, part))
+    assert n == len(part.bands) * a.data.shape[0]
+
+
+def test_grid_profile_counts_requested_bands(layered):
+    # roundoff bands are silent, so averaged_bound's active-band count is
+    # the number of requested bands
+    prof = layered.profile
+    assert sum(1 for v in prof.l2.values() if v > 0.0) == len(layered.requested)
 
 
 @pytest.mark.parametrize("d,p,N", [(2, 1, 32), (3, 2, 16), (4, 0, 16)])
@@ -415,6 +462,64 @@ def test_product_support_alias_guard():
     a = grid_form(2, 0, N, components={(): lambda x, y: np.cos(5 * TAU * x) + 0.0 * y})
     with pytest.raises(BandRangeError):
         product_support_radius(a, a)
+
+
+def _wave_form(d, p, N, waves):
+    """Sum of amplitude * cos(2 pi <m, x> + phase) placed in component c."""
+    a = zero_form(d, p, N)
+    axes = grid_axes(d, N)
+    for m, amp, phase, c in waves:
+        arg = sum(mi * x for mi, x in zip(m, axes))
+        a.data[c % a.data.shape[0]] += amp * np.cos(TAU * arg + phase)
+    return a
+
+
+def _waves(d, N, most):
+    r = N // 4
+    wave = st.tuples(
+        st.lists(st.integers(-r, r), min_size=d, max_size=d),
+        st.floats(0.5, 2.0),
+        st.floats(0.0, TAU),
+        st.integers(0, 2),
+    )
+    return st.lists(wave, min_size=1, max_size=most)
+
+
+@st.composite
+def sparse_pairs(draw):
+    d = draw(st.sampled_from([2, 3]))
+    N = draw(st.sampled_from([16, 32]))
+    a = _wave_form(d, 0, N, draw(_waves(d, N, 2)))
+    b = _wave_form(d, 1, N, draw(_waves(d, N, 6)))
+    return a, b
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(sparse_pairs())
+def test_pruned_product_support_matches_all_pairs(pair):
+    a, b = pair
+    sa, sb = spectral_support(a), spectral_support(b)
+
+    def sq(m):
+        return sum(int(x) ** 2 for x in m)
+
+    reach = math.sqrt(max(sq(u) for u in sa)) + math.sqrt(max(sq(v) for v in sb))
+    if reach >= a.resolution / 2:
+        with pytest.raises(BandRangeError):
+            product_support_radius(a, b)
+        return
+    want = math.sqrt(max(sq(u + v) for u in sa for v in sb))
+    assert product_support_radius(a, b) == want
+    assert product_support_radius(b, a) == want
+
+
+def test_product_support_single_point():
+    const = grid_form(2, 0, 16, components={(): np.full((16, 16), 2.0)})
+    assert {tuple(m) for m in spectral_support(const)} == {(0, 0)}
+    b = _wave_form(2, 1, 16, [((3, -1), 1.0, 0.4, 1), ((0, 2), 0.7, 1.1, 0)])
+    assert product_support_radius(const, b) == math.sqrt(10)
+    assert product_support_radius(b, const) == math.sqrt(10)
+    assert product_support_radius(const, const) == 0.0
 
 
 def test_bandlimited_noise_respects_radius():
