@@ -33,6 +33,7 @@ from .bands import (
     _chi,
     band_profile,
     build_partition,
+    grid_axes,
     grid_form,
     synthetic_profile,
 )
@@ -73,7 +74,6 @@ class SampledSphereMap:
     resolution: int
     values: np.ndarray
     lipschitz: float
-    target_dim: int = 2
     boundary_collapsed: bool = False
     basepoint: tuple = (0.0, 0.0, -1.0)
 
@@ -91,10 +91,6 @@ class SampledSphereMap:
                     "boundary nodes must sit at the basepoint when the "
                     "collapse flag is set"
                 )
-
-    @property
-    def degree_target(self) -> int:
-        return self.block_count**self.target_dim
 
 
 def _measured_lipschitz(values: np.ndarray, N: int) -> float:
@@ -252,11 +248,6 @@ class RecursionPlan:
     bounds_by_level: tuple  # K(0..levels) in the top stage
     naive_rate: float  # Lip of the basic self-map, iterated ell times
     envelope_constant: float  # bound(ell) <= envelope * ell^(d-1) p^ell
-
-    @property
-    def degree(self) -> int:
-        """Mapping degree p^(n*levels) on the top-dimensional stratum."""
-        return self.p ** (2 * self.degree_count * self.levels)
 
     def growth_rates(self) -> tuple:
         return tuple(
@@ -420,9 +411,7 @@ class LayeredEnsemble:
 
 
 def _dominant_band(rho: float, k_min: int) -> int:
-    """Band window taking the largest value at radius rho."""
-    if rho <= 0:
-        return k_min
+    """Band window taking the largest value at radius rho > 0."""
     lo = max(int(math.floor(math.log2(rho))) - 1, k_min)
     ks = np.arange(lo - 1, lo + 4)
     low = _chi(rho / 2.0**ks)  # lowpass at cutoffs lo-1 .. lo+3
@@ -487,14 +476,11 @@ def layered_profile(
     total = grid_form(4, 2, N, T)
     cell = (T / N) ** 4
     comp_index = {I: c for c, I in enumerate(total.indices)}
-    xs = np.arange(N) * (T / N)
+    axes = grid_axes(4, N, T)
     for idx, f in enumerate(freqs):
         i, j = _PAIR_CYCLE[idx % len(_PAIR_CYCLE)]
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        wave = np.cos(2.0 * np.pi * f * xs / T + phase)
-        shape = [1, 1, 1, 1]
-        shape[i - 1] = N
-        wave = wave.reshape(shape)
+        wave = np.cos(2.0 * np.pi * f * axes[i - 1] / T + phase)
         norm = float(np.abs(wave).sum()) * N ** 3 * cell
         total.data[comp_index[(i, j)]] += (per_layer / norm) * wave
     profile = band_profile(total, part)

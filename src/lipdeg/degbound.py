@@ -27,7 +27,6 @@ from .bands import BandProfile, GridForm, synthetic_profile, zero_form
 from .construct import SampledSphereMap
 from .errors import (
     BandRangeError,
-    DimensionMismatch,
     EmptyData,
     GeometryError,
     ParameterError,
@@ -94,23 +93,15 @@ def pullback_area_form(f: SampledSphereMap, order: int = 6) -> GridForm:
     return out
 
 
-def degree_integral(top: GridForm, psi: Optional[GridForm] = None) -> float:
-    """Riemann sum of psi times a top-degree form (psi omitted = 1)."""
+def degree_integral(top: GridForm) -> float:
+    """Riemann sum of a top-degree form."""
     if top.form_degree != top.spatial_dim:
         raise ShapeError(
             f"need a top-degree form, got degree {top.form_degree} "
             f"in dimension {top.spatial_dim}"
         )
     cell = (top.period / top.resolution) ** top.spatial_dim
-    if psi is None:
-        return float(top.data[0].sum() * cell)
-    if psi.form_degree != 0:
-        raise ShapeError("weight must be a 0-form")
-    if not psi.same_grid(top):
-        raise DimensionMismatch("weight lives on a different grid")
-    if float(psi.data[0].min()) < -1e-12:
-        raise GeometryError("weight must be nonnegative")
-    return float((psi.data[0] * top.data[0]).sum() * cell)
+    return float(top.data[0].sum() * cell)
 
 
 # -- the three-term bound ----------------------------------------------------------

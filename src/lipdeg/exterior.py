@@ -85,8 +85,6 @@ class JsonFields:
 
 def multi_indices(n: int, p: int) -> list:
     """All degree-p multi-indices over {1..n} in lexicographic order."""
-    if not 0 <= p <= n:
-        return []
     return [tuple(c) for c in combinations(range(1, n + 1), p)]
 
 
@@ -183,16 +181,10 @@ class ExteriorElement:
     def __sub__(self, other):
         return self._binary(other, -1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
     def scale(self, c: Scalar) -> "ExteriorElement":
         return ExteriorElement(
             self.ambient_dim, {I: c * v for I, v in self.coefficients.items()}
         )
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     # -- serialization -----------------------------------------------------
 
@@ -251,21 +243,14 @@ def wedge_pairing_matrix(n: int, p: int) -> np.ndarray:
     return M
 
 
-def _as_exact_rows(M) -> list:
-    if isinstance(M, np.ndarray):
-        rows = M.tolist()
-    else:
-        rows = [list(r) for r in M]
-    return [[Fraction(x) for x in r] for r in rows]
-
-
 def signature_exact(M) -> SignatureTriple:
     """Signature of a symmetric matrix over exact rationals.
 
     Symmetric Gauss (congruence) diagonalization; no tolerance involved.
     Accepts integer/Fraction numpy arrays or nested sequences.
     """
-    A = _as_exact_rows(M)
+    # through Python ints, so exact arithmetic never meets a fixed-width overflow
+    A = [[Fraction(x) for x in r] for r in np.asarray(M, dtype=object).tolist()]
     m = len(A)
     if any(len(r) != m for r in A):
         raise ShapeError("signature needs a square matrix")

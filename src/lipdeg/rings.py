@@ -17,6 +17,7 @@ Two exponent extractors live here as well:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .errors import (
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from .exterior import ExteriorElement, JsonFields, jsonable, wedge
+from .exterior import ExteriorElement, JsonFields, wedge
 
 __all__ = [
     "Relation",
@@ -72,7 +73,6 @@ class RingPresentation:
     generators: tuple  # of (name, degree)
     relations: tuple  # of Relation
     top_class: Word
-    poincare_duality: bool = True
 
     def __post_init__(self):
         names = [g for g, _ in self.generators]
@@ -106,21 +106,6 @@ class RingPresentation:
             return sum(degs[g] for g in word)
         except KeyError as bad:
             raise UnsupportedPresentation(f"unknown generator {bad} in word {word}")
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        rels = [
-            {"name": r.name, "monomials": [{"c": c, "word": w} for c, w in r.monomials]}
-            for r in self.relations
-        ]
-        return jsonable({
-            "n": self.manifold_dim,
-            "gens": [{"name": g, "deg": d} for g, d in self.generators],
-            "rels": rels,
-            "top": "*".join(self.top_class),
-            "pd": self.poincare_duality,
-        })
 
 
 @dataclass(frozen=True)
@@ -187,31 +172,22 @@ def _exact_solve(A: list, b: list):
     rows = len(A)
     cols = len(A[0]) if rows else 0
     M = [row[:] + [rhs] for row, rhs in zip(A, b)]
-    piv_cols = []
-    r = 0
     for c in range(cols):
-        piv = next((i for i in range(r, rows) if M[i][c] != 0), None)
+        piv = next((i for i in range(c, rows) if M[i][c] != 0), None)
         if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+            return None  # underdetermined
+        M[c], M[piv] = M[piv], M[c]
+        inv = 1 / M[c][c]
+        M[c] = [x * inv for x in M[c]]
         for i in range(rows):
-            if i != r and M[i][c] != 0:
+            if i != c and M[i][c] != 0:
                 f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    if len(piv_cols) != cols:
-        return None  # underdetermined
-    if any(all(x == 0 for x in M[i][:cols]) and M[i][cols] != 0 for i in range(r, rows)):
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    # every column has its pivot: a leftover row with a nonzero right side
+    # contradicts the others
+    if any(M[i][cols] != 0 for i in range(cols, rows)):
         raise UnsupportedPresentation("inconsistent pairing relations")
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(piv_cols):
-        x[c] = M[i][cols]
-    return x
+    return [M[i][cols] for i in range(cols)]
 
 
 def intersection_form(pres: RingPresentation) -> np.ndarray:
@@ -328,6 +304,8 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
     duality is set, each eigenvalue lambda in degree k contributes its dual
     d/lambda in degree n-k, and rho >= 1 is asserted.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
     n = action.manifold_dim
     d = abs(float(action.claimed_degree))
     if abs(d - 1.0) <= tol:
@@ -538,6 +516,4 @@ def preset_weights(name: str) -> list:
     """Weight data (dimension, weight) presets for positive-weight spaces."""
     if name == "s3-bundle":
         return [(2, 1), (2, 1), (5, 3), (5, 3), (7, 4)]
-    if name == "formal-pair":
-        return [(2, 2), (4, 4)]
     raise PresetLookupError(f"unknown weight preset {name!r}")

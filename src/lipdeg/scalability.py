@@ -16,8 +16,9 @@ Three layers of evidence, kept strictly apart:
   projected onto the unit coefficient ball after each step) — produces
   witnesses and defect floors for whole presentations, never
   impossibility claims;
-* a quantitative obstruction estimate: the four-tuple wedge inequality
-  constant.
+* the k <= 3 counterexample to the four-tuple wedge inequality: the
+  normalized self-dual triple, whose squares are the volume form while
+  its pairwise products and square differences vanish.
 
 Defects and norms use the maximum absolute basis coefficient throughout.
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from math import comb
+from math import comb, isfinite
 from typing import Optional
 
 import numpy as np
@@ -74,8 +75,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ParameterError("restarts must be >= 1")
-        if self.tolerance <= 0:
-            raise ParameterError("tolerance must be positive")
+        if not (isfinite(self.tolerance) and self.tolerance > 0):
+            raise ParameterError(f"tolerance must be finite and positive, got {self.tolerance!r}")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
 
@@ -371,17 +372,12 @@ def _structured_start(pres: RingPresentation, m: int) -> Optional[np.ndarray]:
     """
     if m != pres.manifold_dim:
         return None
-    degs = {d for _, d in pres.generators}
-    if len(degs) != 1:
-        return None
-    p0 = degs.pop()
-    if 2 * p0 != m or p0 % 2 != 0:
-        return None
     try:
-        G = intersection_form(pres)
+        # raises unless every generator sits in the middle degree m/2, and
+        # the pairing then raises unless that degree is even
+        X = _pairing_witness(intersection_form(pres), m // 2)
     except LipdegError:
         return None
-    X = _pairing_witness(G, p0)
     return None if X is None else X.ravel()
 
 
@@ -415,7 +411,9 @@ def _search_single(pres: RingPresentation, m: int, cfg: SearchConfig):
     return defect, ridx, Assignment(ambient_dim=m, forms=forms), tuple(defects)
 
 
-def search_embedding(pres: RingPresentation, ambient, cfg: SearchConfig = SearchConfig()) -> EmbeddingSearch:
+def search_embedding(
+    pres: RingPresentation, ambient: list, cfg: SearchConfig = SearchConfig()
+) -> EmbeddingSearch:
     """Best-effort injective-image search over a sum of exterior algebras.
 
     Top-class normalization pins the image of the top word to +1 on the
@@ -427,12 +425,11 @@ def search_embedding(pres: RingPresentation, ambient, cfg: SearchConfig = Search
     """
     if not pres.generators:
         raise EmptyData("presentation has no generators")
-    dims = [ambient] if isinstance(ambient, int) else list(ambient)
-    if not dims:
+    if not ambient:
         raise EmptyData("ambient list is empty")
     usable = [
         m
-        for m in dims
+        for m in ambient
         if m >= pres.manifold_dim and all(d <= m for _, d in pres.generators)
     ]
     if not usable:
@@ -460,12 +457,10 @@ def search_embedding(pres: RingPresentation, ambient, cfg: SearchConfig = Search
 
 @dataclass(frozen=True)
 class Kge4Report(JsonFields):
-    status: str  # "estimated" | "counterexample"
-    c_est: Optional[float]
+    status: str  # "counterexample"
     worst_case: Assignment
     lhs: float
     rhs: float
-    tuples: int
     seed: int
     k: int
 
@@ -484,92 +479,37 @@ def _pair_stats(B: np.ndarray, W: np.ndarray):
     return lhs, rhs
 
 
-def _forms_assignment(B_row: np.ndarray) -> Assignment:
-    forms = {
-        f"b{i + 1}": from_dense(4, 2, B_row[i]) for i in range(B_row.shape[0])
-    }
-    return Assignment(ambient_dim=4, forms=forms)
-
-
-def kge4_certificate(
-    samples: int = 100_000, seed: int = 0, k: int = 4, ascent_iters: int = 150
-) -> Kge4Report:
-    """Estimate the best constant in the four-tuple wedge inequality.
+def kge4_certificate(samples: int = 10, seed: int = 0, k: int = 3) -> Kge4Report:
+    """Counterexample to the pairing estimate below four factors.
 
     For k >= 4, any k two-forms on R^4 with sup-norm coefficients at most
     one satisfy max_i |b_i ^ b_i| <= C * sum over ordered pairs i != j of
     (|b_i^b_i - b_j^b_j| + |b_i^b_j|): when the right side vanishes, all
     squares are equal and pairwise products vanish, which the (3,3)
     pairing signature rules out unless every square is zero.  The
-    constant is estimated by random sampling plus hill-climb ascent on
-    the ratio, and the returned estimate is re-verified against every
-    sampled tuple.
+    constant C is not estimated; ``check_middle_form`` gives the
+    not-scalable verdict.
 
-    With k < 4 the inequality is false: the normalized self-dual triple
-    has pairwise products and square differences all zero while each
-    square is the volume form, so the report carries counterexample
-    status instead of a constant.
+    With 1 <= k <= 3 the inequality is false: the first k forms of the
+    normalized self-dual triple have pairwise products and square
+    differences all zero while each square is the volume form, and the
+    report carries them as its worst case with lhs 1 and rhs 0.  The
+    report does not depend on samples or seed; seed is recorded.
     """
-    if samples < 1:
-        raise ParameterError("samples must be >= 1")
-    W = wedge_pairing_matrix(4, 2)
-    if k < 4:
-        triple = selfdual_triple(normalized=True)
-        rows = np.array([dense_vector(el, 2) for el in triple[:k]])
-        lhs, rhs = _pair_stats(rows[None, :, :], W)
-        return Kge4Report(
-            status="counterexample",
-            c_est=None,
-            worst_case=_forms_assignment(rows),
-            lhs=float(lhs[0]),
-            rhs=float(rhs[0]),
-            tuples=1,
-            seed=seed,
-            k=k,
+    if not 1 <= k <= 3:
+        raise ParameterError(
+            f"k = {k}: the counterexample needs 1 <= k <= 3; the k >= 4 constant "
+            "is not estimated, and check_middle_form gives the not-scalable verdict"
         )
-    rng = np.random.default_rng(seed)
-    B = rng.uniform(-1.0, 1.0, size=(samples, k, 6))
-    lhs, rhs = _pair_stats(B, W)
-    ratio = np.where(rhs > 1e-12, lhs / np.maximum(rhs, 1e-300), 0.0)
-    order = np.argsort(ratio)[::-1]
-    climbers = B[order[:8]].copy()
-    best_ratio = float(ratio[order[0]])
-    best_tuple = climbers[0].copy()
-
-    def tuple_ratio(tup):
-        l, r = _pair_stats(tup[None], W)
-        return float(l[0]) / max(float(r[0]), 1e-12)
-
-    for c in range(climbers.shape[0]):
-        cur = climbers[c]
-        val = tuple_ratio(cur)
-        step = 0.05
-        for _ in range(ascent_iters):
-            probe = np.clip(
-                cur + step * rng.standard_normal(cur.shape), -1.0, 1.0
-            )
-            pval = tuple_ratio(probe)
-            if pval > val:
-                cur, val = probe, pval
-            else:
-                step *= 0.97
-        if val > best_ratio:
-            best_ratio, best_tuple = val, cur.copy()
-    c_est = best_ratio
-    # re-verify: no sampled tuple may violate the inequality at c_est
-    bad = lhs > c_est * rhs + 1e-12
-    if np.any(bad):
-        worst = int(np.argmax(lhs - c_est * rhs))
-        c_est = float(np.max(ratio))
-        best_tuple = B[worst]
-    lhs_best, rhs_best = _pair_stats(best_tuple[None], W)
+    triple = selfdual_triple(normalized=True)
+    rows = np.array([dense_vector(el, 2) for el in triple[:k]])
+    lhs, rhs = _pair_stats(rows[None, :, :], wedge_pairing_matrix(4, 2))
+    forms = {f"b{i + 1}": from_dense(4, 2, row) for i, row in enumerate(rows)}
     return Kge4Report(
-        status="estimated",
-        c_est=float(c_est),
-        worst_case=_forms_assignment(best_tuple),
-        lhs=float(lhs_best[0]),
-        rhs=float(rhs_best[0]),
-        tuples=samples,
+        status="counterexample",
+        worst_case=Assignment(ambient_dim=4, forms=forms),
+        lhs=float(lhs[0]),
+        rhs=float(rhs[0]),
         seed=seed,
         k=k,
     )

@@ -5,10 +5,15 @@ PASS/FAIL lines; each test asserts its criterion so the suite fails loudly
 if any guarantee regresses.
 """
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 from lipdeg import acceptance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _check(fn):
@@ -80,3 +85,21 @@ def test_criterion_11_verify_byte_identical():
     tag = "PASS" if first.stdout == second.stdout else "FAIL"
     print(f"CRITERION 11 {tag}: verify twice -> byte-identical "
           f"({len(first.stdout)} bytes)")
+
+
+def test_criteria_pass_under_python_O():
+    # -O strips every assert, so a guarantee resting on one would go unchecked
+    code = (
+        "import json, sys\n"
+        "from lipdeg import acceptance\n"
+        "print(json.dumps([sys.flags.optimize] + [\n"
+        "    getattr(acceptance, f'criterion_{n}')('full', 0).passed for n in (1, 3, 7, 8, 10)\n"
+        "]))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=280
+    )
+    assert res.returncode == 0, res.stderr[-2000:]
+    assert json.loads(res.stdout) == [1, True, True, True, True, True]

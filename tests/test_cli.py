@@ -130,6 +130,22 @@ def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
     assert json.loads(lines[0])["error"] in errors.__all__
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scalable", "--preset", "X3", "--tol", "nan"],
+        ["exponent", "--tol", "nan"],
+        ["exponent", "--tol", "inf"],
+    ],
+)
+def test_non_finite_tolerance_is_a_parameter_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    doc = json.loads(err)
+    assert doc["error"] == "ParameterError"
+    assert "tolerance" in doc["message"]
+
+
 def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_plan", lambda args: ({"bound": float("nan")}, 0))
     code, out, err = run_cli(capsys, "plan")

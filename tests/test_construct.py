@@ -69,10 +69,9 @@ def test_sphere_map_lipschitz_scales_linearly_in_blocks():
 
 def test_sphere_map_plan_records():
     f = sphere_map(2, 64)
-    assert (f.block_count, f.resolution, f.target_dim) == (2, 64, 2)
+    assert (f.block_count, f.resolution) == (2, 64)
     assert f.values.shape == (3, 64, 64)
     assert f.boundary_collapsed
-    assert f.degree_target == 4
 
 
 # -- homotopy bound ------------------------------------------------------------
@@ -157,8 +156,9 @@ def test_recursion_bound_monotone_in_levels_and_scale():
 
 def test_recursion_degree_and_layer_geometry():
     plan = recursion_plan(2, 3, 2, geometry=UNIT)
-    assert plan.degree == 2**12
-    assert recursion_plan(3, 2, 1, geometry=UNIT).degree == 3**4
+    # mapping degree p^(n * levels), n = 2 * degree_count
+    assert plan.to_json_dict()["degree_log_p"] == 12
+    assert recursion_plan(3, 2, 1, geometry=UNIT).to_json_dict()["degree_log_p"] == 4
     assert len(plan.layers) == 3
     for t, layer in enumerate(plan.layers, start=1):
         assert layer.level == t

@@ -1,18 +1,30 @@
-"""Source hygiene, by stdlib-only AST checks.
+"""Source hygiene, by stdlib-only AST checks and one traced session.
 
 * No module in src/ or tests/ imports a name it never uses.  A name counts
   as used when it appears as a ``Name`` anywhere in the module or is listed
   in the module's ``__all__``; ``from __future__`` imports are exempt.
-* Every top-level definition in src/lipdeg/ is reached from the command
-  line, the benchmark or a kept test oracle (see ``unreached``), and every
-  method or property of its classes is read somewhere as an attribute
-  (see ``unread_methods``).
+* Every top-level definition in src/lipdeg/ is reached by name from the
+  command line, the benchmark or a listed exemption (see ``unreached``);
+  this is what catches an unused module constant.
+* Every statement in src/lipdeg/ runs (see ``unexecuted``).  A fresh
+  interpreter sets ``sys.settrace`` before it imports lipdeg, then runs
+  ``SESSION``: the command lines of ``CLI_CALLS`` at N <= 16 with one or
+  two restarts, then the benchmark's ``algebra``, ``spectral`` and
+  ``pipeline`` job lists at ``"smoke"`` size.  A statement counts as run
+  when a line of its own (its header, for a compound statement) reports
+  a line event.  Docstrings, ``raise`` statements and ``except`` bodies
+  are exempt; every other statement the session leaves unrun must be
+  counted in ``UNEXECUTED``, and an entry whose count no longer matches
+  fails, so the list cannot go stale.
 * src/ holds no ``assert`` statement: ``python -O`` strips them.
 * src/lipdeg/ touches numpy.fft through one transform pair, one
   ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,18 +33,64 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 PACKAGE = ROOT / "src" / "lipdeg"
 
-# exact oracles and constructors that only tests call (the float kernels
-# are checked against them), and accessors that only tests read
-TEST_ORACLES = (
-    "evaluate_relations",
-    "relation_defect",
-    "basis_element",
-    "volume_element",
-    "project_upto",
-    "coefficient",
-    "component",
-    "degree_target",
-)
+_VERIFY = "verify only: test_acceptance.py and criterion 11's CLI test run it"
+_ORACLE = "exact oracle that tests check the float kernels against"
+_GUARD = "guard for a valid input the session does not produce"
+
+# qualname -> (statements the session leaves unrun, why).  A qualname is the
+# module, then the enclosing classes and functions; the module alone stands
+# for its top-level statements.
+UNEXECUTED = {
+    "acceptance.CriterionResult.line": (3, _VERIFY),
+    "acceptance._scaled_profile": (1, _VERIFY),
+    "acceptance.criterion_1": (4, _VERIFY),
+    "acceptance.criterion_2": (11, _VERIFY),
+    "acceptance.criterion_3": (3, _VERIFY),
+    "acceptance.criterion_4": (26, _VERIFY),
+    "acceptance.criterion_5": (19, _VERIFY),
+    "acceptance.criterion_6": (11, _VERIFY),
+    "acceptance.criterion_7": (17, _VERIFY),
+    "acceptance.criterion_8": (11, _VERIFY),
+    "acceptance.criterion_9": (15, _VERIFY),
+    "acceptance.criterion_10": (4, _VERIFY),
+    "acceptance.criterion_11": (6, _VERIFY),
+    "acceptance.run_all": (2, _VERIFY),
+    "cli._cmd_verify": (5, _VERIFY),
+    "cli": (1, "the `python -m lipdeg.cli` entry point"),
+    "exterior.ExteriorElement.__add__": (1, _ORACLE),
+    "exterior.ExteriorElement.__sub__": (1, _ORACLE),
+    "exterior.ExteriorElement._binary": (5, _ORACLE),
+    "exterior.ExteriorElement.scale": (1, _ORACLE),
+    "exterior.ExteriorElement.degree": (5, _ORACLE),
+    "exterior.ExteriorElement.degrees": (1, _ORACLE),
+    "exterior.ExteriorElement.sup_norm": (3, _ORACLE),
+    "exterior.ExteriorElement.is_zero": (1, _ORACLE),
+    "exterior.ExteriorElement.coefficient": (1, _ORACLE),
+    "exterior.basis_element": (1, _ORACLE),
+    "exterior.volume_element": (1, _ORACLE),
+    "exterior.wedge": (8, _ORACLE),
+    "rings.word_value": (4, _ORACLE),
+    "rings.relation_value": (5, _ORACLE),
+    "rings.evaluate_relations": (2, _ORACLE),
+    "rings.relation_defect": (2, _ORACLE),
+    "rings.Assignment.check_degrees": (5, _ORACLE),
+    "bands.project_upto": (2, _ORACLE),
+    "bands.lp_norm": (1, "the L1 norm, which tests check band masses against"),
+    "bands.GridForm.component": (1, "accessor that tests read"),
+    "bands.grid_form": (5, "components: tests build their fixtures with it"),
+    "bands.GridForm.__post_init__": (1, "non-float64 data: " + _GUARD),
+    "bands.primitive": (1, "zero form: " + _GUARD),
+    "bands.spectral_support": (1, "zero form: " + _GUARD),
+    "bands.product_support_radius": (1, "empty support: " + _GUARD),
+    "exterior.signature_exact": (2, "null direction: " + _GUARD),
+    "gridio.read_band_profile": (1, "blank CSV row: " + _GUARD),
+    "rings._exact_solve": (1, "underdetermined products: " + _GUARD),
+    "scalability._pairing_witness": (1, "float-singular form: " + _GUARD),
+    "scalability.check_middle_form": (1, "float-singular form: " + _GUARD),
+    "scalability._Workspace._add_word": (2, "one-letter word: " + _GUARD),
+    "scalability._Workspace.project_top": (1, "vanishing top value: " + _GUARD),
+    "scalability._search_single": (2, "no usable start: " + _GUARD),
+}
 
 
 def _imported(tree: ast.Module) -> dict:
@@ -152,7 +210,8 @@ def unreached(package: Path, entry: str, clients: list, oracles=()) -> list:
 
 def test_every_definition_is_reached():
     clients = sorted((ROOT / "perfbench").glob("*.py"))
-    assert unreached(PACKAGE, "cli", clients, TEST_ORACLES) == []
+    oracles = [q.split(".")[1] for q in UNEXECUTED if "." in q]
+    assert unreached(PACKAGE, "cli", clients, oracles) == []
 
 
 def test_reach_check_sees_dead_code(tmp_path):
@@ -174,48 +233,188 @@ def test_reach_check_sees_dead_code(tmp_path):
     assert unreached(pkg, "cli", [client], ("oracle",)) == ["core._orphan", "core.dead"]
 
 
-def unread_methods(package: Path, clients: list, oracles=()) -> list:
-    """Non-dunder methods and properties of ``package`` classes that no
-    ``x.name`` in the package or the ``clients`` files reads, unless
-    ``oracles`` names them."""
-    read, methods = set(oracles), []
-    for path in sorted(package.glob("*.py")) + list(clients):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        if path.parent != package:
+# -- line-level reach ---------------------------------------------------------
+
+# Runs in a fresh interpreter: argv is the package directory, the session
+# source and the output path.  Only frames of files under the package get a
+# local trace function, so the rest of the session runs at full speed.
+_TRACER = """
+import json, os, sys
+package, session, out = sys.argv[1] + os.sep, sys.argv[2], sys.argv[3]
+hits = {}
+def on_line(frame, event, arg):
+    if event == "line":
+        hits.setdefault(frame.f_code.co_filename, set()).add(frame.f_lineno)
+    return on_line
+def on_call(frame, event, arg):
+    return on_line if frame.f_code.co_filename.startswith(package) else None
+sys.settrace(on_call)
+exec(compile(session, "<session>", "exec"), {"__name__": "__session__"})
+sys.settrace(None)
+with open(out, "w") as fh:
+    json.dump({path: sorted(lines) for path, lines in hits.items()}, fh)
+"""
+
+
+def traced_lines(package: Path, session: str, tmp_path: Path) -> dict:
+    """Path -> set of lines that report a line event while ``session`` runs."""
+    out = tmp_path / "lines.json"
+    res = subprocess.run(
+        [sys.executable, "-c", _TRACER, str(package), session, str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+    return {path: set(lines) for path, lines in json.loads(out.read_text()).items()}
+
+
+def _statements(body: list, qual: str, exempt: bool, docstring: bool):
+    """(statement, qualname, exempt) for every statement under ``body``."""
+    for i, node in enumerate(body):
+        is_doc = (
+            docstring and i == 0 and isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)
+        )
+        yield node, qual, exempt or is_doc or isinstance(node, ast.Raise)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _statements(node.body, f"{qual}.{node.name}", exempt, True)
             continue
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                methods += [
-                    (f"{path.stem}.{cls.name}.{node.name}", node.name)
-                    for node in cls.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not (node.name.startswith("__") and node.name.endswith("__"))
-                ]
-    return sorted(qual for qual, name in methods if name not in read)
+        for name in ("body", "orelse", "finalbody"):
+            yield from _statements(getattr(node, name, []), qual, exempt, False)
+        for handler in getattr(node, "handlers", []):
+            yield from _statements(handler.body, qual, True, False)
 
 
-def test_every_method_is_read():
-    clients = sorted((ROOT / "perfbench").glob("*.py"))
-    assert unread_methods(PACKAGE, clients, TEST_ORACLES) == []
+def _own_lines(node: ast.stmt) -> range:
+    """The lines of a statement outside its nested statements: decorators
+    and header for a compound statement, every line for a simple one."""
+    start = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
+    nested = [
+        getattr(node, name)[0].lineno
+        for name in ("body", "orelse", "finalbody", "handlers")
+        if getattr(node, name, None)
+    ]
+    return range(start, (min(nested) if nested else node.end_lineno + 1))
 
 
-def test_method_check_sees_dead_method(tmp_path):
+def unexecuted(package: Path, hits: dict) -> dict:
+    """Qualname -> lines of the non-exempt statements that never ran."""
+    out = {}
+    for path in sorted(package.glob("*.py")):
+        ran = hits.get(str(path), set())
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node, qual, exempt in _statements(tree.body, path.stem, False, True):
+            if not exempt and ran.isdisjoint(_own_lines(node)):
+                out.setdefault(qual, []).append(node.lineno)
+    return out
+
+
+def reach_findings(unrun: dict, allowed: dict) -> list:
+    """Unrun statements ``allowed`` does not count, and stale counts."""
+    found = [
+        f"{qual}: line {', '.join(map(str, lines))} never ran"
+        for qual, lines in sorted(unrun.items())
+        if qual not in allowed
+    ]
+    for qual, (count, _) in sorted(allowed.items()):
+        lines = unrun.get(qual, [])
+        if len(lines) != count:
+            found.append(f"{qual}: {len(lines)} statements never ran {lines}, exemption says {count}")
+    return found
+
+
+# One command line per surface and branch, at N <= 16 and one or two
+# restarts; "{tmp}" is a scratch directory that later calls read back.
+CLI_CALLS = (
+    ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "1"],
+    ["scalable", "--preset", "X4", "--restarts", "2", "--max-iters", "10"],
+    ["scalable", "--preset", "CPn", "--n", "2", "--restarts", "1"],
+    ["scalable", "--preset", "S2xS2", "--restarts", "1", "--ambient", "4", "5"],
+    ["scalable", "--preset", "connected-sum", "--p", "1", "--q", "1", "--restarts", "1"],
+    ["scalable", "--preset", "torus(2)", "--restarts", "1"],
+    ["scalable", "--preset", "torus", "--n", "2", "--restarts", "1"],
+    ["lp", "--dim", "2", "--degree", "1", "--resolution", "16", "--out", "{tmp}"],
+    ["lp", "--dim", "2", "--degree", "2", "--resolution", "16"],
+    ["bound", "--sweep", "10", "12", "--uniform", "--tail", "hold", "--out", "{tmp}"],
+    ["bound", "--scale", "1048576", "--gap", "0.3", "0.6"],
+    ["synth", "--levels", "2", "--resolution", "16", "--out", "{tmp}"],
+    ["profile", "--input", "{tmp}/ensemble.gfrm", "--out", "{tmp}"],
+    ["bound", "--gridform", "{tmp}/ensemble.gfrm", "--sweep", "4", "5"],
+    ["plan", "--p", "2", "--levels", "6", "--out", "{tmp}"],
+    ["plan", "--p", "3", "--levels", "4", "--degree-count", "3", "--geometry", "unit"],
+    ["synth", "--levels", "3"],
+    ["exponent", "--preset", "s3-bundle"],
+    ["exponent", "--preset", "sphere", "--t", "3"],
+)
+
+SESSION = f"""
+import contextlib, io, sys, tempfile
+from pathlib import Path
+sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
+from lipdeg import cli
+import workloads
+from tracer import Tracer
+
+with tempfile.TemporaryDirectory() as tmp:
+    for argv in {CLI_CALLS!r}:
+        argv = [a.format(tmp=tmp) for a in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code == 0, (argv, err.getvalue())
+    tracer = Tracer()
+    jobs = workloads.algebra(tracer, 1, "smoke") + workloads.spectral(tracer, 1, "smoke")
+    jobs += workloads.pipeline(tracer, 1, "smoke", Path(tmp))
+    for _, job in jobs:
+        job()
+"""
+
+
+def test_every_statement_runs(tmp_path):
+    hits = traced_lines(PACKAGE, SESSION, tmp_path)
+    assert reach_findings(unexecuted(PACKAGE, hits), UNEXECUTED) == []
+
+
+def test_reach_check_sees_dead_branch(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "core.py").write_text(
+        '"""Module docstring."""\n'
+        "LIMIT = 3\n"
         "class A:\n"
-        "    def __init__(self):\n        self.v = self._helper()\n"
-        "    def _helper(self):\n        return 1\n"
-        "    @property\n    def size(self):\n        return self.v\n"
-        "    def dead(self):\n        return 2\n"
-        "    def oracle(self):\n        return 3\n"
-        "    def bench_only(self):\n        return 4\n"
-        "def run():\n    return A().size\n"
+        "    def used(self, x):\n"
+        '        """Docstring."""\n'
+        "        if x > LIMIT:\n"
+        "            x = LIMIT\n"
+        "        if x < 0:\n"
+        "            raise ValueError(x)\n"
+        "        try:\n"
+        "            y = 1 / x\n"
+        "        except ZeroDivisionError:\n"
+        "            y = 0.0\n"
+        "        return y\n"
+        "    def oracle(self):\n"
+        "        return 4\n"
+        "    def stale(self):\n"
+        "        return 5\n"
+        "@staticmethod\n"
+        "def dead(\n"
+        "    x,\n"
+        "):\n"
+        "    return x\n"
+        "if __name__ == '__main__':\n"
+        "    dead(1)\n"
     )
-    client = tmp_path / "bench.py"
-    client.write_text("from pkg.core import A\nA().bench_only()\n")
-    assert unread_methods(pkg, [client], ("oracle",)) == ["core.A.dead"]
+    session = f"import sys\nsys.path.insert(0, {str(tmp_path)!r})\nfrom pkg.core import A\n"
+    session += "A().used(1)\nA().stale()\n"
+    unrun = unexecuted(pkg, traced_lines(pkg, session, tmp_path))
+    assert unrun == {"core.A.used": [7], "core.A.oracle": [16], "core.dead": [23], "core": [25]}
+    allowed = {"core.A.oracle": (1, "test oracle"), "core.A.stale": (1, "stale")}
+    assert reach_findings(unrun, allowed) == [
+        "core: line 25 never ran",
+        "core.A.used: line 7 never ran",
+        "core.dead: line 23 never ran",
+        "core.A.stale: 0 statements never ran [], exemption says 1",
+    ]
 
 
 def test_no_assert_in_src():

@@ -181,7 +181,7 @@ def test_action_validation():
 def test_positive_weight_exponents():
     alpha, mult = positive_weight_exponents(preset_weights("s3-bundle"))
     assert (alpha, mult) == (Fraction(3, 5), 1)
-    alpha, mult = positive_weight_exponents(preset_weights("formal-pair"))
+    alpha, mult = positive_weight_exponents([(2, 2), (4, 4)])
     assert (alpha, mult) == (Fraction(1), 2)
     # permutation invariance
     alpha2, mult2 = positive_weight_exponents(
