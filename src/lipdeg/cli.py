@@ -35,7 +35,7 @@ from .degbound import (
     spectral_gap_profile,
     uniform_layer_profile,
 )
-from .errors import LipdegError, ParameterError
+from .errors import LipdegError, ParameterError, UnsupportedPresentation
 from .exterior import jsonable
 from .gridio import read_gridform, write_band_profile, write_gridform
 from .rings import (
@@ -46,7 +46,7 @@ from .rings import (
     preset_presentations,
     preset_weights,
 )
-from .scalability import SearchConfig, check_middle_form, search_embedding
+from .scalability import ScalabilityVerdict, SearchConfig, check_middle_form, search_embedding
 
 
 def _preset_params(args) -> dict:
@@ -82,7 +82,12 @@ def _cmd_scalable(args) -> tuple:
         seed=args.seed,
         tolerance=args.tol,
     )
-    verdict = check_middle_form(intersection_form(pres), 2, cfg)
+    try:
+        form = intersection_form(pres)
+    except UnsupportedPresentation as err:
+        verdict = ScalabilityVerdict("evidence_only", notes=f"no exact verdict: {err}")
+    else:
+        verdict = check_middle_form(form, pres.manifold_dim // 2, cfg)
     search = search_embedding(pres, list(args.ambient), cfg)
     payload = {
         "preset": args.preset,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, sqrt
+from math import sqrt
 from typing import Mapping, NamedTuple, Union
 
 import numpy as np
@@ -396,28 +396,4 @@ def wedge_nonzeros(n: int, p: int, q: int):
     out = (target[left, right], left, right, sign[left, right].astype(float))
     for arr in out:
         arr.setflags(write=False)
-    return out
-
-
-def wedge_dense(n: int, p: int, q: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense wedge of coefficient vectors (degrees p and q over R^n)."""
-    target, left, right, sign = wedge_nonzeros(n, p, q)
-    return np.bincount(
-        target, weights=sign * a[left] * b[right], minlength=comb(n, p + q)
-    )
-
-
-def wedge_left_matrix(n: int, p: int, q: int, a: np.ndarray) -> np.ndarray:
-    """Matrix of x -> a ^ x on dense vectors (a of degree p, x of degree q)."""
-    target, left, right, sign = wedge_nonzeros(n, p, q)
-    out = np.zeros((comb(n, p + q), comb(n, q)))
-    out[target, right] = sign * a[left]
-    return out
-
-
-def wedge_right_matrix(n: int, p: int, q: int, b: np.ndarray) -> np.ndarray:
-    """Matrix of x -> x ^ b on dense vectors (x of degree p, b of degree q)."""
-    target, left, right, sign = wedge_nonzeros(n, p, q)
-    out = np.zeros((comb(n, p + q), comb(n, p)))
-    out[target, left] = sign * b[right]
     return out

@@ -15,7 +15,9 @@ Three layers of evidence, kept strictly apart:
   Levenberg–Marquardt, over assignments of constant-coefficient forms,
   projected onto the unit coefficient ball after each step) — produces
   witnesses and defect floors for whole presentations, never
-  impossibility claims;
+  impossibility claims.  Its words are compiled once per search into flat
+  wedge index arrays, so residual and Jacobian are a few ``np.bincount``
+  calls;
 * the k <= 3 counterexample to the four-tuple wedge inequality: the
   normalized self-dual triple, whose squares are the volume form while
   its pairwise products and square differences vanish.
@@ -26,7 +28,7 @@ Defects and norms use the maximum absolute basis coefficient throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import comb, isfinite
 from typing import Optional
 
@@ -47,10 +49,8 @@ from .exterior import (
     multi_indices,
     selfdual_triple,
     signature,
-    wedge_dense,
-    wedge_left_matrix,
+    wedge_nonzeros,
     wedge_pairing_matrix,
-    wedge_right_matrix,
 )
 from .rings import Assignment, RingPresentation, intersection_form
 
@@ -180,7 +180,8 @@ def check_middle_form(Q, n: int, cfg: Optional[SearchConfig] = None) -> Scalabil
 
 # -- dense workspace for the search -------------------------------------------
 
-# float64 entries in the search Jacobian; the sample cap of bands._check_grid
+# float64 entries in the search Jacobian, its normal matrix and its compiled
+# terms; the sample cap of bands._check_grid
 _MAX_JACOBIAN = 2**27
 
 
@@ -189,19 +190,30 @@ class _Workspace:
 
     The search state is one flat vector x: the generators' coefficient
     vectors laid end to end in generator order, ``cols[g]`` slicing out g's.
+    Every word the search reads is compiled once into flat index arrays over
+    z = [1, x, word values], the empty word's value being the constant 1
+    and a one-letter word's a slice of x.
     """
 
     def __init__(self, pres: RingPresentation, m: int):
-        self.pres = pres
-        self.m = m
         self.deg = dict(pres.generators)
         # relations of degree above m vanish identically in Lambda(R^m) and
         # get no residual rows; sizes are settled before anything is built
-        rel_degs = [pres.word_degree(rel.monomials[0][1]) for rel in pres.relations]
+        kept = [(rel, pres.word_degree(rel.monomials[0][1])) for rel in pres.relations]
+        kept = [(rel, deg) for rel, deg in kept if deg <= m]
         self.n_params = sum(comb(m, d) for _, d in pres.generators)
-        self.n_rows = sum(comb(m, deg) for deg in rel_degs if deg <= m)
-        # the Jacobian and its normal matrix
-        if max(self.n_rows, self.n_params) * self.n_params > _MAX_JACOBIAN:
+        self.n_rows = sum(comb(m, deg) for _, deg in kept)
+        words = [w for rel, _ in kept for _, w in rel.monomials]
+        top = pres.top_class
+        # slot t of a degree-D word splits e_K, |K| = D, into prefix, slot and
+        # suffix indices; no word product has more terms than its last slot
+        n_terms = sum(
+            comb(m, deg) * comb(deg, self.deg[g]) * comb(deg - self.deg[g], p)
+            for w in words + [top]
+            for deg in [pres.word_degree(w)]
+            for g, p in zip(w, accumulate([0] + [self.deg[g] for g in w]))
+        )
+        if max(self.n_rows * self.n_params, self.n_params**2, n_terms) > _MAX_JACOBIAN:
             raise ParameterError(
                 f"search in Lambda(R^{m}) exceeds the cap of {_MAX_JACOBIAN} Jacobian entries"
             )
@@ -220,67 +232,82 @@ class _Workspace:
         self.flip = np.array(flip)
         self.in_top = np.array(in_top)
         self.top_len = len(pres.top_class)
-        self.relations = []
-        at = 0
-        for rel, deg in zip(pres.relations, rel_degs):
-            if deg > m:
-                continue
-            monomials = [(float(c), word) for c, word in rel.monomials]
-            self.relations.append((slice(at, at + comb(m, deg)), monomials))
-            at += comb(m, deg)
+
+        # z = [1, x, word values]: word w's coefficients start at pos[w].  The
+        # values come one level per word length, each word wedging its prefix
+        # with its last letter: every subword that a relation word's Jacobian
+        # reads as prefix or suffix, and the top word's prefixes
+        sub = {w[i:k] for w in words for i in range(len(w)) for k in range(i + 2, len(w) + 1)}
+        sub |= {top[:k] for k in range(2, len(top) + 1)}
+        pos = {(): 0, **{(g,): 1 + cols.start for g, cols in self.cols.items()}}
+        self.levels, size = [], 1 + self.n_params
+        for _, level in groupby(sorted(sub, key=lambda w: (len(w), w)), key=len):
+            parts, lo = [], size
+            for w in level:
+                p, q = pres.word_degree(w[:-1]), self.deg[w[-1]]
+                target, left, right, sign = wedge_nonzeros(m, p, q)
+                parts.append((size - lo + target, sign, pos[w[:-1]] + left, pos[w[-1:]] + right))
+                pos[w] = size
+                size += comb(m, p + q)
+            self.levels.append((size - lo, *map(np.concatenate, zip(*parts))))
+
+        # r: each monomial's coefficient times its word; J: for each
+        # (monomial, slot), coefficient times sign times prefix times suffix,
+        # at (row of e_K, column of the slot's index).  bincount adds each
+        # bin's terms in this (monomial, slot) order
+        r_parts = [(np.zeros(0, int), np.zeros(0), np.zeros(0, int))]
+        j_parts = [(np.zeros(0, int), np.zeros(0), np.zeros(0, int), np.zeros(0, int))]
+        row = 0
+        for rel, deg in kept:
+            span = np.arange(comb(m, deg))
+            for c, w in rel.monomials:
+                r_parts.append((row + span, np.full(span.size, float(c)), pos[w] + span))
+                for t, p in enumerate(accumulate([0] + [self.deg[g] for g in w[:-1]])):
+                    d = self.deg[w[t]]
+                    t1, l1, r1, s1 = wedge_nonzeros(m, p, d)
+                    t2, l2, r2, s2 = wedge_nonzeros(m, p + d, deg - p - d)
+                    # join each (prefix, slot) pair with the suffixes that
+                    # extend it: l2 is sorted, so those are one run of it
+                    first = np.searchsorted(l2, t1)
+                    count = np.searchsorted(l2, t1, side="right") - first
+                    i1 = np.repeat(np.arange(t1.size), count)
+                    i2 = np.arange(i1.size) + np.repeat(first + count - np.cumsum(count), count)
+                    j_parts.append((
+                        (row + t2[i2]) * self.n_params + self.cols[w[t]].start + r1[i1],
+                        float(c) * s1[i1] * s2[i2],
+                        pos[w[:t]] + l1[i1],
+                        pos[w[t + 1:]] + r2[i2],
+                    ))
+            row += span.size
+        self.r_bins, self.r_coeff, self.r_at = map(np.concatenate, zip(*r_parts))
+        self.j_bins, self.j_coeff, self.j_a, self.j_b = map(np.concatenate, zip(*j_parts))
         # normalization slot: e_{1..n}, first in lexicographic order (the
         # volume element when m == n)
-        self.top_slot = 0
+        self.top_at = pos[top]
 
     # -- the residual/Jacobian kernel ----------------------------------------
 
-    def _prefixes(self, word, x) -> list:
-        """Images of the word's prefixes: x1, x1^x2, ..., the whole word."""
-        out = [x[self.cols[word[0]]]]
-        deg = self.deg[word[0]]
-        for g in word[1:]:
-            out.append(wedge_dense(self.m, deg, self.deg[g], out[-1], x[self.cols[g]]))
-            deg += self.deg[g]
-        return out
-
-    def _add_word(self, r, J, coeff, word, x) -> None:
-        """Add coeff times the word's image to r and its Jacobian to J.
-
-        The block of slot t is S @ L: L wedges the prefix before slot t on
-        the left, S the suffix after it on the right.  S is kept as one
-        running matrix from the end of the word, so a word of length k
-        costs O(k) wedges.
-        """
-        prefixes = self._prefixes(word, x)
-        r += coeff * prefixes[-1]
-        if len(word) == 1:
-            J[:, self.cols[word[0]]] += coeff * np.eye(r.size)
-            return
-        degs = list(accumulate(self.deg[g] for g in word))
-        blocks = [None] * len(word)
-        suffix = None
-        for t in range(len(word) - 1, 0, -1):
-            g, p = word[t], degs[t - 1]
-            left = wedge_left_matrix(self.m, p, self.deg[g], prefixes[t - 1])
-            blocks[t] = left if suffix is None else suffix @ left
-            right = wedge_right_matrix(self.m, p, self.deg[g], x[self.cols[g]])
-            suffix = right if suffix is None else suffix @ right
-        blocks[0] = suffix
-        for g, block in zip(word, blocks):
-            J[:, self.cols[g]] += coeff * block
+    def _values(self, x) -> np.ndarray:
+        """z = [1, x, word values], one bincount per word length."""
+        z = np.concatenate(([1.0], x))
+        for n, bins, sign, a, b in self.levels:
+            z = np.concatenate((z, np.bincount(bins, weights=sign * z[a] * z[b], minlength=n)))
+        return z
 
     def residual_jacobian(self, x):
         """Stacked relation coefficients and their Jacobian in x.  The max
         absolute residual is the defect."""
-        r = np.zeros(self.n_rows)
-        J = np.zeros((self.n_rows, self.n_params))
-        for rows, monomials in self.relations:
-            for coeff, word in monomials:
-                self._add_word(r[rows], J[rows], coeff, word, x)
-        return r, J
+        z = self._values(x)
+        r = np.bincount(self.r_bins, weights=self.r_coeff * z[self.r_at], minlength=self.n_rows)
+        J = np.bincount(
+            self.j_bins,
+            weights=self.j_coeff * z[self.j_a] * z[self.j_b],
+            minlength=self.n_rows * self.n_params,
+        )
+        return r, J.reshape(self.n_rows, self.n_params)
 
     def top_value(self, x) -> float:
-        return float(self._prefixes(self.pres.top_class, x)[-1][self.top_slot])
+        return float(self._values(x)[self.top_at])
 
     # -- normalization ------------------------------------------------------
 
@@ -333,11 +360,13 @@ def _descend(ws: _Workspace, x: np.ndarray, cfg: SearchConfig):
     best_defect = float(np.max(np.abs(r)))
     best_x = x
     for _ in range(cfg.max_iters):
+        # J is fixed until a step is accepted, so every damping try shares these
+        JtJ, Jtr, eye = J.T @ J, J.T @ r, np.eye(n_params)
         stepped = False
         for _ in range(12):
-            A = J.T @ J + lam * np.eye(n_params)
+            A = JtJ + lam * eye
             try:
-                delta = np.linalg.solve(A, J.T @ r)
+                delta = np.linalg.solve(A, Jtr)
             except np.linalg.LinAlgError:
                 lam *= 4.0
                 continue

@@ -48,6 +48,16 @@ def test_scalable_cp2_verdict(capsys):
     assert doc["verdict"]["defect"] < 1e-6
 
 
+@pytest.mark.parametrize("preset", ["torus(3)", "CP3"])
+def test_scalable_beyond_four_manifolds(capsys, preset):
+    """A 6-manifold preset has no middle-degree form to decide exactly: the
+    verdict is evidence only, and the search still runs."""
+    doc = run_json(capsys, "scalable", "--preset", preset, "--ambient", "6", "--restarts", "1")
+    assert doc["verdict"]["status"] == "evidence_only"
+    assert "middle degree" in doc["verdict"]["notes"]
+    assert doc["search"]["summand_dim"] == 6
+
+
 def test_scalable_numeric_preset_name(capsys):
     doc = run_json(capsys, "scalable", "--preset", "X2")
     assert doc["verdict"]["status"] == "scalable"

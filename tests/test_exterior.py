@@ -5,7 +5,6 @@ oracle, and float-mode signatures against the exact congruence route.
 """
 
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ from lipdeg.exterior import (
     ExteriorElement,
     SignatureTriple,
     basis_element,
-    dense_vector,
-    from_dense,
     merge_sign,
     multi_indices,
     selfdual_triple,
@@ -25,7 +22,6 @@ from lipdeg.exterior import (
     signature_exact,
     volume_element,
     wedge,
-    wedge_dense,
     wedge_pairing_matrix,
 )
 
@@ -180,18 +176,6 @@ def test_signature_float_matches_exact(seed):
     A = rng.integers(-3, 4, size=(m, m))
     S = A + A.T
     assert signature(S.astype(float)) == signature_exact(S)
-
-
-def test_dense_route_matches_dict_route():
-    rng = np.random.default_rng(7)
-    n = 5
-    for p, q in [(1, 1), (1, 2), (2, 2), (2, 3)]:
-        va = rng.standard_normal(comb(n, p))
-        vb = rng.standard_normal(comb(n, q))
-        a = from_dense(n, p, va)
-        b = from_dense(n, q, vb)
-        dd = wedge_dense(n, p, q, va, vb)
-        assert np.allclose(dd, dense_vector(wedge(a, b), p + q), atol=1e-12)
 
 
 def test_sup_norm_and_scale():

@@ -87,7 +87,6 @@ UNEXECUTED = {
     "rings._exact_solve": (1, "underdetermined products: " + _GUARD),
     "scalability._pairing_witness": (1, "float-singular form: " + _GUARD),
     "scalability.check_middle_form": (1, "float-singular form: " + _GUARD),
-    "scalability._Workspace._add_word": (2, "one-letter word: " + _GUARD),
     "scalability._Workspace.project_top": (1, "vanishing top value: " + _GUARD),
     "scalability._search_single": (2, "no usable start: " + _GUARD),
 }
@@ -332,6 +331,8 @@ CLI_CALLS = (
     ["scalable", "--preset", "connected-sum", "--p", "1", "--q", "1", "--restarts", "1"],
     ["scalable", "--preset", "torus(2)", "--restarts", "1"],
     ["scalable", "--preset", "torus", "--n", "2", "--restarts", "1"],
+    ["scalable", "--preset", "CP2", "--ambient", "6", "--restarts", "1", "--max-iters", "20"],
+    ["scalable", "--preset", "torus(3)", "--ambient", "6", "--restarts", "1", "--max-iters", "20"],
     ["lp", "--dim", "2", "--degree", "1", "--resolution", "16", "--out", "{tmp}"],
     ["lp", "--dim", "2", "--degree", "2", "--resolution", "16"],
     ["bound", "--sweep", "10", "12", "--uniform", "--tail", "hold", "--out", "{tmp}"],

@@ -1,11 +1,14 @@
 """Embedding verdicts: exact signature tests, search, obstruction estimates."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
-from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lipdeg import scalability
 from lipdeg.errors import (
     DegenerateForm,
     DimensionMismatch,
@@ -13,8 +16,14 @@ from lipdeg.errors import (
     ParameterError,
     ShapeError,
 )
-from lipdeg.exterior import selfdual_triple, wedge
-from lipdeg.rings import Assignment, evaluate_relations, preset_presentations
+from lipdeg.exterior import ExteriorElement, dense_vector, multi_indices, selfdual_triple, wedge
+from lipdeg.rings import (
+    Assignment,
+    Relation,
+    evaluate_relations,
+    preset_presentations,
+    word_value,
+)
 from lipdeg.scalability import (
     SearchConfig,
     _Workspace,
@@ -206,22 +215,97 @@ def test_analytic_gradient_matches_finite_differences(name, params, m):
 
 def test_top_grad_matches_finite_differences():
     # the top word t1*t2*t3 has length 3, so every slot has a prefix or
-    # a suffix and the middle slot has both
+    # a suffix and the middle slot has both; as the one relation of a
+    # presentation its Jacobian row at the top slot is top_value's gradient
     pres = preset_presentations("torus(3)")
-    ws = _Workspace(pres, 6)
+    top = Relation("top", ((Fraction(1), pres.top_class),))
+    ws = _Workspace(replace(pres, relations=(top,)), 6)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(ws.n_params)
-    rows = comb(6, pres.manifold_dim)
-    r, J = np.zeros(rows), np.zeros((rows, ws.n_params))
-    ws._add_word(r, J, 1.0, pres.top_class, x)
-    T0, grad = ws.top_value(x), J[ws.top_slot]
-    assert r[ws.top_slot] == T0
+    r, J = ws.residual_jacobian(x)
+    T0, grad = ws.top_value(x), J[0]
+    assert r.shape == (1,) and r[0] == T0
     h = 1e-6
     for j in range(ws.n_params):
         bumped = x.copy()
         bumped[j] += h
         fd = (ws.top_value(bumped) - T0) / h
         assert abs(fd - grad[j]) < 1e-4 * max(1.0, abs(grad[j]))
+
+
+@pytest.mark.parametrize(
+    "name, m",
+    [("X4", 4), ("CP2", 6), ("torus(3)", 6)],
+    ids=["X4", "CP2-m6", "torus3-m6"],  # u^3 and t1*t2*t3 have length 3
+)
+def test_kernel_is_exact_at_a_dyadic_point(name, m):
+    """At coefficients in {-1, -3/4, ..., 1} every float product and sum is
+    exact, so r must equal the exact relation images, J their five-point
+    central difference (exact for polynomials of degree <= 4), and
+    top_value the exact top word, with no tolerance."""
+    pres = preset_presentations(name)
+    ws = _Workspace(pres, m)
+    degs = [pres.word_degree(rel.words()[0]) for rel in pres.relations]
+
+    def exact(x):
+        forms = {
+            g: ExteriorElement(m, dict(zip(multi_indices(m, d), x[ws.cols[g]])))
+            for g, d in pres.generators
+        }
+        values = evaluate_relations(pres, Assignment(m, forms))
+        r = [
+            v.coefficient(I)
+            for v, deg in zip(values, degs)
+            if deg <= m  # the search keeps no rows for a relation above m
+            for I in multi_indices(m, deg)
+        ]
+        top = word_value(pres.top_class, forms)
+        return r, top.coefficient(multi_indices(m, pres.manifold_dim)[0])
+
+    rng = np.random.default_rng(17)
+    x = [Fraction(int(k), 4) for k in rng.integers(-4, 5, ws.n_params)]
+    r, J = ws.residual_jacobian(np.array([float(v) for v in x]))
+    r_exact, top_exact = exact(x)
+    assert [Fraction(v) for v in r] == r_exact
+    assert Fraction(ws.top_value(np.array([float(v) for v in x]))) == top_exact
+    for j in range(ws.n_params):
+        at = [exact(x[:j] + [x[j] + k] + x[j + 1:])[0] for k in (-2, -1, 1, 2)]
+        fd = [(a - 8 * b + 8 * c - d) / 12 for a, b, c, d in zip(*at)]
+        assert [Fraction(v) for v in J[:, j]] == fd
+
+
+def test_compiled_terms_count_against_the_cap(monkeypatch):
+    """The workspace counts its compiled Jacobian terms before it builds
+    anything: CP2 in R^6 has 300 (u^3's three slots and the top word u^2
+    counted alike) against 225 normal-matrix entries."""
+    pres = preset_presentations("CP2")
+    monkeypatch.setattr(scalability, "_MAX_JACOBIAN", 300)
+    _Workspace(pres, 6)
+    monkeypatch.setattr(scalability, "_MAX_JACOBIAN", 299)
+    with pytest.raises(ParameterError, match="cap"):
+        _Workspace(pres, 6)
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_searches.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_search_trajectory_is_pinned(case):
+    """Searches of 4 restarts and 20 iterations reproduce to the bit the
+    restart defects, best restart and witness recorded with the per-word
+    kernel that preceded the compiled one.  Relation words have length 2
+    here, where the compiled sums keep that kernel's order; torus(3)'s top
+    word has length 3."""
+    name, m = case.rsplit("@", 1)
+    want = PINNED[case]
+    pres = preset_presentations(name)
+    cfg = SearchConfig(restarts=4, max_iters=20, seed=want["seed"])
+    res = search_embedding(pres, [int(m)], cfg)
+    assert [d.hex() for d in res.restart_defects] == want["restart_defects"]
+    assert res.best_restart == want["best_restart"]
+    degs = dict(pres.generators)
+    got = {g: [c.hex() for c in dense_vector(el, degs[g])] for g, el in res.assignment.forms.items()}
+    assert got == want["coefficients"]
 
 
 @pytest.mark.parametrize("name", ["X3", "CP2", "torus(3)"])
