@@ -383,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {args.seed}")
         payload, code = args.func(args)
         payload["meta"] = {
             "subcommand": args.subcommand,

@@ -17,7 +17,8 @@ Three layers of evidence, kept strictly apart:
   witnesses and defect floors for whole presentations, never
   impossibility claims.  Its words are compiled once per search into flat
   wedge index arrays, so residual and Jacobian are a few ``np.bincount``
-  calls;
+  calls, and the projection rescales and clips the top generators'
+  coefficients as Python floats against the top word's one pinned slot;
 * the k <= 3 counterexample to the four-tuple wedge inequality: the
   normalized self-dual triple, whose squares are the volume form while
   its pairwise products and square differences vanish.
@@ -225,31 +226,21 @@ class _Workspace:
             self.cols[nm] = slice(at, at + len(basis))
             at += len(basis)
             flip += [1 in I for I in basis]
-            in_top += [nm in pres.top_class] * len(basis)
+            in_top += [nm in top] * len(basis)
         # coefficients whose basis index contains axis 1 (negated by the
         # reflection of the first coordinate), and those of generators in
         # the top word (rescaled to pin the top value)
         self.flip = np.array(flip)
         self.in_top = np.array(in_top)
-        self.top_len = len(pres.top_class)
+        self.top_idx = np.flatnonzero(self.in_top)
+        self.top_flip = self.flip[self.top_idx].tolist()
+        self.top_len = len(top)
 
-        # z = [1, x, word values]: word w's coefficients start at pos[w].  The
-        # values come one level per word length, each word wedging its prefix
-        # with its last letter: every subword that a relation word's Jacobian
-        # reads as prefix or suffix, and the top word's prefixes
+        # z = [1, x, word values]: word w's coefficients start at pos[w]; the
+        # subwords a relation word's Jacobian reads as prefix or suffix
         sub = {w[i:k] for w in words for i in range(len(w)) for k in range(i + 2, len(w) + 1)}
-        sub |= {top[:k] for k in range(2, len(top) + 1)}
         pos = {(): 0, **{(g,): 1 + cols.start for g, cols in self.cols.items()}}
-        self.levels, size = [], 1 + self.n_params
-        for _, level in groupby(sorted(sub, key=lambda w: (len(w), w)), key=len):
-            parts, lo = [], size
-            for w in level:
-                p, q = pres.word_degree(w[:-1]), self.deg[w[-1]]
-                target, left, right, sign = wedge_nonzeros(m, p, q)
-                parts.append((size - lo + target, sign, pos[w[:-1]] + left, pos[w[-1:]] + right))
-                pos[w] = size
-                size += comb(m, p + q)
-            self.levels.append((size - lo, *map(np.concatenate, zip(*parts))))
+        self.levels = _compile_levels(pres, m, sub, pos, 1 + self.n_params)
 
         # r: each monomial's coefficient times its word; J: for each
         # (monomial, slot), coefficient times sign times prefix times suffix,
@@ -281,23 +272,23 @@ class _Workspace:
             row += span.size
         self.r_bins, self.r_coeff, self.r_at = map(np.concatenate, zip(*r_parts))
         self.j_bins, self.j_coeff, self.j_a, self.j_b = map(np.concatenate, zip(*j_parts))
-        # normalization slot: e_{1..n}, first in lexicographic order (the
-        # volume element when m == n)
-        self.top_at = pos[top]
+
+        # the top value over u = [1, x[top_idx], top prefix values]: the (sign,
+        # a, b) terms of slot e_{1..n} (volume when m == n) in bincount's order
+        upos = {(): 0, **{(g,): 1 + int(np.searchsorted(self.top_idx, c.start))
+                          for g, c in self.cols.items() if g in top}}
+        prefixes = {top[:k] for k in range(2, len(top))}
+        self.top_levels = _compile_levels(pres, m, prefixes, upos, 1 + self.top_idx.size)
+        target, left, right, sign = wedge_nonzeros(m, pres.word_degree(top[:-1]), self.deg[top[-1]])
+        a, b = upos[top[:-1]] + left[target == 0], upos[top[-1:]] + right[target == 0]
+        self.top_terms = list(zip(sign[target == 0].tolist(), a.tolist(), b.tolist()))
 
     # -- the residual/Jacobian kernel ----------------------------------------
-
-    def _values(self, x) -> np.ndarray:
-        """z = [1, x, word values], one bincount per word length."""
-        z = np.concatenate(([1.0], x))
-        for n, bins, sign, a, b in self.levels:
-            z = np.concatenate((z, np.bincount(bins, weights=sign * z[a] * z[b], minlength=n)))
-        return z
 
     def residual_jacobian(self, x):
         """Stacked relation coefficients and their Jacobian in x.  The max
         absolute residual is the defect."""
-        z = self._values(x)
+        z = _chain(np.concatenate(([1.0], x)), self.levels)
         r = np.bincount(self.r_bins, weights=self.r_coeff * z[self.r_at], minlength=self.n_rows)
         J = np.bincount(
             self.j_bins,
@@ -306,8 +297,15 @@ class _Workspace:
         )
         return r, J.reshape(self.n_rows, self.n_params)
 
-    def top_value(self, x) -> float:
-        return float(self._values(x)[self.top_at])
+    def top(self, t: list) -> float:
+        """The top word's normalization-slot value at t = x[top_idx] as a list."""
+        u = [1.0, *t]
+        if self.top_levels:
+            u = _chain(np.array(u), self.top_levels).tolist()
+        c = 0.0
+        for s, a, b in self.top_terms:
+            c += s * u[a] * u[b]
+        return c
 
     # -- normalization ------------------------------------------------------
 
@@ -324,18 +322,57 @@ class _Workspace:
         non-embeddable presentations would be meaningless.  Returns None
         when the top value is numerically zero or the two constraints
         cannot be reconciled within 60 clips.
+
+        The rounds run on the top generators' floats; the rest never move c,
+        so they are clipped once if any round clips and reflected by parity.
+        NaN fails every ball test: NaN in x or c, and inf * 0 (c = inf), give None.
         """
+        if np.isnan(x).any():
+            return None
+        tol = 1.0 + 1e-12
+        rest_wide = float(np.max(np.abs(x), where=~self.in_top, initial=0.0)) > tol
+        t = x[self.top_idx].tolist()
+        flips, clipped = 0, False
         for _ in range(60):
-            c = self.top_value(x)
-            if abs(c) < 1e-12:
+            c = self.top(t)
+            if not abs(c) >= 1e-12 or not (isfinite(c) or all(map(isfinite, t))):
                 return None
             if c < 0:
-                x, c = np.where(self.flip, -x, x), -c
-            x = np.where(self.in_top, x * c ** (-1.0 / self.top_len), x)
-            if float(np.max(np.abs(x))) <= 1.0 + 1e-12:
-                return x
-            x = np.clip(x, -1.0, 1.0)
+                t = [-v if f else v for v, f in zip(t, self.top_flip)]
+                c, flips = -c, flips + 1
+            s = c ** (-1.0 / self.top_len)
+            t = [v * s for v in t]
+            if (clipped or not rest_wide) and max(t) <= tol and min(t) >= -tol:
+                y = np.clip(x, -1.0, 1.0) if clipped else x
+                y = np.where(self.flip, -y, y) if flips % 2 else y.copy()
+                y[self.top_idx] = t
+                return y
+            t = [1.0 if v > 1.0 else -1.0 if v < -1.0 else v for v in t]
+            clipped = True
         return None
+
+
+def _compile_levels(pres: RingPresentation, m: int, words, pos: dict, size: int):
+    """One (n, bins, sign, a, b) per word length, each word wedging its prefix
+    with its last letter at z[pos[...]]; words start at z[size:]."""
+    levels = []
+    for _, level in groupby(sorted(words, key=lambda w: (len(w), w)), key=len):
+        parts, lo = [], size
+        for w in level:
+            p, q = pres.word_degree(w[:-1]), pres.degrees[w[-1]]
+            target, left, right, sign = wedge_nonzeros(m, p, q)
+            parts.append((size - lo + target, sign, pos[w[:-1]] + left, pos[w[-1:]] + right))
+            pos[w] = size
+            size += comb(m, p + q)
+        levels.append((size - lo, *map(np.concatenate, zip(*parts))))
+    return levels
+
+
+def _chain(z: np.ndarray, levels: list) -> np.ndarray:
+    """z extended by the word values of ``levels``, one bincount per level."""
+    for n, bins, sign, a, b in levels:
+        z = np.concatenate((z, np.bincount(bins, weights=sign * z[a] * z[b], minlength=n)))
+    return z
 
 
 @dataclass(frozen=True)
@@ -356,12 +393,12 @@ def _descend(ws: _Workspace, x: np.ndarray, cfg: SearchConfig):
         return 0.0, x
     F = float(r @ r)
     lam = 1e-3
-    n_params = J.shape[1]
     best_defect = float(np.max(np.abs(r)))
     best_x = x
+    eye = np.eye(J.shape[1])
     for _ in range(cfg.max_iters):
         # J is fixed until a step is accepted, so every damping try shares these
-        JtJ, Jtr, eye = J.T @ J, J.T @ r, np.eye(n_params)
+        JtJ, Jtr = J.T @ J, J.T @ r
         stepped = False
         for _ in range(12):
             A = JtJ + lam * eye

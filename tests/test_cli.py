@@ -1,10 +1,13 @@
 """CLI contract: JSON shapes, exit codes, artifacts, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import struct
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lipdeg import cli, errors
 from lipdeg.bands import zero_form
@@ -154,6 +157,58 @@ def test_non_finite_tolerance_is_a_parameter_error(capsys, argv):
     doc = json.loads(err)
     assert doc["error"] == "ParameterError"
     assert "tolerance" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scalable", "--preset", "X3", "--seed", "-1"],
+        ["synth", "--seed", "-1"],
+        ["verify", "--level", "quick", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_a_parameter_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ParameterError"
+    assert "seed" in doc["message"]
+
+
+SCALABLE_PRESETS = (
+    ["X1"], ["Xk", "--k", "4"], ["CP2"], ["CPn", "--n", "3"], ["S2xS2"],
+    ["connected-sum(2,1)"], ["torus(3)"], ["torus(4)"],
+)
+
+
+# ambient dimensions up to 8 keep every preset here within the Jacobian cap;
+# the small seeds make negative ones common
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    preset=st.sampled_from(SCALABLE_PRESETS),
+    ambient=st.lists(st.integers(3, 8), min_size=1, max_size=3),
+    restarts=st.integers(1, 2),
+    max_iters=st.integers(1, 5),
+    seed=st.integers(-3, 3) | st.integers(-3, 2**32 + 3),
+)
+def test_scalable_exits_zero_or_with_a_typed_error(preset, ambient, restarts, max_iters, seed):
+    argv = ["scalable", "--preset", *preset, "--ambient", *map(str, ambient)]
+    argv += ["--restarts", str(restarts), "--max-iters", str(max_iters), "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert json.loads(out.getvalue())["meta"]["seed"] == seed
+        assert seed >= 0
+        return
+    assert code == 1 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in errors.__all__
+    if seed < 0:
+        assert json.loads(lines[0])["error"] == "ParameterError"
 
 
 def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):

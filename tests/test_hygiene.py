@@ -87,7 +87,7 @@ UNEXECUTED = {
     "rings._exact_solve": (1, "underdetermined products: " + _GUARD),
     "scalability._pairing_witness": (1, "float-singular form: " + _GUARD),
     "scalability.check_middle_form": (1, "float-singular form: " + _GUARD),
-    "scalability._Workspace.project_top": (1, "vanishing top value: " + _GUARD),
+    "scalability._Workspace.project_top": (2, "NaN input, vanishing top value: " + _GUARD),
     "scalability._search_single": (2, "no usable start: " + _GUARD),
 }
 

@@ -216,20 +216,20 @@ def test_analytic_gradient_matches_finite_differences(name, params, m):
 def test_top_grad_matches_finite_differences():
     # the top word t1*t2*t3 has length 3, so every slot has a prefix or
     # a suffix and the middle slot has both; as the one relation of a
-    # presentation its Jacobian row at the top slot is top_value's gradient
+    # presentation its Jacobian row at the top slot is the top value's gradient
     pres = preset_presentations("torus(3)")
     top = Relation("top", ((Fraction(1), pres.top_class),))
     ws = _Workspace(replace(pres, relations=(top,)), 6)
     rng = np.random.default_rng(5)
     x = rng.standard_normal(ws.n_params)
     r, J = ws.residual_jacobian(x)
-    T0, grad = ws.top_value(x), J[0]
+    T0, grad = ws.top(x[ws.top_idx].tolist()), J[0]
     assert r.shape == (1,) and r[0] == T0
     h = 1e-6
     for j in range(ws.n_params):
         bumped = x.copy()
         bumped[j] += h
-        fd = (ws.top_value(bumped) - T0) / h
+        fd = (ws.top(bumped[ws.top_idx].tolist()) - T0) / h
         assert abs(fd - grad[j]) < 1e-4 * max(1.0, abs(grad[j]))
 
 
@@ -242,7 +242,7 @@ def test_kernel_is_exact_at_a_dyadic_point(name, m):
     """At coefficients in {-1, -3/4, ..., 1} every float product and sum is
     exact, so r must equal the exact relation images, J their five-point
     central difference (exact for polynomials of degree <= 4), and
-    top_value the exact top word, with no tolerance."""
+    the top evaluator the exact top word, with no tolerance."""
     pres = preset_presentations(name)
     ws = _Workspace(pres, m)
     degs = [pres.word_degree(rel.words()[0]) for rel in pres.relations]
@@ -267,7 +267,7 @@ def test_kernel_is_exact_at_a_dyadic_point(name, m):
     r, J = ws.residual_jacobian(np.array([float(v) for v in x]))
     r_exact, top_exact = exact(x)
     assert [Fraction(v) for v in r] == r_exact
-    assert Fraction(ws.top_value(np.array([float(v) for v in x]))) == top_exact
+    assert Fraction(ws.top([float(x[j]) for j in ws.top_idx])) == top_exact
     for j in range(ws.n_params):
         at = [exact(x[:j] + [x[j] + k] + x[j + 1:])[0] for k in (-2, -1, 1, 2)]
         fd = [(a - 8 * b + 8 * c - d) / 12 for a, b, c, d in zip(*at)]
@@ -319,9 +319,74 @@ def test_project_top_pins_top_and_respects_ball(name):
         x = rng.standard_normal(ws.n_params)
         y = ws.project_top(x)
         assert y is not None and y.shape == x.shape
-        assert abs(ws.top_value(y) - 1.0) <= 1e-12
+        assert abs(ws.top(y[ws.top_idx].tolist()) - 1.0) <= 1e-12
         assert np.max(np.abs(y)) <= 1.0 + 1e-12
     assert ws.project_top(np.zeros(ws.n_params)) is None
+
+
+def _numpy_project_top(ws, top_ws, x):
+    """The numpy rounds over the whole vector that the list-based rounds
+    replaced, verbatim but for reading the top value off ``top_ws``, whose
+    one relation is the top word (residual row 0 is the normalization
+    slot, read through the relation kernel alone)."""
+    for _ in range(60):
+        c = float(top_ws.residual_jacobian(x)[0][0])
+        if abs(c) < 1e-12:
+            return None
+        if c < 0:
+            x, c = np.where(ws.flip, -x, x), -c
+        x = np.where(ws.in_top, x * c ** (-1.0 / ws.top_len), x)
+        if float(np.max(np.abs(x))) <= 1.0 + 1e-12:
+            return x
+        x = np.clip(x, -1.0, 1.0)
+    return None
+
+
+def _projection_inputs(pres, m, ws, top_ws):
+    """Random vectors plus the edge cases of the rounds: NaN, +-inf, a top
+    value that overflows, signed zeros and entries at the ball's slack."""
+    rng = np.random.default_rng(23)
+    n, nan, inf = ws.n_params, float("nan"), float("inf")
+    top = ws.top_idx.tolist()
+    rest = [j for j in range(n) if not ws.in_top[j]]
+    # top coefficients off the normalization slot: their basis index has an
+    # axis beyond the manifold dimension
+    misses = [
+        ws.cols[g].start + i
+        for g, d in pres.generators
+        if g in pres.top_class
+        for i, I in enumerate(multi_indices(m, d))
+        if max(I) > pres.manifold_dim
+    ]
+    xs = [rng.standard_normal(n) * s for s in (0.1, 1.0, 3.0, 30.0) for _ in range(10)]
+    base = xs[10]
+    inside = next(y for x in xs if (y := _numpy_project_top(ws, top_ws, x)) is not None)
+    edits = [(base, j, v) for j in top[1:2] + rest[:1] + misses[:1] for v in (nan, inf, -inf)]
+    edits += [(base * 1e200, j, v) for j in misses[:1] + rest[:1] for v in (inf, -inf)]
+    edits += [(inside, j, v) for j in (rest or top)[:2] for v in (1 + 1e-12, -1 - 1e-12, 1 + 2e-12)]
+    for x, j, v in edits:
+        y = x.copy()
+        y[j] = v
+        xs.append(y)
+    xs += [base * 1e200, np.full(n, 1e200), np.full(n, -1e200), np.zeros(n), -np.zeros(n)]
+    xs += [np.full(n, 1 + 1e-12), np.full(n, -1 - 1e-12), np.where(ws.in_top, base, 1 + 1e-12)]
+    return xs
+
+
+@pytest.mark.parametrize("case", ["X4@4", "X4@5", "S2xS2@5", "CP2@6", "torus(3)@6"])
+def test_project_top_matches_numpy_rounds(case):
+    """project_top gives the numpy rounds' result to the bit, None included."""
+    name, m = case.rsplit("@", 1)
+    pres, m = preset_presentations(name), int(m)
+    ws = _Workspace(pres, m)
+    top = Relation("top", ((Fraction(1), pres.top_class),))
+    top_ws = _Workspace(replace(pres, relations=(top,)), m)
+    with np.errstate(all="ignore"):
+        for x in _projection_inputs(pres, m, ws, top_ws):
+            want, got = _numpy_project_top(ws, top_ws, x.copy()), ws.project_top(x.copy())
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
 
 
 # -- four-tuple wedge constant -----------------------------------------------------
