@@ -18,12 +18,10 @@ import numpy as np
 
 from .bands import (
     BandProfile,
-    DyadicPartition,
     GridForm,
     _stream_profile,
     band_fields,
     bandlimited_noise_form,
-    build_partition,
     exterior_derivative,
     lp_norm,
     primitive,
@@ -143,7 +141,7 @@ def criterion_3(level: str = "full", seed: int = 0) -> CriterionResult:
     )
 
 
-def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
+def lp_battery(a: GridForm) -> tuple:
     """(recon error, commutator error, middle band, band profile) of one form.
 
     Reconstruction compares the sum of all band projections with the form;
@@ -154,20 +152,20 @@ def lp_battery(a: GridForm, part: DyadicPartition) -> tuple:
     total = np.zeros_like(a.data)
 
     def summed():
-        for k, c, fld in band_fields(a, part):
+        for k, c, fld in band_fields(a):
             total[c] += fld
             yield k, c, fld
             del fld  # free it before the stream computes the next field
 
-    profile = _stream_profile(a, part, summed())
+    profile = _stream_profile(a, summed())
     recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
     del total
-    k_mid = part.bands[len(part.bands) // 2]
+    k_mid = profile.bands[len(profile.bands) // 2]
     da = exterior_derivative(a)
     scale = max(lp_norm(da, "inf"), 1e-300)
-    right = project_band(da, k_mid, part)
+    right = project_band(da, k_mid)
     del da  # only its sup norm and band k_mid are needed below
-    left = exterior_derivative(project_band(a, k_mid, part))
+    left = exterior_derivative(project_band(a, k_mid))
     np.subtract(left.data, right.data, out=left.data)
     commute = float(lp_norm(left, "inf") / scale)
     return recon, commute, k_mid, profile
@@ -184,8 +182,7 @@ def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
     support_ok = True
     for d, N in cases:
         a = bandlimited_noise_form(d, 0, N, 1.0, radius=N / 2.5, seed=seed + d)
-        part = build_partition(d, N, 1.0)
-        recon, commute, _, profile = lp_battery(a, part)
+        recon, commute, _, profile = lp_battery(a)
         worst["recon"] = max(worst["recon"], recon)
         worst["commute"] = max(worst["commute"], commute)
         ortho[f"{d}x{N}"] = profile.orthogonality_ratio()
@@ -196,8 +193,8 @@ def criterion_4(level: str = "full", seed: int = 0) -> CriterionResult:
         b = bandlimited_noise_form(
             d, 0, N, 1.0, radius=N / 2.5, seed=seed + 17 * d
         )
-        pa = project_band(a, k_sup, part)
-        pb = project_band(b, k_sup, part)
+        pa = project_band(a, k_sup)
+        pb = project_band(b, k_sup)
         prod = wedge_grid(pa, pb)
         radius = product_support_radius(pa, pb)
         lattice = spectral_support(prod, 1e-10)
@@ -231,7 +228,6 @@ def criterion_5(level: str = "full", seed: int = 0) -> CriterionResult:
     """Primitive norm gain of one dyadic factor per band."""
     N = 256 if level == "full" else 128
     trials = 20 if level == "full" else 8
-    part = build_partition(2, N, 1.0)
     ks = list(range(3, int(math.log2(N)) - 1))
     xs, ys = [], []
     for trial in range(trials):
@@ -240,11 +236,11 @@ def criterion_5(level: str = "full", seed: int = 0) -> CriterionResult:
         )
         a = exterior_derivative(u)
         for k in ks:
-            pk = project_band(a, k, part)
+            pk = project_band(a, k)
             n2 = lp_norm(pk, 2)
             if n2 <= 1e-300:
                 continue
-            pr = primitive(pk, band=k, part=part)
+            pr = primitive(pk, band=k)
             xs.append(float(k))
             ys.append(math.log2(lp_norm(pr, 2) / n2))
     slope = float(np.polyfit(xs, ys, 1)[0])

@@ -16,6 +16,8 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   consecutive differences, so they sum to exactly 1 and band k is
   supported in the annulus ``2^{k-1} <= |xi| <= 2^{k+1}``;
 * the zero mode belongs to the lowest band;
+* a form's grid (d, N, T) fixes its partition (``_partition``) and the
+  cell volume ``(T / N)^d`` of every Riemann sum (``GridForm.cell``);
 * a closed, mean-free form has the explicit primitive obtained by
   contracting with the frequency vector and dividing by
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
@@ -88,6 +90,8 @@ _MAX_SAMPLES = 2**27
 # form's largest spectral magnitude count as roundoff
 SILENT_FLOOR = 1e-12
 
+_TINY = 2.0**-1022  # smallest normal float64
+
 
 def _check_resolution(N: int) -> None:
     if N < 4 or (N & (N - 1)) != 0:
@@ -127,12 +131,17 @@ class GridForm:
     def __post_init__(self):
         d, p, N = self.spatial_dim, self.form_degree, self.resolution
         _check_grid(d, p, N)
-        _check_period(self.period)
+        build_partition(d, N, self.period)  # the grid check
         want = (comb(d, p),) + (N,) * d
         if self.data.shape != want:
             raise ShapeError(f"data shape {self.data.shape}, want {want}")
         if self.data.dtype != np.float64:
             object.__setattr__(self, "data", self.data.astype(np.float64))
+
+    @property
+    def cell(self) -> float:
+        """Volume of one grid cell, the weight of every Riemann sum."""
+        return _cell(self.spatial_dim, self.resolution, self.period)
 
     @property
     def indices(self) -> list:
@@ -268,14 +277,37 @@ class DyadicPartition:
             yield k, window
 
 
+def _cell(d: int, N: int, T: float) -> float:
+    """(T / N)^d, the cell volume of the N^d grid with period T."""
+    return (T / N) ** d
+
+
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
-    """Partition covering the whole lattice: lowest nonzero |xi| up to Nyquist."""
+    """Partition covering the whole lattice: lowest nonzero |xi| up to Nyquist.
+
+    Also the grid check of every GridForm: ParameterError when the cell
+    volume, the Nyquist radius, its square, or 2^k one band beyond either
+    end is not a normal float64."""
     _check_resolution(N)
     _check_period(T)
-    k_min = int(np.floor(np.log2(1.0 / T)))
-    r_max = np.sqrt(d) * (N / 2) / T
-    k_max = int(np.ceil(np.log2(r_max)))
+    r_max = math.sqrt(d) * (N / 2) / T
+    try:
+        k_min = int(np.floor(np.log2(1.0 / T)))
+        k_max = int(np.ceil(np.log2(r_max)))
+        scales = (r_max * r_max, 2.0 ** (k_min - 1), 2.0 ** (k_max + 1), _cell(d, N, T))
+    except OverflowError:  # 1/T, 2^k or the cell volume left float64
+        scales = (math.inf,)
+    if not all(_TINY <= s < math.inf for s in scales):
+        raise ParameterError(f"period {T!r} puts the scales of the {N}^{d} grid outside float64")
     return DyadicPartition(d, N, T, k_min, k_max)
+
+
+def _partition(a: GridForm, part: Optional[DyadicPartition] = None) -> DyadicPartition:
+    """The partition a's grid fixes; a ``part`` passed in must be that one."""
+    own = build_partition(a.spatial_dim, a.resolution, a.period)
+    if part is not None and part != own:
+        raise DimensionMismatch(f"{part!r} is not the form's partition {own!r}")
+    return own
 
 
 # -- the transform pair: every spectrum in this module passes through these ---
@@ -303,21 +335,19 @@ def _apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
 
 
 def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
-    part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    return _apply_multiplier(a, part.band_multiplier(k))
+    return _apply_multiplier(a, _partition(a, part).band_multiplier(k))
 
 
-def project_upto(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
-    part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    return _apply_multiplier(a, part.lowpass_multiplier(k))
+def project_upto(a: GridForm, k: int) -> GridForm:
+    return _apply_multiplier(a, _partition(a).lowpass_multiplier(k))
 
 
-def band_fields(a: GridForm, part: DyadicPartition):
+def band_fields(a: GridForm):
     """Yield (k, c, component c of P_k a) band by band, one field at a time,
     skipping the silent pairs (their field is zero up to roundoff)."""
     specs = list(_spectra(a))
     floor = SILENT_FLOOR * max(float(np.abs(s).max()) for s in specs)
-    for k, mult in part.windows():
+    for k, mult in _partition(a).windows():
         for c, spec in enumerate(specs):
             out = spec * mult
             if float(np.abs(out).max()) > floor:
@@ -328,9 +358,8 @@ def band_fields(a: GridForm, part: DyadicPartition):
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
     """All band projections in one spectral pass: {k: P_k a}."""
-    part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    out = {k: a.copy_with(np.zeros_like(a.data)) for k in part.bands}
-    for k, c, fld in band_fields(a, part):
+    out = {k: a.copy_with(np.zeros_like(a.data)) for k in _partition(a, part).bands}
+    for k, c, fld in band_fields(a):
         out[k].data[c] = fld
         del fld  # free it before the stream computes the next field
     return out
@@ -396,10 +425,7 @@ def _closedness_residual(a: GridForm, specs: list) -> float:
 
 
 def primitive(
-    a: GridForm,
-    band: Optional[int] = None,
-    part: Optional[DyadicPartition] = None,
-    tol: float = 1e-8,
+    a: GridForm, band: Optional[int] = None, part: Optional[DyadicPartition] = None
 ) -> GridForm:
     """Primitive b with d(b) = a for a closed, mean-free form.
 
@@ -408,9 +434,11 @@ def primitive(
     output is smaller by ``~ 2^{-k}``.  Raises MeanObstruction when a
     component carries a zero mode, NotClosed when d(a) is not ~0, and
     BandRangeError when ``band`` is given but spectral mass leaks outside
-    that band's annulus.
+    that band's annulus; each test is relative, at tolerance 1e-8.
     """
+    _partition(a, part)  # only checks a given part: the output needs none
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
+    tol = 1e-8
     if p == 0:
         raise ShapeError("a 0-form has no primitive")
     specs = list(_spectra(a))
@@ -454,7 +482,7 @@ def primitive(
 
 def lp_norm(a: GridForm, which) -> float:
     """Riemann-sum norms: which in {1, 2, "inf"}."""
-    cell = (a.period / a.resolution) ** a.spatial_dim
+    cell = a.cell
     if which == 1:
         return float(sum(np.abs(c).sum() * cell for c in a.data))
     if which == 2:
@@ -481,17 +509,17 @@ class BandProfile:
 
 
 def band_profile(a: GridForm, part: Optional[DyadicPartition] = None) -> BandProfile:
-    part = part or build_partition(a.spatial_dim, a.resolution, a.period)
-    return _stream_profile(a, part, band_fields(a, part))
+    _partition(a, part)
+    return _stream_profile(a, band_fields(a))
 
 
-def _stream_profile(a: GridForm, part: DyadicPartition, fields) -> BandProfile:
+def _stream_profile(a: GridForm, fields) -> BandProfile:
     """Band norms of a, read off a stream of its (k, c, field) band fields;
     a pair the stream skips keeps its zero entries."""
-    cell = (a.period / a.resolution) ** a.spatial_dim
+    bands, cell = _partition(a).bands, a.cell
     idx = a.indices
-    l1, s2, linf = ({k: 0.0 for k in part.bands} for _ in range(3))
-    per = {(k, I): (0.0, 0.0, 0.0) for k in part.bands for I in idx}
+    l1, s2, linf = ({k: 0.0 for k in bands} for _ in range(3))
+    per = {(k, I): (0.0, 0.0, 0.0) for k in bands for I in idx}
     for k, c, fld in fields:
         c1 = float(np.abs(fld).sum() * cell)
         c2 = float(np.sqrt((fld**2).sum() * cell))
@@ -502,7 +530,7 @@ def _stream_profile(a: GridForm, part: DyadicPartition, fields) -> BandProfile:
         s2[k] += c2**2
         linf[k] = max(linf[k], ci)
     return BandProfile(
-        bands=tuple(part.bands),
+        bands=tuple(bands),
         l1=l1,
         l2={k: float(np.sqrt(v)) for k, v in s2.items()},
         linf=linf,
@@ -558,10 +586,9 @@ def spectral_support(a: GridForm, thresh: float = SILENT_FLOOR) -> np.ndarray:
     return (np.concatenate([pts, -pts[inner]]) + N // 2) % N - N // 2
 
 
-def product_support_radius(
-    a: GridForm, b: GridForm, thresh: float = SILENT_FLOOR
-) -> float:
-    """Largest |m1 + m2| over the two spectral supports (exact set sum).
+def product_support_radius(a: GridForm, b: GridForm) -> float:
+    """Largest |m1 + m2| over the two spectral supports (exact set sum),
+    each cut at ``SILENT_FLOOR``.
 
     This is the support statement behind low-pass products: inputs
     supported in balls of radius r_a, r_b give a product supported in the
@@ -570,8 +597,8 @@ def product_support_radius(
     """
     if not a.same_grid(b):
         raise DimensionMismatch("grid forms live on different grids")
-    sa = spectral_support(a, thresh)
-    sb = spectral_support(b, thresh)
+    sa = spectral_support(a)
+    sb = spectral_support(b)
     if sa.size == 0 or sb.size == 0:
         return 0.0
     # squared norms in exact integers

@@ -24,7 +24,6 @@ from . import acceptance
 from .bands import (
     band_profile,
     bandlimited_noise_form,
-    build_partition,
     exterior_derivative,
     lp_norm,
 )
@@ -101,13 +100,12 @@ def _cmd_scalable(args) -> tuple:
 def _cmd_lp(args) -> tuple:
     d, N, p = args.dim, args.resolution, args.degree
     a = bandlimited_noise_form(d, p, N, 1.0, radius=N / 2.5, seed=args.seed)
-    part = build_partition(d, N, 1.0)
-    recon, commute, k_mid, prof = acceptance.lp_battery(a, part)
+    recon, commute, k_mid, prof = acceptance.lp_battery(a)
     payload = {
         "dim": d,
         "degree": p,
         "resolution": N,
-        "bands": part.bands,
+        "bands": prof.bands,
         "reconstruction_error": recon,
         "commutator_error": commute,
         "commutator_band": k_mid,

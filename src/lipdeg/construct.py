@@ -30,9 +30,9 @@ from .bands import (
     BandProfile,
     GridForm,
     _check_period,
+    _check_resolution,
     _chi,
     band_profile,
-    build_partition,
     grid_axes,
     grid_form,
     synthetic_profile,
@@ -183,15 +183,12 @@ class GeometryConstants:
     def unit(cls) -> "GeometryConstants":
         return cls()
 
-    @classmethod
-    def measured(cls, N: int = 128) -> "GeometryConstants":
-        base = sphere_map(1, N)
-        return cls(c0=1.0, lip_g=base.lipschitz, c1=base.lipschitz)
 
-
-@lru_cache(maxsize=4)
-def default_geometry(N: int = 128) -> GeometryConstants:
-    return GeometryConstants.measured(N)
+@lru_cache(maxsize=1)
+def default_geometry() -> GeometryConstants:
+    """Constants measured on the degree-1 cap map over the 128^2 grid."""
+    base = sphere_map(1, 128)
+    return GeometryConstants(c0=1.0, lip_g=base.lipschitz, c1=base.lipschitz)
 
 
 def homotopy_bound(p: int, d: int, geometry: Optional[GeometryConstants] = None) -> float:
@@ -467,23 +464,22 @@ def layered_profile(
             requested=requested,
             layer_frequencies=tuple(freqs),
         )
-    part = build_partition(4, N, T)
+    _check_resolution(N)
     if freqs[-1] / T >= (N / 2) / T:
         raise ResolutionError(
             f"top layer frequency {freqs[-1]} reaches Nyquist {N // 2}"
         )
     rng = np.random.default_rng(seed)
     total = grid_form(4, 2, N, T)
-    cell = (T / N) ** 4
     comp_index = {I: c for c, I in enumerate(total.indices)}
     axes = grid_axes(4, N, T)
     for idx, f in enumerate(freqs):
         i, j = _PAIR_CYCLE[idx % len(_PAIR_CYCLE)]
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         wave = np.cos(2.0 * np.pi * f * axes[i - 1] / T + phase)
-        norm = float(np.abs(wave).sum()) * N ** 3 * cell
+        norm = float(np.abs(wave).sum()) * N ** 3 * total.cell
         total.data[comp_index[(i, j)]] += (per_layer / norm) * wave
-    profile = band_profile(total, part)
+    profile = band_profile(total)
     return LayeredEnsemble(
         profile=profile,
         ensemble=total,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,35 +49,25 @@ __all__ = [
 
 # -- stencil derivatives ---------------------------------------------------------
 
-_STENCILS = {
-    2: np.array([-0.5, 0.0, 0.5]),
-    4: np.array([1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12]),
-    6: np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60]),
-}
+# centered sixth-order first-derivative weights at offsets -3..3
+_STENCIL = np.array([-1 / 60, 3 / 20, -3 / 4, 0.0, 3 / 4, -3 / 20, 1 / 60])
 
 
-def _stencil_derivative(values: np.ndarray, axis: int, h: float, order: int):
-    coeffs = _STENCILS[order]
-    half = len(coeffs) // 2
-    out = np.zeros_like(values)
-    for off, c in zip(range(-half, half + 1), coeffs):
-        if c != 0.0:
-            out += c * np.roll(values, -off, axis=axis)
-    return out / h
+def _stencil_derivative(values: np.ndarray, axis: int, h: float):
+    terms = zip(range(-3, 4), _STENCIL)
+    return sum(c * np.roll(values, -off, axis=axis) for off, c in terms if c != 0.0) / h
 
 
 # -- degree integrals ------------------------------------------------------------
 
 
-def pullback_area_form(f: SampledSphereMap, order: int = 6) -> GridForm:
+def pullback_area_form(f: SampledSphereMap) -> GridForm:
     """Discrete pullback of the normalized sphere area form.
 
-    Cell density (1/4pi) f . (df/du x df/dv) from centered periodic
-    stencils (order 2, 4, or 6); integrating the result over the square
-    recovers the mapping degree.
+    Cell density (1/4pi) f . (df/du x df/dv) from centered sixth-order
+    periodic stencils; integrating the result over the square recovers
+    the mapping degree.
     """
-    if order not in _STENCILS:
-        raise ParameterError(f"stencil order must be one of {sorted(_STENCILS)}")
     N = f.resolution
     if N < 8:
         raise ParameterError("resolution must be at least 8")
@@ -85,8 +75,8 @@ def pullback_area_form(f: SampledSphereMap, order: int = 6) -> GridForm:
     if float(np.max(np.abs(norms - 1.0))) > 1e-9:
         raise GeometryError("samples are not unit vectors")
     h = 1.0 / N
-    fu = _stencil_derivative(f.values, axis=1, h=h, order=order)
-    fv = _stencil_derivative(f.values, axis=2, h=h, order=order)
+    fu = _stencil_derivative(f.values, axis=1, h=h)
+    fv = _stencil_derivative(f.values, axis=2, h=h)
     density = (f.values * np.cross(fu, fv, axis=0)).sum(axis=0) / (4.0 * np.pi)
     out = zero_form(2, 2, N, 1.0)
     out.data[0] = density
@@ -100,8 +90,7 @@ def degree_integral(top: GridForm) -> float:
             f"need a top-degree form, got degree {top.form_degree} "
             f"in dimension {top.spatial_dim}"
         )
-    cell = (top.period / top.resolution) ** top.spatial_dim
-    return float(top.data[0].sum() * cell)
+    return float(top.data[0].sum() * top.cell)
 
 
 # -- the three-term bound ----------------------------------------------------------
@@ -287,8 +276,8 @@ def averaged_bound(
     )
 
 
-def fit_polylog_exponent(samples: Sequence[tuple], power: float = 4.0) -> float:
-    """Slope of log(bound / L^power) against log log L over a sweep."""
+def fit_polylog_exponent(samples: Sequence[tuple]) -> float:
+    """Slope of log(bound / L^4) against log log L over a sweep."""
     if len(samples) < 2:
         raise EmptyData("need at least two (L, bound) samples to fit")
     xs, ys = [], []
@@ -296,25 +285,22 @@ def fit_polylog_exponent(samples: Sequence[tuple], power: float = 4.0) -> float:
         if L <= 2 or value <= 0:
             raise ParameterError("sweep needs L > 2 and positive bounds")
         xs.append(math.log(math.log(L)))
-        ys.append(math.log(value / L**power))
+        ys.append(math.log(value / L**4))
     slope = float(np.polyfit(xs, ys, 1)[0])
     return slope
 
 
-def uniform_layer_profile(L: float, mass_total: Optional[float] = None) -> BandProfile:
-    """Equal-mass synthetic profile on bands 0..log2 L (worst case)."""
+def uniform_layer_profile(L: float) -> BandProfile:
+    """Equal-mass profile of total mass L^2 on bands 0..log2 L (worst case)."""
     if not 4 <= L < _MAX_SCALE:
         raise ParameterError("scale must be at least 4 and below 2^256")
     top = int(round(math.log2(L)))
-    mass_total = L**2 if mass_total is None else mass_total
-    per = mass_total / math.sqrt(top + 1)
-    return synthetic_profile({k: per for k in range(top + 1)}, total_l2=mass_total)
+    per = L**2 / math.sqrt(top + 1)
+    return synthetic_profile({k: per for k in range(top + 1)}, total_l2=L**2)
 
 
-def spectral_gap_profile(
-    L: float, beta1: float, beta2: float, mass_total: Optional[float] = None
-) -> BandProfile:
-    """Uniform masses with a gap: nothing between L^beta1 and L^beta2."""
+def spectral_gap_profile(L: float, beta1: float, beta2: float) -> BandProfile:
+    """Uniform masses, total L^2, with a gap: none between L^beta1 and L^beta2."""
     if not 0.0 < beta1 < beta2 < 1.0:
         raise ParameterError("need 0 < beta1 < beta2 < 1")
     if not L < _MAX_SCALE:
@@ -325,6 +311,5 @@ def spectral_gap_profile(
     bands = [k for k in range(top + 1) if not lo <= k <= hi]
     if not bands:
         raise EmptyData("gap swallowed every band")
-    mass_total = L**2 if mass_total is None else mass_total
-    per = mass_total / math.sqrt(len(bands))
-    return synthetic_profile({k: per for k in bands}, total_l2=mass_total)
+    per = L**2 / math.sqrt(len(bands))
+    return synthetic_profile({k: per for k in bands}, total_l2=L**2)

@@ -160,8 +160,8 @@ class ExteriorElement:
             return 0
         return max(abs(c) for c in self.coefficients.values())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.sup_norm() <= tol
+    def is_zero(self) -> bool:
+        return not self.coefficients  # zero coefficients are dropped
 
     # -- linear structure --------------------------------------------------
 
@@ -293,13 +293,14 @@ def signature_exact(M) -> SignatureTriple:
     return SignatureTriple(pos, neg, zero)
 
 
-def signature(M, tol: float = 1e-9) -> SignatureTriple:
+def signature(M) -> SignatureTriple:
     """Signature (pos, neg, zero) of a symmetric matrix.
 
     Integer and Fraction inputs take the exact congruence route; float
-    inputs are classified through eigenvalues with |lambda| <= tol counted
+    inputs are classified through eigenvalues with |lambda| <= 1e-9 counted
     as zero.
     """
+    tol = 1e-9
     A = np.asarray(M)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ShapeError("signature needs a square matrix")

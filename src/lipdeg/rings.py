@@ -252,12 +252,12 @@ def intersection_form(pres: RingPresentation) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CohomologyAction:
-    """Matrices of an endomorphism on each graded piece, plus its degree."""
+    """Matrices of an endomorphism on each graded piece of a Poincare-duality
+    manifold's cohomology, plus its degree."""
 
     manifold_dim: int
     matrices: Mapping  # degree k -> square ndarray
     claimed_degree: float
-    poincare_duality: bool = True
 
     def __post_init__(self):
         for k, A in self.matrices.items():
@@ -269,7 +269,7 @@ class CohomologyAction:
         if self.claimed_degree == 0:
             raise ParameterError("claimed degree must be nonzero")
         n = self.manifold_dim
-        if self.poincare_duality and n in self.matrices:
+        if n in self.matrices:
             top = np.asarray(self.matrices[n], dtype=float)
             if top.shape != (1, 1):
                 raise ShapeError("top-degree action must be 1x1")
@@ -300,9 +300,9 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
 
     Any endomorphism of algebra-degree d acting with eigenvalue lambda on
     graded degree k forces Lip >= |lambda|^{1/k} per iteration-doubling,
-    hence Lip >= |d|^{rho/n} and deg <= C * Lip^{n/rho}.  When Poincare
-    duality is set, each eigenvalue lambda in degree k contributes its dual
-    d/lambda in degree n-k, and rho >= 1 is asserted.
+    hence Lip >= |d|^{rho/n} and deg <= C * Lip^{n/rho}.  By Poincare
+    duality each eigenvalue lambda in degree k contributes its dual
+    d/lambda in degree n-k, and rho >= 1 is checked.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ParameterError(f"tolerance must be finite and positive, got {tol!r}")
@@ -317,7 +317,7 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
             m = abs(lam)
             if m > tol:
                 entries.append((k, m))
-                if action.poincare_duality and 0 < n - k <= n:
+                if 0 < n - k <= n:
                     entries.append((n - k, d / m))
     if not entries:
         raise EmptyData("no nonzero eigenvalues found")
@@ -329,7 +329,7 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
         if best is None or e > best[2]:
             best = (k, m, e)
     rho = float(best[2])
-    if action.poincare_duality and rho < 1.0 - 1e-12:
+    if rho < 1.0 - 1e-12:
         raise ParameterError(
             f"duality-completed exponent {rho} < 1; eigenvalue data inconsistent"
         )
@@ -498,7 +498,6 @@ def preset_cohomology_action(name: str, t: int = 2) -> CohomologyAction:
                 7: np.array([[float(t**4)]]),
             },
             claimed_degree=float(t**4),
-            poincare_duality=True,
         )
     if name == "sphere":
         if t == 0:
@@ -507,7 +506,6 @@ def preset_cohomology_action(name: str, t: int = 2) -> CohomologyAction:
             manifold_dim=7,
             matrices={7: np.array([[float(t)]])},
             claimed_degree=float(t),
-            poincare_duality=True,
         )
     raise PresetLookupError(f"unknown action preset {name!r}")
 

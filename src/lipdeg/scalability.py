@@ -532,16 +532,14 @@ class Kge4Report(JsonFields):
 
 
 def _pair_stats(B: np.ndarray, W: np.ndarray):
-    """Volume coefficients of all pairwise wedges for tuples B (t, k, 6)."""
-    S = np.einsum("tki,ij,tlj->tkl", B, W.astype(float), B)
-    k = B.shape[1]
-    diag = S[:, np.arange(k), np.arange(k)]
-    lhs = np.max(np.abs(diag), axis=1)
-    rhs = np.zeros(B.shape[0])
-    for i in range(k):
-        for j in range(k):
-            if i != j:
-                rhs += np.abs(diag[:, i] - diag[:, j]) + np.abs(S[:, i, j])
+    """(lhs, rhs) of the pairing estimate for the k two-forms in the rows of
+    B (k, 6), from the volume coefficients of all their pairwise wedges."""
+    S = B @ W.astype(float) @ B.T
+    k = len(B)
+    diag = np.diag(S)
+    lhs = np.max(np.abs(diag))
+    pairs = ((i, j) for i in range(k) for j in range(k) if i != j)
+    rhs = sum(np.abs(diag[i] - diag[j]) + np.abs(S[i, j]) for i, j in pairs)
     return lhs, rhs
 
 
@@ -569,13 +567,13 @@ def kge4_certificate(samples: int = 10, seed: int = 0, k: int = 3) -> Kge4Report
         )
     triple = selfdual_triple(normalized=True)
     rows = np.array([dense_vector(el, 2) for el in triple[:k]])
-    lhs, rhs = _pair_stats(rows[None, :, :], wedge_pairing_matrix(4, 2))
+    lhs, rhs = _pair_stats(rows, wedge_pairing_matrix(4, 2))
     forms = {f"b{i + 1}": from_dense(4, 2, row) for i, row in enumerate(rows)}
     return Kge4Report(
         status="counterexample",
         worst_case=Assignment(ambient_dim=4, forms=forms),
-        lhs=float(lhs[0]),
-        rhs=float(rhs[0]),
+        lhs=float(lhs),
+        rhs=float(rhs),
         seed=seed,
         k=k,
     )

@@ -4,8 +4,10 @@ import contextlib
 import csv
 import io
 import json
+import math
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -141,6 +143,100 @@ def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
     lines = err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] in errors.__all__
+
+
+def _gfrm_bytes(magic, d, p, N, T, samples) -> bytes:
+    """A GFRM container: header, then the samples as little-endian f64."""
+    return struct.pack("<4sIIId", magic, d, p, N, T) + np.asarray(samples, "<f8").tobytes()
+
+
+# zero 0-forms whose period puts a scale of the grid outside float64:
+# (dimension, resolution, period)
+EXTREME_GFRM = {
+    "1D_5e-324": (1, 4, 5e-324),
+    "1D_1e-310": (1, 4, 1e-310),
+    "1D_1e-300": (1, 4, 1e-300),
+    "4D_1e100": (4, 4, 1e100),
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--input", "1D_5e-324"],
+        ["bound", "--gridform", "1D_5e-324", "--sweep", "4", "5"],
+        ["profile", "--input", "1D_1e-310"],
+        ["bound", "--gridform", "1D_1e-310", "--sweep", "4", "5"],
+        ["profile", "--input", "1D_1e-300"],
+        ["profile", "--input", "4D_1e100"],
+        ["synth", "--period", "1e80", "--levels", "0", "--resolution", "8"],
+        ["synth", "--period", "1e-300", "--levels", "0", "--resolution", "8"],
+    ],
+)
+def test_extreme_period_is_a_parameter_error(capsys, tmp_path, argv):
+    path = tmp_path / "form.gfrm"
+    for name in EXTREME_GFRM.keys() & set(argv):
+        d, N, T = EXTREME_GFRM[name]
+        path.write_bytes(_gfrm_bytes(b"GFRM", d, 0, N, T, np.zeros(N**d)))
+    argv = [str(path) if a in EXTREME_GFRM else a for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ParameterError"
+    assert "period" in doc["message"]
+
+
+# GFRM resolutions: powers of two, twice as often as small non-powers
+GFRM_N = st.one_of(
+    st.sampled_from([4, 8, 16]), st.sampled_from([4, 8]), st.sampled_from([0, 1, 2, 3, 5, 6, 12])
+)
+GFRM_PERIOD = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 5e-324, 1e-310, 1e-300, 1e100, 0.5, 1.0, 2.5]
+)
+# samples per container, so no example reads or transforms a large grid
+GFRM_MAX_SAMPLES = 4096
+
+
+@st.composite
+def gfrm_files(draw):
+    # each field leans to a valid value, so that some containers reach the
+    # band code with a drawn period
+    magic = draw(st.sampled_from([b"GFRM"] * 6 + [b"GFRX", b"\0\0\0\0"]))
+    d = draw(st.integers(1, 3) | st.integers(0, 6))
+    p, N = draw(st.integers(0, d) | st.integers(0, 7)), draw(GFRM_N)
+    count = math.comb(d, p) * N**d
+    payload = draw(st.sampled_from(["exact"] * 6 + ["short", "long", "header", "cut"]))
+    n = {"exact": count, "short": count - 1, "long": count + 1}.get(payload, 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e150, 1e300]))
+    samples = scale * rng.standard_normal(min(max(n, 0), GFRM_MAX_SAMPLES))
+    if samples.size and draw(st.integers(0, 5)) == 0:
+        samples[draw(st.integers(0, samples.size - 1))] = float("nan")
+    raw = _gfrm_bytes(magic, d, p, N, draw(GFRM_PERIOD), samples)
+    return raw[: draw(st.integers(0, 27))] if payload == "cut" else raw
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(raw=gfrm_files())
+def test_gfrm_bytes_exit_zero_or_with_a_typed_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("gfrm") / "form.gfrm"
+    path.write_bytes(raw)
+    for argv in (
+        ["profile", "--input", str(path)],
+        ["bound", "--gridform", str(path), "--sweep", "4", "5"],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 0:
+            json.loads(out.getvalue())
+            continue
+        assert code == 1 and out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in errors.__all__
 
 
 @pytest.mark.parametrize(

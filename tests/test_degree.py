@@ -54,15 +54,6 @@ def test_pullback_degree_oracles():
         assert abs(degree_integral(pb) - d * d) < tol
 
 
-def test_pullback_stencil_order():
-    f = sphere_map(1, 64)
-    err2 = abs(degree_integral(pullback_area_form(f, order=2)) - 1.0)
-    err6 = abs(degree_integral(pullback_area_form(f, order=6)) - 1.0)
-    assert err6 < err2
-    with pytest.raises(ParameterError):
-        pullback_area_form(f, order=3)
-
-
 def test_pullback_requires_resolution():
     with pytest.raises(ParameterError):
         pullback_area_form(constant_map(6))

@@ -31,6 +31,7 @@ from lipdeg.bands import (
 from lipdeg.construct import layered_profile
 from lipdeg.errors import (
     BandRangeError,
+    DimensionMismatch,
     MeanObstruction,
     NotClosed,
     ParameterError,
@@ -61,7 +62,9 @@ def test_grid_form_validation():
         zero_form(2, 1, 48)
     with pytest.raises(ShapeError):
         zero_form(2, 3, 16)
-    for period in (-1.0, float("nan"), float("inf")):
+    # the last three put the cell volume or the Nyquist radius's square
+    # outside float64
+    for period in (-1.0, float("nan"), float("inf"), 5e-324, 1e-300, 1e300):
         with pytest.raises(ParameterError):
             GridForm(2, 1, 16, period, np.zeros((2, 16, 16)))
         with pytest.raises(ParameterError):
@@ -123,8 +126,8 @@ def test_partition_band_disjointness_and_overlap():
 def test_lowpass_idempotence_is_exact():
     part = build_partition(2, 64, 1.0)
     a = noise(2, 1, 64, seed=3, radius=20.0)
-    inner = project_upto(a, 2, part)
-    again = project_upto(inner, 5, part)
+    inner = project_upto(a, 2)
+    again = project_upto(inner, 5)
     assert np.max(np.abs(again.data - inner.data)) < 1e-13 * np.max(np.abs(a.data))
     # multiplier-level identity: chi_5 == 1 on the support of chi_2
     m2, m5 = part.lowpass_multiplier(2), part.lowpass_multiplier(5)
@@ -155,6 +158,53 @@ def test_reconstruction_from_bands(dp, N, T, seed):
     assert np.max(np.abs(total - a.data)) < 1e-10 * np.max(np.abs(a.data))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(dp=dims_and_degree(), N=GRID_N, T=PERIOD, seed=SEED)
+def test_parseval_whole_and_band_by_band(dp, N, T, seed):
+    # the Riemann L2 norm, of the form and of each band, is the spectral sum
+    # (T/N)^d N^-d sum_m |w(m) a^(m)|^2 over the full lattice; a half
+    # spectrum counts its last-axis interior planes twice
+    d, p = dp
+    a = noise(d, p, N, seed=seed, radius=N / T, T=T)
+    power = np.abs(np.fft.rfftn(a.data, axes=tuple(range(1, d + 1)))) ** 2
+    twice = np.full(N // 2 + 1, 2.0)
+    twice[0] = twice[-1] = 1.0
+    power = (power * twice).sum(axis=0) * (T / N) ** d / N**d
+    assert lp_norm(a, 2) ** 2 == pytest.approx(power.sum(), rel=1e-12)
+    prof, part = band_profile(a), build_partition(d, N, T)
+    assert prof.bands == tuple(part.bands)
+    for k in part.bands:
+        want = float((power * part.band_multiplier(k) ** 2).sum())
+        assert prof.l2[k] ** 2 == pytest.approx(want, rel=1e-9, abs=1e-12 * power.sum())
+
+
+def _support_radius(a):
+    pts = spectral_support(a)
+    return math.sqrt(max(int((m**2).sum()) for m in pts)) if len(pts) else 0.0
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    dp=dims_and_degree(),
+    q=st.integers(0, 4),
+    N=GRID_N,
+    T=st.sampled_from([0.5, 2.5]),
+    seed=SEED,
+    fa=st.floats(0.0, 0.24),
+    fb=st.floats(0.0, 0.24),
+)
+def test_product_support_within_sum_of_radii(dp, q, N, T, seed, fa, fb):
+    # lattice radii below N/4 each keep the sum off the Nyquist shell
+    d, p = dp
+    a = noise(d, p, N, seed=seed, radius=fa * N / T, T=T)
+    b = noise(d, min(q, d - p), N, seed=seed + 1, radius=fb * N / T, T=T)
+    got = product_support_radius(a, b)
+    assert got <= _support_radius(a) + _support_radius(b)
+    lattice = spectral_support(wedge_grid(a, b), 1e-10)
+    if len(lattice):
+        assert np.linalg.norm(lattice, axis=1).max() <= got + 1e-9
+
+
 def test_band_decompose_matches_project_band():
     a = noise(2, 1, 32, seed=6)
     part = build_partition(2, 32, 1.0)
@@ -173,6 +223,25 @@ def test_band_index_validation():
         part.band_multiplier(part.k_min - 1)
 
 
+@pytest.mark.parametrize(
+    "other", [(2, 32, 1.0), (2, 16, 2.0)], ids=["other_N", "other_T"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        band_decompose,
+        band_profile,
+        lambda a, part: project_band(a, 0, part),
+        lambda a, part: primitive(a, part=part),
+    ],
+    ids=["band_decompose", "band_profile", "project_band", "primitive"],
+)
+def test_partition_of_another_grid_is_a_dimension_mismatch(call, other):
+    a = exterior_derivative(noise(2, 0, 16, seed=9))  # closed and mean-free
+    with pytest.raises(DimensionMismatch):
+        call(a, build_partition(*other))
+
+
 @pytest.fixture(scope="module")
 def layered():
     # one plane wave per layer at frequencies 1, 2, 4 (N=16 leaves no room
@@ -184,7 +253,7 @@ def test_band_stream_skips_silent_pairs(layered):
     a = layered.ensemble
     part = build_partition(4, 16, 1.0)
     # a power-of-two frequency lies in exactly one band window
-    live = [(k, c) for k, c, _ in band_fields(a, part)]
+    live = [(k, c) for k, c, _ in band_fields(a)]
     assert len(live) == len(layered.layer_frequencies) == 3
     assert {k for k, _ in live} == set(layered.requested)
     prof = band_profile(a, part)
@@ -206,7 +275,7 @@ def test_band_stream_skips_silent_pairs(layered):
 def test_dense_form_streams_every_pair():
     a = noise(2, 1, 16, seed=8, radius=16.0)  # every lattice point, Nyquist too
     part = build_partition(2, 16, 1.0)
-    n = sum(1 for _ in band_fields(a, part))
+    n = sum(1 for _ in band_fields(a))
     assert n == len(part.bands) * a.data.shape[0]
 
 
@@ -221,7 +290,7 @@ def test_grid_profile_counts_requested_bands(layered):
 def test_lp_battery_profile_is_band_profile(d, p, N):
     a = noise(d, p, N, seed=d + p, radius=N / 2.5)
     part = build_partition(d, N, 1.0)
-    got, want = lp_battery(a, part)[3], band_profile(a, part)
+    got, want = lp_battery(a)[3], band_profile(a, part)
     assert got.bands == want.bands
     assert got.l1 == want.l1
     assert got.l2 == want.l2

@@ -169,7 +169,7 @@ def test_exact_witness_kills_relations_in_rational_mode():
         ambient_dim=4, forms={f"u{i + 1}": triple[i] for i in range(3)}
     )
     for value in evaluate_relations(pres, a):
-        assert value.is_zero  # exact zeros, no tolerance involved
+        assert value.is_zero()  # exact zeros, no tolerance involved
 
 
 def test_search_is_deterministic():
