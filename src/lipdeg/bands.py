@@ -9,6 +9,8 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
 * every spectrum lives on the half lattice of a real FFT (last axis
   ``0..N/2``), and one transform pair moves between grid and spectrum:
   ``_spectra`` (rfftn, one component at a time) and ``_field`` (irfftn);
+  an all-zero sample plane or output spectrum skips its transform, since
+  the other side is zero too;
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -16,6 +18,9 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   consecutive differences, so they sum to exactly 1 and band k is
   supported in the annulus ``2^{k-1} <= |xi| <= 2^{k+1}``;
 * the zero mode belongs to the lowest band;
+* every window depends on |xi| alone, so it is evaluated once per radius
+  class (a distinct value of |xi| on the half lattice, ``_radius_classes``)
+  and gathered onto the lattice by the class index;
 * a form's grid (d, N, T) fixes its partition (``_partition``) and the
   cell volume ``(T / N)^d`` of every Riemann sum (``GridForm.cell``);
 * a closed, mean-free form has the explicit primitive obtained by
@@ -27,9 +32,11 @@ d, its closedness residual and the primitive all read exterior's (1, p)
 wedge table, so Koszul signs and basis order come from ``exterior`` alone;
 every band loop reads one stream of band windows.
 
-The band stream skips silent (band, component) pairs: those whose windowed
-half-spectrum peaks at or below ``SILENT_FLOOR`` times the form's largest
-spectral magnitude, the same relative floor ``spectral_support`` cuts at.
+The band stream skips silent (band, component) pairs: those where
+|spectrum| * window peaks at or below ``SILENT_FLOOR`` times the form's
+largest spectral magnitude, the same relative floor ``spectral_support``
+cuts at.  The test reads real magnitudes, folded into one peak per radius
+class, so it costs one magnitude plane per component, not one per pair.
 A silent pair gets no inverse transform; ``band_decompose`` leaves its plane
 zero, and a band profile keeps every band and every (band, component) key,
 reporting a silent pair as ``(0, 0, 0)``.
@@ -219,6 +226,19 @@ def _freq_radius(d: int, N: int, T: float) -> np.ndarray:
     return r
 
 
+@lru_cache(maxsize=3)
+def _radius_classes(d: int, N: int, T: float) -> tuple:
+    """(u, inv): the distinct values u of |xi| on the half lattice and the
+    int32 class of every lattice point, so that ``u[inv]`` is |xi| (both
+    read-only).  A radial multiplier is evaluated on u and gathered by inv."""
+    r = _freq_radius(d, N, T)
+    u, inv = np.unique(r, return_inverse=True)
+    inv = inv.astype(np.int32).reshape(r.shape)
+    u.setflags(write=False)
+    inv.setflags(write=False)
+    return u, inv
+
+
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step from exp(-1/t): 0 at t<=0 rising to 1 at t>=1."""
     t = np.clip(t, 0.0, 1.0)
@@ -252,34 +272,50 @@ class DyadicPartition:
     def bands(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
+    @property
+    def classes(self) -> tuple:
+        """(u, inv) of the half lattice, see ``_radius_classes``."""
+        return _radius_classes(self.spatial_dim, self.resolution, self.period)
+
+    def _lowpass(self, k: int) -> np.ndarray:
+        """chi(u / 2^k) on the radius classes u."""
+        return _chi(self.classes[0] / float(2.0**k))
+
     def lowpass_multiplier(self, k: int) -> np.ndarray:
         """chi(|xi| / 2^k); exactly 1 once k >= k_max."""
         if k < self.k_min - 1 or k > self.k_max:
             raise BandRangeError(f"cutoff {k} outside bands {self.k_min}..{self.k_max}")
-        r = _freq_radius(self.spatial_dim, self.resolution, self.period)
-        return _chi(r / float(2.0**k))
+        return self._lowpass(k)[self.classes[1]]
 
     def band_multiplier(self, k: int) -> np.ndarray:
-        """Band window; the lowest band absorbs everything below (zero mode)."""
+        """Band window on the lattice (see ``windows``)."""
         if k not in self.bands:
             raise BandRangeError(f"band {k} outside {self.k_min}..{self.k_max}")
-        if k == self.k_min:
-            return self.lowpass_multiplier(k)
-        return self.lowpass_multiplier(k) - self.lowpass_multiplier(k - 1)
+        window = self._lowpass(k)
+        if k > self.k_min:
+            window = window - self._lowpass(k - 1)
+        return window[self.classes[1]]
 
     def windows(self):
-        """Yield (k, band window) for every band, one lowpass per band."""
+        """Yield (k, band window on the radius classes) for every band: the
+        difference of consecutive lowpasses, where the lowest band absorbs
+        everything below it (the zero mode)."""
         prev = None
         for k in self.bands:
-            low = self.lowpass_multiplier(k)
-            window = low if prev is None else low - prev
-            prev = low  # the only lowpass kept across the yield
-            yield k, window
+            low = self._lowpass(k)
+            yield k, low if prev is None else low - prev
+            prev = low
 
 
 def _cell(d: int, N: int, T: float) -> float:
     """(T / N)^d, the cell volume of the N^d grid with period T."""
     return (T / N) ** d
+
+
+def _lowest_band(T: float) -> int:
+    """The lowest band at period T: the one whose cutoff 2^k holds the
+    smallest nonzero |xi| = 1 / T.  OverflowError when 1 / T is infinite."""
+    return int(math.floor(math.log2(1.0 / T)))
 
 
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
@@ -292,7 +328,7 @@ def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
     _check_period(T)
     r_max = math.sqrt(d) * (N / 2) / T
     try:
-        k_min = int(np.floor(np.log2(1.0 / T)))
+        k_min = _lowest_band(T)
         k_max = int(np.ceil(np.log2(r_max)))
         scales = (r_max * r_max, 2.0 ** (k_min - 1), 2.0 ** (k_max + 1), _cell(d, N, T))
     except OverflowError:  # 1/T, 2^k or the cell volume left float64
@@ -313,11 +349,23 @@ def _partition(a: GridForm, part: Optional[DyadicPartition] = None) -> DyadicPar
 # -- the transform pair: every spectrum in this module passes through these ---
 
 
+def _all_zero(x: np.ndarray) -> bool:
+    """True when every entry of x is zero.  A strided sample settles almost
+    every nonzero array without a pass over all of it."""
+    flat = x.reshape(-1)
+    return not flat[::61].any() and not flat.any()
+
+
 def _spectra(a: GridForm):
-    """Yield each component's half-spectrum in component order (one live)."""
-    axes = tuple(range(a.spatial_dim))
+    """Yield each component's half-spectrum in component order (one live);
+    an all-zero plane gets the zero half-spectrum with no transform."""
+    d, N = a.spatial_dim, a.resolution
+    axes = tuple(range(d))
     for c in a.data:
-        yield np.fft.rfftn(c, axes=axes)
+        if _all_zero(c):
+            yield np.zeros((N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
+        else:
+            yield np.fft.rfftn(c, axes=axes)
 
 
 def _field(spec: np.ndarray, d: int, N: int) -> np.ndarray:
@@ -344,16 +392,32 @@ def project_upto(a: GridForm, k: int) -> GridForm:
 
 def band_fields(a: GridForm):
     """Yield (k, c, component c of P_k a) band by band, one field at a time,
-    skipping the silent pairs (their field is zero up to roundoff)."""
-    specs = list(_spectra(a))
-    floor = SILENT_FLOOR * max(float(np.abs(s).max()) for s in specs)
-    for k, mult in _partition(a).windows():
-        for c, spec in enumerate(specs):
-            out = spec * mult
-            if float(np.abs(out).max()) > floor:
-                out = _field(out, a.spatial_dim, a.resolution)  # frees the spectrum
-                yield k, c, out
-            del out  # free it before the next pair's spectrum is made
+    skipping the silent pairs (their field is zero up to roundoff).
+
+    Each component's spectral magnitudes are folded once into a peak per
+    radius class, and pair (k, c) is live when max(peak_c * window_k) over
+    the classes exceeds the floor.  Rounding is monotone and the window is
+    constant on a class, so that is max |spectrum| * window over the
+    lattice, bit for bit.  A band's window is gathered onto the lattice only
+    when one of its pairs is live."""
+    d, N = a.spatial_dim, a.resolution
+    part = _partition(a)
+    u, inv = part.classes  # before any spectrum is live: np.unique's temporaries
+    specs, peaks = [], []
+    for spec in _spectra(a):
+        peak = np.zeros(len(u))
+        # flat operands keep ufunc.at on its fast path; one magnitude plane live
+        np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
+        specs.append(spec)
+        peaks.append(peak)
+    floor = SILENT_FLOOR * max(float(peak.max()) for peak in peaks)
+    for k, window in part.windows():
+        mult = None
+        for c, (spec, peak) in enumerate(zip(specs, peaks)):
+            if float((peak * window).max()) > floor:
+                if mult is None:
+                    mult = window[inv]
+                yield k, c, _field(spec * mult, d, N)
 
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
@@ -388,10 +452,13 @@ def _combine(specs, table, factor, n_out: int) -> list:
 
 
 def _synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
-    """Component planes from half-spectra (None is the zero plane)."""
+    """Component planes from half-spectra; None or an all-zero spectrum is
+    the zero plane, with no transform.  Each spectrum is released from
+    ``out_spec`` once its plane is written."""
     data = np.empty((len(out_spec),) + (N,) * d)
-    for i, spec in enumerate(out_spec):
-        data[i] = 0.0 if spec is None else _field(spec, d, N)
+    for i in range(len(out_spec)):
+        spec, out_spec[i] = out_spec[i], None
+        data[i] = 0.0 if spec is None or _all_zero(spec) else _field(spec, d, N)
     return data
 
 

@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import acceptance
 from .bands import (
     band_profile,
@@ -383,7 +385,10 @@ def main(argv=None) -> int:
     try:
         if args.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {args.seed}")
-        payload, code = args.func(args)
+        # a non-finite result fails typed below, so numpy's floating-point
+        # warnings would only put extra lines on stderr
+        with np.errstate(all="ignore"):
+            payload, code = args.func(args)
         payload["meta"] = {
             "subcommand": args.subcommand,
             "seed": args.seed,

@@ -32,6 +32,7 @@ from .bands import (
     _check_period,
     _check_resolution,
     _chi,
+    _lowest_band,
     band_profile,
     grid_axes,
     grid_form,
@@ -448,7 +449,7 @@ def layered_profile(
         raise ParameterError(f"{levels} levels at base {p}, period {T} overflow float64")
     per_layer = mass_total / math.sqrt(levels + 1)
     freqs = [p**k for k in range(levels + 1)]
-    k_min = int(math.floor(math.log2(1.0 / T)))
+    k_min = _lowest_band(T)
     requested: dict = {}
     for f in freqs:
         band = _dominant_band(f / T, k_min)

@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +190,23 @@ def test_extreme_period_is_a_parameter_error(capsys, tmp_path, argv):
     doc = json.loads(lines[0])
     assert doc["error"] == "ParameterError"
     assert "period" in doc["message"]
+
+
+def test_overflow_leaves_one_json_line_on_stderr(tmp_path):
+    """A profile whose norms overflow fails typed, and numpy's overflow
+    warnings stay off stderr; a subprocess, since pytest captures warnings."""
+    path = tmp_path / "big.gfrm"
+    path.write_bytes(_gfrm_bytes(b"GFRM", 2, 0, 8, 1.0, np.full(64, 1e300)))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-m", "lipdeg.cli", "profile", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ParameterError"
 
 
 # GFRM resolutions: powers of two, twice as often as small non-powers

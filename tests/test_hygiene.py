@@ -77,6 +77,7 @@ UNEXECUTED = {
     "rings.relation_defect": (2, _ORACLE),
     "rings.Assignment.check_degrees": (5, _ORACLE),
     "bands.project_upto": (1, _ORACLE),
+    "bands.DyadicPartition.lowpass_multiplier": (2, "the lowpass of project_upto: " + _ORACLE),
     "bands.lp_norm": (1, "the L1 norm, which tests check band masses against"),
     "bands.GridForm.component": (1, "accessor that tests read"),
     "bands.grid_form": (5, "components: tests build their fixtures with it"),

@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lipdeg import bands
 from lipdeg.acceptance import lp_battery
 from lipdeg.bands import (
+    SILENT_FLOOR,
     GridForm,
+    _chi,
     _freq_axis,
     _freq_radius,
+    _radius_classes,
     band_decompose,
     band_fields,
     band_profile,
@@ -121,6 +125,27 @@ def test_partition_band_disjointness_and_overlap():
     # adjacent bands genuinely overlap (partition, not a sharp split)
     mid = part.band_multiplier(3) * part.band_multiplier(4)
     assert np.max(mid) > 1e-4
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_class_windows_equal_lattice_windows(d, T):
+    """Windows evaluated once per radius class and gathered by the class
+    index are the lattice windows chi(|xi| / 2^k), bit for bit."""
+    for N in (4, 8, 16, 32):
+        part = build_partition(d, N, T)
+        u, inv = _radius_classes(d, N, T)
+        r = _freq_radius(d, N, T)
+        assert np.array_equal(u[inv], r)
+        assert inv.dtype == np.int32 and len(u) == len(np.unique(r))
+        for k in range(part.k_min - 1, part.k_max + 1):
+            assert np.array_equal(part.lowpass_multiplier(k), _chi(r / 2.0**k))
+        windows = dict(part.windows())
+        for k in part.bands:
+            low = _chi(r / 2.0**k)
+            want = low if k == part.k_min else low - _chi(r / 2.0 ** (k - 1))
+            assert np.array_equal(part.band_multiplier(k), want)
+            assert np.array_equal(windows[k][inv], want)
 
 
 def test_lowpass_idempotence_is_exact():
@@ -270,6 +295,143 @@ def test_band_stream_skips_silent_pairs(layered):
                 assert np.max(np.abs(pieces[k].data[c] - direct.data[c])) < 1e-13
             else:
                 assert not np.any(pieces[k].data[c])
+
+
+def _half_spectra(a):
+    """Every component's half-spectrum, each plane transformed."""
+    return [np.fft.rfftn(c, axes=tuple(range(a.spatial_dim))) for c in a.data]
+
+
+def _live_pairs(a, complex_product: bool) -> list:
+    """The (band, component) pairs above the silent floor, tested on the
+    whole lattice: on |spectrum * window| with ``complex_product``, else on
+    |spectrum| * window."""
+    specs = _half_spectra(a)
+    mags = [np.abs(s) for s in specs]
+    floor = SILENT_FLOOR * max(float(m.max()) for m in mags)
+    part = build_partition(a.spatial_dim, a.resolution, a.period)
+    live = []
+    for k in part.bands:
+        w = part.band_multiplier(k)
+        for c, (spec, mag) in enumerate(zip(specs, mags)):
+            peak = np.abs(spec * w).max() if complex_product else (mag * w).max()
+            if float(peak) > floor:
+                live.append((k, c))
+    return live
+
+
+def _near_floor_form(N=32):
+    """cos(2 pi x) plus, on the 7 half-lattice points of |m| = 5, waves whose
+    peaks lie just below the silent floor, and on those of |m| = 10 waves
+    just above it: a class's sum crosses the floor where its peak does not."""
+    x, y = grid_axes(2, N)
+    f = np.cos(TAU * x) + 0.0 * y
+    for r2, amp in ((25, 0.5e-12), (100, 1.5e-12)):
+        for m0 in range(-N // 2, N // 2):
+            for m1 in range(0, N // 2):
+                if m0 * m0 + m1 * m1 == r2 and (m1 > 0 or m0 > 0):
+                    f = f + amp * np.cos(TAU * (m0 * x + m1 * y))
+    return grid_form(2, 0, N, components={(): f})
+
+
+@pytest.mark.parametrize("kind", ["dense", "layered", "near-floor"])
+def test_class_peak_silence_test_is_the_lattice_test(kind):
+    if kind == "dense":
+        a = noise(3, 1, 16, seed=12, radius=16 / 2.5)
+    elif kind == "layered":
+        a = layered_profile(2, 2, 1.0, N=16, T=2.5, seed=4).ensemble
+    else:
+        a = _near_floor_form()
+    part = build_partition(a.spatial_dim, a.resolution, a.period)
+    u, inv = _radius_classes(a.spatial_dim, a.resolution, a.period)
+    windows = dict(part.windows())
+    for mag in (np.abs(s) for s in _half_spectra(a)):
+        peak = np.zeros(len(u))
+        np.maximum.at(peak, inv.ravel(), mag.ravel())
+        assert peak.max() == mag.max()
+        # the window is constant on a class and rounding is monotone
+        for k in part.bands:
+            assert (peak * windows[k]).max() == (mag * part.band_multiplier(k)).max()
+    live = [(k, c) for k, c, _ in band_fields(a)]
+    assert live == _live_pairs(a, complex_product=False)
+    assert 0 < len(live) < len(part.bands) * a.data.shape[0]
+
+
+# the benchmark's dense forms: (d, N) -> degrees, noise at radius N / 2.5
+SPECTRAL_FORMS = {(2, 256): (0, 1, 2), (3, 64): (0, 1, 2, 3), (4, 32): (0,)}
+
+
+@pytest.mark.parametrize(
+    "d,N,p", [(d, N, p) for (d, N), ps in SPECTRAL_FORMS.items() for p in ps] + [(4, 32, 2)]
+)
+def test_live_pairs_match_the_complex_test(d, N, p):
+    if p == 2 and d == 4:  # a layered ensemble: zero components and zero bands
+        a = layered_profile(2, 3, 1.0, N=N, seed=7).ensemble
+    else:
+        a = noise(d, p, N, seed=10 * d + p, radius=N / 2.5)
+    live = [(k, c) for k, c, _ in band_fields(a)]
+    assert live == _live_pairs(a, complex_product=True)
+    # the top band is silent in every dense form
+    k_top = build_partition(d, N, 1.0).k_max
+    assert all(k != k_top for k, _ in live)
+
+
+def _full_transforms(monkeypatch):
+    """Route bands through a transform on every plane, zero or not."""
+
+    def spectra(a):
+        yield from _half_spectra(a)
+
+    def synthesize(out_spec, d, N):
+        return np.stack([
+            np.zeros((N,) * d) if s is None else bands._field(s, d, N) for s in out_spec
+        ])
+
+    monkeypatch.setattr(bands, "_spectra", spectra)
+    monkeypatch.setattr(bands, "_synthesize", synthesize)
+
+
+def _count_transforms(monkeypatch) -> dict:
+    counts = {"rfftn": 0, "irfftn": 0}
+    for name in counts:
+        fn = getattr(np.fft, name)
+
+        def counted(*args, _fn=fn, _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["layered", "zeroed"])
+def test_zero_planes_skip_their_transforms_exactly(monkeypatch, kind):
+    if kind == "layered":  # 3 of 6 components carry a layer; d is exactly zero
+        a = layered_profile(2, 2, 1.0, N=16, seed=5).ensemble
+    else:  # one zero input plane, a nonzero derivative
+        a = noise(3, 1, 16, seed=21)
+        a.data[1] = 0.0
+    zero = sum(1 for c in a.data if not c.any())
+    assert zero > 0
+    with monkeypatch.context() as m:
+        counts = _count_transforms(m)
+        da = exterior_derivative(a)
+        prof = band_profile(a)
+    with monkeypatch.context() as m:
+        _full_transforms(m)
+        full_da = exterior_derivative(a)
+        full_prof = band_profile(a)
+    assert np.array_equal(da.data, full_da.data)
+    for field in ("bands", "l1", "l2", "linf", "per_component", "total_l2"):
+        assert getattr(prof, field) == getattr(full_prof, field)
+    n = a.data.shape[0]
+    live = sum(1 for _ in band_fields(a))
+    zero_out = sum(1 for c in da.data if not c.any())
+    # one rfftn per nonzero plane in d and in the profile; one irfftn per
+    # live pair and per nonzero output plane
+    assert counts == {"rfftn": 2 * (n - zero), "irfftn": live + da.data.shape[0] - zero_out}
+    if kind == "layered":
+        assert zero_out == da.data.shape[0]
 
 
 def test_dense_form_streams_every_pair():
@@ -472,8 +634,13 @@ def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
         lambda: wedge_table(4, 2, 1)[1],
         lambda: _freq_radius(3, 8, 1.0),
         lambda: _freq_axis(3, 8, 1.0, 1),
+        lambda: _radius_classes(3, 8, 1.0)[0],
+        lambda: _radius_classes(3, 8, 1.0)[1],
     ],
-    ids=["pairing", "table-target", "table-sign", "freq-radius", "freq-axis"],
+    ids=[
+        "pairing", "table-target", "table-sign", "freq-radius", "freq-axis",
+        "radius-classes", "radius-class-index",
+    ],
 )
 def test_cached_arrays_are_read_only(cached):
     arr = cached()
