@@ -75,7 +75,6 @@ __all__ = [
     "grid_axes",
     "build_partition",
     "project_band",
-    "project_upto",
     "band_decompose",
     "band_fields",
     "exterior_derivative",
@@ -281,12 +280,6 @@ class DyadicPartition:
         """chi(u / 2^k) on the radius classes u."""
         return _chi(self.classes[0] / float(2.0**k))
 
-    def lowpass_multiplier(self, k: int) -> np.ndarray:
-        """chi(|xi| / 2^k); exactly 1 once k >= k_max."""
-        if k < self.k_min - 1 or k > self.k_max:
-            raise BandRangeError(f"cutoff {k} outside bands {self.k_min}..{self.k_max}")
-        return self._lowpass(k)[self.classes[1]]
-
     def band_multiplier(self, k: int) -> np.ndarray:
         """Band window on the lattice (see ``windows``)."""
         if k not in self.bands:
@@ -384,10 +377,6 @@ def _apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
 
 def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
     return _apply_multiplier(a, _partition(a, part).band_multiplier(k))
-
-
-def project_upto(a: GridForm, k: int) -> GridForm:
-    return _apply_multiplier(a, _partition(a).lowpass_multiplier(k))
 
 
 def band_fields(a: GridForm):

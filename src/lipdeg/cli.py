@@ -221,7 +221,7 @@ def _cmd_profile(args) -> tuple:
 
 
 def _cmd_plan(args) -> tuple:
-    geometry = GeometryConstants.unit() if args.geometry == "unit" else None
+    geometry = GeometryConstants() if args.geometry == "unit" else None
     plan = recursion_plan(args.p, args.levels, args.degree_count, geometry)
     payload = {"plan": plan, "artifacts": []}
     if args.out:

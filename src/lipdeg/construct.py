@@ -13,8 +13,9 @@ Three kinds of artifacts come out of this module:
   equalized layer by layer (``layered_profile``), the frequency signature
   the plans predict, in both grid-realized and profile-only form.
 
-The geometry constants feeding the plans default to values measured from
-the degree-1 cap realization; every constant is an explicit input.
+The two geometry constants feeding the plans default to values measured
+from the degree-1 cap realization; the basic self-map's slope and the
+subcube ratio are module constants.
 """
 
 from __future__ import annotations
@@ -75,23 +76,11 @@ class SampledSphereMap:
     resolution: int
     values: np.ndarray
     lipschitz: float
-    boundary_collapsed: bool = False
-    basepoint: tuple = (0.0, 0.0, -1.0)
 
     def __post_init__(self):
         norms = np.sqrt((self.values**2).sum(axis=0))
         if np.abs(norms - 1.0).max() > 1e-9:
             raise GeometryError("sphere map samples must be unit vectors")
-        if self.boundary_collapsed:
-            base = np.asarray(self.basepoint).reshape(3, 1)
-            edge = np.concatenate(
-                [self.values[:, 0, :], self.values[:, :, 0]], axis=1
-            )
-            if np.abs(edge - base).max() > 1e-9:
-                raise GeometryError(
-                    "boundary nodes must sit at the basepoint when the "
-                    "collapse flag is set"
-                )
 
 
 def _measured_lipschitz(values: np.ndarray, N: int) -> float:
@@ -134,66 +123,53 @@ def sphere_map(d: int, N: int) -> SampledSphereMap:
     uy = np.where(rho > 0, dy / safe, 0.0)
     s = np.sin(np.pi * r)
     values = np.stack([s * ux, s * uy, np.cos(np.pi * r)])
+    edge = np.concatenate([values[:, 0, :], values[:, :, 0]], axis=1)
+    if np.abs(edge - [[0.0], [0.0], [-1.0]]).max() > 1e-9:
+        raise GeometryError("subsquare edges must sit at the south pole")
     return SampledSphereMap(
         block_count=d,
         resolution=N,
         values=values,
         lipschitz=_measured_lipschitz(values, N),
-        boundary_collapsed=True,
     )
 
 
 # -- geometry constants ---------------------------------------------------------
+
+# Lipschitz constant of the basic self-map r_p over p: the degree-2 basic map
+# has Lipschitz 2.5
+_LIP_RP_PER_P = 1.25
+# subcube side D as a multiple of 1/p; at 1/2 the subcube grid fills the
+# half-width, p * D = 1/2
+_SUBCUBE_RATIO = 0.5
 
 
 @dataclass(frozen=True)
 class GeometryConstants:
     """Explicit constants feeding the recursion bookkeeping.
 
-    c0: bilipschitz chart factor (1 by convention on the flat model);
     lip_g: Lipschitz constant of the basic cap/attaching map;
-    c1: Lipschitz-per-block constant of the block maps;
-    lip_rp_per_p: Lipschitz of the basic self-map divided by p (the
-    degree-2 basic map has Lipschitz 2.5, hence the 1.25 default);
-    subcube_ratio: subcube side as a multiple of 1/p.
+    c1: Lipschitz-per-block constant of the block maps.
     """
 
-    c0: float = 1.0
     lip_g: float = 1.0
     c1: float = 1.0
-    lip_rp_per_p: float = 1.25
-    subcube_ratio: float = 0.5
 
     def __post_init__(self):
-        for name in ("c0", "lip_g", "c1", "lip_rp_per_p"):
+        for name in ("lip_g", "c1"):
             if getattr(self, name) <= 0:
                 raise GeometryError(f"{name} must be positive")
-
-    @property
-    def c2(self) -> float:
-        """Homotopy constant: c0^4 * lip_g^2."""
-        return self.c0**4 * self.lip_g**2
-
-    def lip_rp(self, p: int) -> float:
-        return self.lip_rp_per_p * p
-
-    def subcube_side(self, p: int) -> float:
-        return self.subcube_ratio / p
-
-    @classmethod
-    def unit(cls) -> "GeometryConstants":
-        return cls()
 
 
 @lru_cache(maxsize=1)
 def default_geometry() -> GeometryConstants:
     """Constants measured on the degree-1 cap map over the 128^2 grid."""
     base = sphere_map(1, 128)
-    return GeometryConstants(c0=1.0, lip_g=base.lipschitz, c1=base.lipschitz)
+    return GeometryConstants(lip_g=base.lipschitz, c1=base.lipschitz)
 
 
 def homotopy_bound(p: int, d: int, geometry: Optional[GeometryConstants] = None) -> float:
-    """Plan-level Lipschitz bound c2 * p * d for the block-map homotopy.
+    """Plan-level Lipschitz bound lip_g^2 * p * d for the block-map homotopy.
 
     This is the cost of sliding between the pd-block map and the
     composite of the p-block and d-block maps; it feeds the homotopy
@@ -202,7 +178,7 @@ def homotopy_bound(p: int, d: int, geometry: Optional[GeometryConstants] = None)
     if p < 1 or d < 1:
         raise ParameterError("block counts must be >= 1")
     geo = geometry or default_geometry()
-    return geo.c2 * p * d
+    return geo.lip_g**2 * p * d
 
 
 # -- the layer-equalizing recursion ---------------------------------------------
@@ -227,12 +203,6 @@ class LayerSpec:
     L2: float
     L3: float
     bound: float
-
-    def __post_init__(self):
-        if self.subcube_side <= 0:
-            raise GeometryError("subcube side must be positive")
-        if abs(self.grid_width + self.interstitial_width - 0.5) > 1e-12:
-            raise GeometryError("grid and interstitial widths must sum to 1/2")
 
 
 @dataclass(frozen=True)
@@ -314,7 +284,7 @@ def recursion_plan(
 
     The level bound is the width-weighted sum p*D*L3 + (1/2 - p*D)*L2 +
     L1/2, and the stage's homotopy cost is the worst regional slope.
-    With the default D = 1/(2p) the weighted sum telescopes to
+    With D = 1/(2p) the weighted sum telescopes to
     K(ell) = p*K(ell-1) + H_prev(ell), which is what produces the
     ell^(stages-1) * p^ell envelope this function asserts.
     """
@@ -328,13 +298,7 @@ def recursion_plan(
     if levels * math.log2(p) + (degree_count - 1) * math.log2(levels) > 1000:
         raise ParameterError(f"{levels} levels at base {p} overflow float64")
     geo = geometry or default_geometry()
-    D = geo.subcube_side(p)
-    if D <= 0:
-        raise GeometryError("subcube side must be positive")
-    if p * D > 0.5 + 1e-12:
-        raise GeometryError(
-            f"subcube grid width p*D = {p * D:.3f} exceeds the half-width"
-        )
+    D = _SUBCUBE_RATIO / p
     # stage 1: block maps and their homotopies
     K_prev = [geo.c1 * p**t for t in range(levels + 1)]
     H_prev = [homotopy_bound(p, p ** max(t - 1, 0), geo) for t in range(levels + 1)]
@@ -345,7 +309,7 @@ def recursion_plan(
         stage_layers = []
         for t in range(1, levels + 1):
             L1 = 2.0 * H_prev[t]
-            L2 = geo.lip_rp(p) * K[t - 1]
+            L2 = _LIP_RP_PER_P * p * K[t - 1]
             L3 = K[t - 1] / D
             bound = p * D * L3 + (0.5 - p * D) * L2 + 0.5 * L1
             K.append(bound)
@@ -368,7 +332,7 @@ def recursion_plan(
     bounds = tuple(K_prev)
     bound = bounds[levels]
     # envelope check: bound(t) <= C * t^(stages-1) * p^t with C from level 1
-    envelope = bounds[1] / p if levels >= 1 else bounds[0]
+    envelope = bounds[1] / p
     for t in range(1, levels + 1):
         cap = envelope * t ** (degree_count - 1) * p**t
         if bounds[t] > cap * (1.0 + 1e-9):
@@ -383,7 +347,7 @@ def recursion_plan(
         layers=tuple(layers),
         bound=bound,
         bounds_by_level=bounds,
-        naive_rate=geo.lip_rp(p),
+        naive_rate=_LIP_RP_PER_P * p,
         envelope_constant=envelope,
     )
 

@@ -14,7 +14,6 @@ __all__ = [
     "UnsupportedPairing",
     "UnsupportedPresentation",
     "PresetLookupError",
-    "AssignmentError",
     "DegenerateForm",
     "UndefinedExponent",
     "ResolutionError",
@@ -50,10 +49,6 @@ class UnsupportedPresentation(LipdegError):
 
 class PresetLookupError(LipdegError):
     """Unknown preset name."""
-
-
-class AssignmentError(LipdegError):
-    """Generator assignment inconsistent with the presentation."""
 
 
 class DegenerateForm(LipdegError):

@@ -10,8 +10,9 @@ Conventions used throughout the package:
   the two sorted index tuples.
 * The volume element ``e_{1..n}`` has coefficient +1; ``M[I, J]`` of the
   middle-degree pairing matrix is the volume coefficient of ``e_I ^ e_J``.
-* Two arithmetic modes coexist: exact (``fractions.Fraction``) and float.
-  The exact mode is the oracle for the float mode in tests.
+* Coefficients are exact (``fractions.Fraction``) or float.  The exact
+  element arithmetic that tests check the float kernels against lives in
+  ``tests/oracles.py``.
 * ``merge_sign`` defines the sign; ``wedge_table``/``wedge_nonzeros``
   tabulate it per (n, p, q) as read-only arrays, and are the one sign table
   that ``bands`` (d, primitive, pointwise wedge) and ``scalability`` read.
@@ -24,31 +25,26 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import sqrt
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, ShapeError, UnsupportedPairing
 
 __all__ = [
-    "Scalar",
     "MultiIndex",
     "ExteriorElement",
     "SignatureTriple",
     "multi_indices",
     "merge_sign",
-    "wedge",
     "wedge_pairing_matrix",
     "signature",
     "signature_exact",
-    "basis_element",
-    "volume_element",
     "selfdual_triple",
     "jsonable",
     "JsonFields",
 ]
 
-Scalar = Union[int, float, Fraction]
 MultiIndex = tuple  # strictly increasing tuple of ints in {1..n}
 
 
@@ -135,85 +131,9 @@ class ExteriorElement:
                 clean[I] = c
         object.__setattr__(self, "coefficients", clean)
 
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def degrees(self) -> set:
-        return {len(I) for I in self.coefficients}
-
-    @property
-    def degree(self):
-        """Common degree of all terms; None for 0; error if mixed."""
-        degs = self.degrees
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ShapeError(f"element has mixed degrees {sorted(degs)}")
-        return degs.pop()
-
-    def coefficient(self, I) -> Scalar:
-        return self.coefficients.get(_check_index(self.ambient_dim, I), 0)
-
-    def sup_norm(self) -> float:
-        """Largest absolute basis coefficient (0 for the zero element)."""
-        if not self.coefficients:
-            return 0
-        return max(abs(c) for c in self.coefficients.values())
-
-    def is_zero(self) -> bool:
-        return not self.coefficients  # zero coefficients are dropped
-
-    # -- linear structure --------------------------------------------------
-
-    def _binary(self, other: "ExteriorElement", sign: int) -> "ExteriorElement":
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch(
-                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
-            )
-        out = dict(self.coefficients)
-        for I, c in other.coefficients.items():
-            out[I] = out.get(I, 0) + sign * c
-        return ExteriorElement(self.ambient_dim, out)
-
-    def __add__(self, other):
-        return self._binary(other, +1)
-
-    def __sub__(self, other):
-        return self._binary(other, -1)
-
-    def scale(self, c: Scalar) -> "ExteriorElement":
-        return ExteriorElement(
-            self.ambient_dim, {I: c * v for I, v in self.coefficients.items()}
-        )
-
-    # -- serialization -----------------------------------------------------
-
     def to_json_dict(self) -> dict:
         terms = [{"I": I, "c": c} for I, c in sorted(self.coefficients.items())]
         return jsonable({"n": self.ambient_dim, "terms": terms})
-
-
-def basis_element(n: int, I, c: Scalar = 1) -> ExteriorElement:
-    return ExteriorElement(n, {tuple(I): c})
-
-
-def volume_element(n: int, c: Scalar = 1) -> ExteriorElement:
-    return ExteriorElement(n, {tuple(range(1, n + 1)): c})
-
-
-def wedge(a: ExteriorElement, b: ExteriorElement) -> ExteriorElement:
-    """Bilinear wedge product with Koszul signs."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}"
-        )
-    out: dict = {}
-    for I, ca in a.coefficients.items():
-        for J, cb in b.coefficients.items():
-            sign, K = merge_sign(I, J)
-            if sign:
-                out[K] = out.get(K, 0) + sign * ca * cb
-    return ExteriorElement(a.ambient_dim, out)
 
 
 # -- middle-degree pairing -------------------------------------------------
@@ -317,25 +237,15 @@ def signature(M) -> SignatureTriple:
 # -- distinguished middle bases in dimension 4 ------------------------------
 
 
-def selfdual_triple(normalized: bool = True, exact: bool = False) -> list:
-    """The three +1-eigenvector 2-forms of the middle pairing on R^4.
+def selfdual_triple() -> np.ndarray:
+    """The three +1-eigenvector 2-forms of the middle pairing on R^4, as
+    dense rows (3, 6) in the lexicographic basis of multi_indices(4, 2).
 
-    b_i = e_I + (*e_I) for I = (1,2), (1,3), (1,4), where the Hodge star
-    *e_I = s * e_J is read from e_I ^ e_J = s * vol.  With ``normalized``
-    each b_i satisfies b_i ^ b_j = delta_ij * vol (coefficients 1/sqrt(2),
-    float only); unnormalized coefficients are 1 and b_i ^ b_i = 2 * vol
-    exactly, available in exact mode.
+    b_i = (e_I + *e_I) / sqrt(2) for I = (1,2), (1,3), (1,4), where the
+    Hodge star *e_I = s * e_J is read from e_I ^ e_J = s * vol, so
+    b_i ^ b_j = delta_ij * vol.
     """
-    if normalized and exact:
-        raise UnsupportedPairing("1/sqrt(2) normalization is not rational")
-    one = Fraction(1) if exact else 1.0
-    scale = 1.0 / sqrt(2.0) if normalized else one
-    out = []
-    for I in multi_indices(4, 2)[:3]:
-        J = tuple(j for j in range(1, 5) if j not in I)
-        s, _ = merge_sign(I, J)
-        out.append(ExteriorElement(4, {I: scale * one, J: scale * (s * one)}))
-    return out
+    return (np.eye(6)[:3] + wedge_pairing_matrix(4, 2)[:3]) / sqrt(2.0)
 
 
 # -- dense representation (flat coefficient vectors per degree) -------------
@@ -366,16 +276,6 @@ def wedge_table(n: int, p: int, q: int):
     target.setflags(write=False)
     sign.setflags(write=False)
     return target, sign
-
-
-def dense_vector(a: ExteriorElement, p: int) -> np.ndarray:
-    """Float coefficient vector of the degree-p part, lexicographic basis."""
-    pos = _index_positions(a.ambient_dim, p)
-    v = np.zeros(len(pos))
-    for I, c in a.coefficients.items():
-        if len(I) == p:
-            v[pos[I]] = float(c)
-    return v
 
 
 def from_dense(n: int, p: int, v: np.ndarray) -> ExteriorElement:

@@ -1,4 +1,4 @@
-"""Graded ring presentations, their evaluation, and growth exponents.
+"""Graded ring presentations, their intersection forms, and growth exponents.
 
 A presentation records generators (name, even-or-odd degree >= 2), named
 polynomial relations (each a list of (coefficient, word) monomials), and a
@@ -21,12 +21,12 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import (
-    AssignmentError,
     DimensionMismatch,
     EmptyData,
     ParameterError,
@@ -35,7 +35,7 @@ from .errors import (
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from .exterior import ExteriorElement, JsonFields, wedge
+from .exterior import JsonFields
 
 __all__ = [
     "Relation",
@@ -43,10 +43,6 @@ __all__ = [
     "Assignment",
     "CohomologyAction",
     "ExponentReport",
-    "word_value",
-    "relation_value",
-    "evaluate_relations",
-    "relation_defect",
     "intersection_form",
     "lipschitz_lower_exponent",
     "positive_weight_exponents",
@@ -123,46 +119,6 @@ class Assignment(JsonFields):
                     f"assignment says {self.ambient_dim}"
                 )
 
-    def check_degrees(self, pres: RingPresentation) -> None:
-        degs = pres.degrees
-        for name, d in degs.items():
-            if name not in self.forms:
-                raise AssignmentError(f"no form assigned to generator {name}")
-            el = self.forms[name]
-            if not el.is_zero() and el.degree != d:
-                raise AssignmentError(
-                    f"form for {name} has degree {el.degree}, generator has {d}"
-                )
-
-
-def word_value(word: Word, values: Mapping) -> ExteriorElement:
-    """Left-to-right wedge of the generator values along a word."""
-    acc = values[word[0]]
-    for g in word[1:]:
-        acc = wedge(acc, values[g])
-    return acc
-
-
-def relation_value(rel: Relation, values: Mapping) -> ExteriorElement:
-    """Sum of c * word over the monomials."""
-    total = None
-    for c, word in rel.monomials:
-        term = word_value(word, values).scale(c)
-        total = term if total is None else total + term
-    return total
-
-
-def evaluate_relations(pres: RingPresentation, a: Assignment) -> list:
-    """Images of all relations under the assignment (exact when rational)."""
-    a.check_degrees(pres)
-    return [relation_value(rel, a.forms) for rel in pres.relations]
-
-
-def relation_defect(pres: RingPresentation, a: Assignment) -> float:
-    """Largest sup-coefficient norm among all relation images (0 if none)."""
-    values = evaluate_relations(pres, a)
-    return max((float(v.sup_norm()) for v in values), default=0.0)
-
 
 # -- intersection forms ------------------------------------------------------
 
@@ -190,11 +146,13 @@ def _exact_solve(A: list, b: list):
     return [M[i][cols] for i in range(cols)]
 
 
+@lru_cache(maxsize=64)
 def intersection_form(pres: RingPresentation) -> np.ndarray:
     """Middle-degree product matrix Q with u_i u_j = Q[i,j] * top.
 
     Requires all generators in the middle degree and relations that pin
-    every pairwise product; entries are exact Fractions.
+    every pairwise product; entries are exact Fractions.  Cached per
+    presentation, so the array is read-only.
     """
     gens = [g for g, _ in pres.generators]
     degs = pres.degrees
@@ -244,6 +202,7 @@ def intersection_form(pres: RingPresentation) -> np.ndarray:
     for (i, j), idx in pos.items():
         Q[i, j] = x[idx]
         Q[j, i] = x[idx]
+    Q.setflags(write=False)
     return Q
 
 
@@ -434,8 +393,15 @@ def _torus(n: int) -> RingPresentation:
     return RingPresentation(2 * n, gens, rels, tuple(f"t{i}" for i in range(1, n + 1)))
 
 
-_SUM_RE = re.compile(r"^connected-sum\((\d+),\s*(\d+)\)$")
-_TORUS_RE = re.compile(r"^torus\((\d+)\)$")
+# family -> (builder, pattern of the name with its parameters embedded, or
+# None, and the keyword parameters in the builder's order)
+_PRESETS = {
+    "connected-sum": (_connected_sum, r"^connected-sum\((\d+),\s*(\d+)\)$", ("p", "q")),
+    "torus": (_torus, r"^torus\((\d+)\)$", ("n",)),
+    "S2xS2": (_s2xs2, None, ()),
+    "CPn": (_cpn, r"^CP(\d+)$", ("n",)),
+    "Xk": (_xk, r"^X(\d+)$", ("k",)),
+}
 
 
 def preset_presentations(name: str, **params) -> RingPresentation:
@@ -450,28 +416,12 @@ def preset_presentations(name: str, **params) -> RingPresentation:
             raise ParameterError(f"preset {name!r} needs parameter {key!r}")
         return int(params[key])
 
-    m = _SUM_RE.match(name)
-    if m:
-        return _connected_sum(int(m.group(1)), int(m.group(2)))
-    if name == "connected-sum":
-        return _connected_sum(param("p"), param("q"))
-    m = _TORUS_RE.match(name)
-    if m:
-        return _torus(int(m.group(1)))
-    if name == "torus":
-        return _torus(param("n"))
-    if name == "S2xS2":
-        return _s2xs2()
-    m = re.match(r"^CP(\d+)$", name)
-    if m:
-        return _cpn(int(m.group(1)))
-    if name == "CPn":
-        return _cpn(param("n"))
-    m = re.match(r"^X(\d+)$", name)
-    if m:
-        return _xk(int(m.group(1)))
-    if name == "Xk":
-        return _xk(param("k"))
+    for family, (build, pattern, keys) in _PRESETS.items():
+        m = re.match(pattern, name) if pattern else None
+        if m:
+            return build(*map(int, m.groups()))
+        if name == family:
+            return build(*map(param, keys))
     raise PresetLookupError(f"unknown presentation preset {name!r}")
 
 

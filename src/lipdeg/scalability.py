@@ -45,7 +45,6 @@ from .errors import (
 )
 from .exterior import (
     JsonFields,
-    dense_vector,
     from_dense,
     multi_indices,
     selfdual_triple,
@@ -565,8 +564,7 @@ def kge4_certificate(samples: int = 10, seed: int = 0, k: int = 3) -> Kge4Report
             f"k = {k}: the counterexample needs 1 <= k <= 3; the k >= 4 constant "
             "is not estimated, and check_middle_form gives the not-scalable verdict"
         )
-    triple = selfdual_triple(normalized=True)
-    rows = np.array([dense_vector(el, 2) for el in triple[:k]])
+    rows = selfdual_triple()[:k]
     lhs, rhs = _pair_stats(rows, wedge_pairing_matrix(4, 2))
     forms = {f"b{i + 1}": from_dense(4, 2, row) for i, row in enumerate(rows)}
     return Kge4Report(

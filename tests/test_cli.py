@@ -328,6 +328,41 @@ def test_scalable_exits_zero_or_with_a_typed_error(preset, ambient, restarts, ma
         assert json.loads(lines[0])["error"] == "ParameterError"
 
 
+# levels run past the float64 guard, which at p = 2 sits between 985 and
+# 1000 levels for every degree count here; a non-integer token in place of
+# one number is a usage error
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    p=st.integers(2, 3) | st.integers(2, 2**24) | st.integers(-1, 1),
+    levels=st.integers(1, 40) | st.integers(985, 1005) | st.integers(-1, 1100),
+    degree_count=st.integers(1, 6) | st.integers(-1, 0),
+    geometry=st.sampled_from(["unit", "measured"]),
+    seed=st.integers(-1, 6),
+    garbled=st.sampled_from([None] * 9 + ["--p", "--levels", "--degree-count"]),
+)
+def test_plan_exits_zero_or_with_a_typed_error(p, levels, degree_count, geometry, seed, garbled):
+    argv = ["plan", "--p", str(p), "--levels", str(levels), "--degree-count", str(degree_count)]
+    argv += ["--geometry", geometry, "--seed", str(seed)]
+    if garbled is not None:
+        argv[argv.index(garbled) + 1] = "1.5"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    if code == 2:
+        assert garbled is not None and out.getvalue() == ""
+        return
+    if code == 0:
+        assert json.loads(out.getvalue())["plan"]["levels"] == levels
+        return
+    assert code == 1 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] in errors.__all__
+
+
 def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_plan", lambda args: ({"bound": float("nan")}, 0))
     code, out, err = run_cli(capsys, "plan")

@@ -1,12 +1,14 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lipdeg import construct
 from lipdeg.bands import exterior_derivative, lp_norm
 from lipdeg.construct import (
     GeometryConstants,
-    LayerSpec,
     default_geometry,
     homotopy_bound,
     layered_profile,
@@ -19,7 +21,7 @@ from lipdeg.errors import (
     ResolutionError,
 )
 
-UNIT = GeometryConstants.unit()
+UNIT = GeometryConstants()
 
 
 # -- sphere maps ---------------------------------------------------------------
@@ -71,7 +73,6 @@ def test_sphere_map_plan_records():
     f = sphere_map(2, 64)
     assert (f.block_count, f.resolution) == (2, 64)
     assert f.values.shape == (3, 64, 64)
-    assert f.boundary_collapsed
 
 
 # -- homotopy bound ------------------------------------------------------------
@@ -90,8 +91,9 @@ def test_measured_geometry_comes_from_base_realization():
     geo = default_geometry()
     base = sphere_map(1, 128)
     assert geo.lip_g == pytest.approx(base.lipschitz)
-    assert geo.c2 == pytest.approx(base.lipschitz**2)
-    assert geo.c2 >= 1.0
+    # the homotopy constant c2 = lip_g^2 is the bound of one block on one block
+    assert homotopy_bound(1, 1, geo) == pytest.approx(base.lipschitz**2)
+    assert homotopy_bound(1, 1, geo) >= 1.0
 
 
 # -- recursion plans -----------------------------------------------------------
@@ -179,20 +181,30 @@ def test_recursion_parameter_validation():
         recursion_plan(2, 5, 0)
     with pytest.raises(GeometryError):
         GeometryConstants(lip_g=-1.0)
-    with pytest.raises(GeometryError):
-        recursion_plan(2, 3, 2, geometry=GeometryConstants(subcube_ratio=0.7))
-    with pytest.raises(GeometryError):
-        LayerSpec(1, 0.25, 0.3, 0.3, 0.5, 1.0, 1.0, 1.0, 1.0)
 
 
-def test_recursion_envelope_escape_is_reported():
+def test_recursion_envelope_escape_is_reported(monkeypatch):
     # shrinking the subcubes below the equalizing width feeds the
     # interstitial term and breaks the ell * p^ell envelope at depth;
     # the plan refuses rather than report a bound outside its envelope
-    squeezed = GeometryConstants(subcube_ratio=0.4)
-    recursion_plan(2, 3, 2, geometry=squeezed)  # shallow is fine
+    monkeypatch.setattr(construct, "_SUBCUBE_RATIO", 0.4)
+    recursion_plan(2, 3, 2, geometry=UNIT)  # shallow is fine
     with pytest.raises(GeometryError):
-        recursion_plan(2, 20, 2, geometry=squeezed)
+        recursion_plan(2, 20, 2, geometry=UNIT)
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_constants.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED["recursion_plan"]))
+def test_recursion_plan_bounds_are_pinned(case):
+    """Bounds by level reproduce to the bit those recorded while the chart
+    factor, the self-map slope and the subcube ratio were fields of
+    GeometryConstants."""
+    geometry, p, d = case.split()
+    geo = UNIT if geometry == "unit" else default_geometry()
+    plan = recursion_plan(int(p[2:]), 20, int(d[2:]), geo)
+    assert [b.hex() for b in plan.bounds_by_level] == PINNED["recursion_plan"][case]
 
 
 def test_recursion_plan_json_round_trip_fields():

@@ -67,21 +67,6 @@ def test_sphere_map_sample_validation():
         )
 
 
-def test_boundary_collapse_flag():
-    assert sphere_map(2, 64).boundary_collapsed
-    # flagging a map whose edge row is not at the basepoint must fail
-    values = np.zeros((3, 16, 16))
-    values[2] = 1.0
-    with pytest.raises(GeometryError):
-        SampledSphereMap(
-            block_count=1,
-            resolution=16,
-            values=values,
-            lipschitz=0.0,
-            boundary_collapsed=True,
-        )
-
-
 # -- degree integral ---------------------------------------------------------------
 
 

@@ -12,17 +12,21 @@ from hypothesis import given, settings, strategies as st
 
 from lipdeg.errors import DimensionMismatch, ShapeError, UnsupportedPairing
 from lipdeg.exterior import (
-    ExteriorElement,
     SignatureTriple,
-    basis_element,
+    from_dense,
     merge_sign,
     multi_indices,
     selfdual_triple,
     signature,
     signature_exact,
+    wedge_pairing_matrix,
+)
+from oracles import (
+    ExteriorElement,
+    basis_element,
+    selfdual_triple_exact,
     volume_element,
     wedge,
-    wedge_pairing_matrix,
 )
 
 
@@ -70,14 +74,14 @@ def test_wedge_selfdual_square():
 
 
 def test_selfdual_triple_squares_to_volume():
-    b = selfdual_triple(normalized=True)
+    b = [from_dense(4, 2, row) for row in selfdual_triple()]
     for i, bi in enumerate(b):
         for j, bj in enumerate(b):
             prod = wedge(bi, bj)
             want = 1.0 if i == j else 0.0
             assert prod.coefficient((1, 2, 3, 4)) == pytest.approx(want, abs=1e-15)
     # exact, unnormalized: squares are exactly 2 vol
-    for bi in selfdual_triple(normalized=False, exact=True):
+    for bi in selfdual_triple_exact():
         assert wedge(bi, bi) == volume_element(4, Fraction(2))
 
 

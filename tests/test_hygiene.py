@@ -17,6 +17,8 @@
   counted in ``UNEXECUTED``, and an entry whose count no longer matches
   fails, so the list cannot go stale.
 * src/ holds no ``assert`` statement: ``python -O`` strips them.
+* src/lipdeg/ imports nothing from tests/, whose ``oracles`` module holds
+  the exact arithmetic the tests check the kernels against.
 * src/lipdeg/ touches numpy.fft through one transform pair, one
   ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
 * Only bands.py names ``build_partition``: a form's grid fixes its band
@@ -36,7 +38,6 @@ SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*
 PACKAGE = ROOT / "src" / "lipdeg"
 
 _VERIFY = "verify only: test_acceptance.py and criterion 11's CLI test run it"
-_ORACLE = "exact oracle that tests check the float kernels against"
 _GUARD = "guard for a valid input the session does not produce"
 
 # qualname -> (statements the session leaves unrun, why).  A qualname is the
@@ -59,25 +60,6 @@ UNEXECUTED = {
     "acceptance.run_all": (2, _VERIFY),
     "cli._cmd_verify": (5, _VERIFY),
     "cli": (1, "the `python -m lipdeg.cli` entry point"),
-    "exterior.ExteriorElement.__add__": (1, _ORACLE),
-    "exterior.ExteriorElement.__sub__": (1, _ORACLE),
-    "exterior.ExteriorElement._binary": (5, _ORACLE),
-    "exterior.ExteriorElement.scale": (1, _ORACLE),
-    "exterior.ExteriorElement.degree": (5, _ORACLE),
-    "exterior.ExteriorElement.degrees": (1, _ORACLE),
-    "exterior.ExteriorElement.sup_norm": (3, _ORACLE),
-    "exterior.ExteriorElement.is_zero": (1, _ORACLE),
-    "exterior.ExteriorElement.coefficient": (1, _ORACLE),
-    "exterior.basis_element": (1, _ORACLE),
-    "exterior.volume_element": (1, _ORACLE),
-    "exterior.wedge": (8, _ORACLE),
-    "rings.word_value": (4, _ORACLE),
-    "rings.relation_value": (5, _ORACLE),
-    "rings.evaluate_relations": (2, _ORACLE),
-    "rings.relation_defect": (2, _ORACLE),
-    "rings.Assignment.check_degrees": (5, _ORACLE),
-    "bands.project_upto": (1, _ORACLE),
-    "bands.DyadicPartition.lowpass_multiplier": (2, "the lowpass of project_upto: " + _ORACLE),
     "bands.lp_norm": (1, "the L1 norm, which tests check band masses against"),
     "bands.GridForm.component": (1, "accessor that tests read"),
     "bands.grid_form": (5, "components: tests build their fixtures with it"),
@@ -167,17 +149,17 @@ def _defined_names(node) -> list:
     return [t.id for t in targets if isinstance(t, ast.Name) and not t.id.startswith("__")]
 
 
-def unreached(package: Path, entry: str, clients: list, oracles=()) -> list:
+def unreached(package: Path, entry: str, clients: list, exempt=()) -> list:
     """Top-level definitions of ``package`` that no root reaches.
 
     Roots are every definition in the ``entry`` module, every name the
-    ``clients`` files read or import, every name in ``oracles``, and every
+    ``clients`` files read or import, every name in ``exempt``, and every
     name a module reads outside its definitions at import time.  Reaching a
     definition reaches every name its body reads; names resolve across
     modules by name alone.  Imports and ``__all__`` strings are no use.
     """
     defs = {}  # name -> [(module, node)]
-    roots = set(oracles)
+    roots = set(exempt)
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
@@ -212,8 +194,8 @@ def unreached(package: Path, entry: str, clients: list, oracles=()) -> list:
 
 def test_every_definition_is_reached():
     clients = sorted((ROOT / "perfbench").glob("*.py"))
-    oracles = [q.split(".")[1] for q in UNEXECUTED if "." in q]
-    assert unreached(PACKAGE, "cli", clients, oracles) == []
+    exempt = [q.split(".")[1] for q in UNEXECUTED if "." in q]
+    assert unreached(PACKAGE, "cli", clients, exempt) == []
 
 
 def test_reach_check_sees_dead_code(tmp_path):
@@ -428,6 +410,21 @@ def test_no_assert_in_src():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_src_imports_nothing_from_tests():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("tests", "oracles") for m in modules):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 

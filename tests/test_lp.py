@@ -27,7 +27,6 @@ from lipdeg.bands import (
     primitive,
     product_support_radius,
     project_band,
-    project_upto,
     spectral_support,
     wedge_grid,
     zero_form,
@@ -42,13 +41,14 @@ from lipdeg.errors import (
     ResolutionError,
     ShapeError,
 )
-from lipdeg.exterior import (
+from lipdeg.exterior import multi_indices, wedge_pairing_matrix, wedge_table
+from lipdeg.rings import intersection_form, preset_presentations
+from oracles import (
     ExteriorElement,
     dense_vector,
-    multi_indices,
+    lowpass_multiplier,
+    project_upto,
     wedge,
-    wedge_pairing_matrix,
-    wedge_table,
 )
 
 TAU = 2.0 * np.pi
@@ -106,9 +106,9 @@ def test_partition_sums_to_one_and_plateaus():
     part = build_partition(2, 64, 1.0)
     total = sum(part.band_multiplier(k) for k in part.bands)
     assert np.max(np.abs(total - 1.0)) < 1e-14
-    top = part.lowpass_multiplier(part.k_max)
+    top = lowpass_multiplier(part, part.k_max)
     assert np.all(top == 1.0)  # grid radius below the last cutoff: exact ones
-    low = part.lowpass_multiplier(part.k_min)
+    low = lowpass_multiplier(part, part.k_min)
     assert low[0, 0] == 1.0  # zero mode sits in the lowest band
     for k in part.bands:
         if k > part.k_min:
@@ -139,7 +139,7 @@ def test_class_windows_equal_lattice_windows(d, T):
         assert np.array_equal(u[inv], r)
         assert inv.dtype == np.int32 and len(u) == len(np.unique(r))
         for k in range(part.k_min - 1, part.k_max + 1):
-            assert np.array_equal(part.lowpass_multiplier(k), _chi(r / 2.0**k))
+            assert np.array_equal(lowpass_multiplier(part, k), _chi(r / 2.0**k))
         windows = dict(part.windows())
         for k in part.bands:
             low = _chi(r / 2.0**k)
@@ -155,7 +155,7 @@ def test_lowpass_idempotence_is_exact():
     again = project_upto(inner, 5)
     assert np.max(np.abs(again.data - inner.data)) < 1e-13 * np.max(np.abs(a.data))
     # multiplier-level identity: chi_5 == 1 on the support of chi_2
-    m2, m5 = part.lowpass_multiplier(2), part.lowpass_multiplier(5)
+    m2, m5 = lowpass_multiplier(part, 2), lowpass_multiplier(part, 5)
     assert np.all(m5[m2 > 0] == 1.0)
 
 
@@ -636,10 +636,11 @@ def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
         lambda: _freq_axis(3, 8, 1.0, 1),
         lambda: _radius_classes(3, 8, 1.0)[0],
         lambda: _radius_classes(3, 8, 1.0)[1],
+        lambda: intersection_form(preset_presentations("X3")),
     ],
     ids=[
         "pairing", "table-target", "table-sign", "freq-radius", "freq-axis",
-        "radius-classes", "radius-class-index",
+        "radius-classes", "radius-class-index", "intersection-form",
     ],
 )
 def test_cached_arrays_are_read_only(cached):

@@ -5,33 +5,34 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from lipdeg import cli, rings
 from lipdeg.errors import (
-    AssignmentError,
     EmptyData,
     ParameterError,
     PresetLookupError,
     UndefinedExponent,
     UnsupportedPresentation,
 )
-from lipdeg.exterior import (
-    ExteriorElement,
-    selfdual_triple,
-    signature,
-    volume_element,
-)
+from lipdeg.exterior import signature
 from lipdeg.rings import (
     Assignment,
     CohomologyAction,
     Relation,
     RingPresentation,
-    evaluate_relations,
     intersection_form,
     lipschitz_lower_exponent,
     positive_weight_exponents,
     preset_cohomology_action,
     preset_presentations,
     preset_weights,
+)
+from oracles import (
+    AssignmentError,
+    ExteriorElement,
+    evaluate_relations,
     relation_defect,
+    selfdual_triple_exact,
+    volume_element,
     word_value,
 )
 
@@ -65,7 +66,7 @@ def test_cp2_defect_vanishes_in_dim4():
 
 def test_x3_selfdual_witness_exact_zero():
     x3 = preset_presentations("Xk", k=3)
-    b = selfdual_triple(normalized=False, exact=True)
+    b = selfdual_triple_exact()
     a = Assignment(4, {"u1": b[0], "u2": b[1], "u3": b[2]})
     values = evaluate_relations(x3, a)
     assert all(v.is_zero() for v in values)  # exact rational zeros
@@ -107,6 +108,16 @@ def test_intersection_forms():
     # u^3 on CP^2 lies above the top degree and holds vacuously
     Qcp2 = intersection_form(preset_presentations("CP2"))
     assert Qcp2.tolist() == [[1]]
+
+
+def test_one_exact_solve_per_presentation(monkeypatch, capsys):
+    """The scalable command reads X4's form twice, for the verdict and for
+    the search's structured start, and solves for it once."""
+    solve, calls = rings._exact_solve, []
+    monkeypatch.setattr(rings, "_exact_solve", lambda A, b: calls.append(1) or solve(A, b))
+    rings.intersection_form.cache_clear()
+    assert cli.main(["scalable", "--preset", "X4", "--restarts", "1"]) == 0
+    assert len(calls) == 1
 
 
 def test_intersection_form_underdetermined():
@@ -196,7 +207,7 @@ def test_positive_weight_exponents():
 
 def test_evaluate_word_top_class():
     x2 = preset_presentations("Xk", k=2)
-    b = selfdual_triple(normalized=False, exact=True)
+    b = selfdual_triple_exact()
     a = Assignment(4, {"u1": b[0], "u2": b[1]})
     top = word_value(x2.top_class, a.forms)
     assert top == volume_element(4, Fraction(2))

@@ -16,20 +16,22 @@ from lipdeg.errors import (
     ParameterError,
     ShapeError,
 )
-from lipdeg.exterior import ExteriorElement, dense_vector, multi_indices, selfdual_triple, wedge
-from lipdeg.rings import (
-    Assignment,
-    Relation,
-    evaluate_relations,
-    preset_presentations,
-    word_value,
-)
+from lipdeg.exterior import multi_indices
+from lipdeg.rings import Assignment, Relation, preset_presentations
 from lipdeg.scalability import (
     SearchConfig,
     _Workspace,
     check_middle_form,
     kge4_certificate,
     search_embedding,
+)
+from oracles import (
+    ExteriorElement,
+    dense_vector,
+    evaluate_relations,
+    selfdual_triple_exact,
+    wedge,
+    word_value,
 )
 
 CFG = SearchConfig(restarts=12, max_iters=200, seed=11)
@@ -164,7 +166,7 @@ def test_three_sum_converges_four_sum_floors():
 
 def test_exact_witness_kills_relations_in_rational_mode():
     pres = preset_presentations("Xk", k=3)
-    triple = selfdual_triple(normalized=False, exact=True)
+    triple = selfdual_triple_exact()
     a = Assignment(
         ambient_dim=4, forms={f"u{i + 1}": triple[i] for i in range(3)}
     )
@@ -287,6 +289,9 @@ def test_compiled_terms_count_against_the_cap(monkeypatch):
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "pinned_searches.json").read_text())
+KGE4 = json.loads((Path(__file__).parent / "data" / "pinned_constants.json").read_text())[
+    "kge4_certificate"
+]
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
@@ -401,3 +406,16 @@ def test_kge4_triple_counterexample():
     for k in (0, 4):
         with pytest.raises(ParameterError, match=f"k = {k}"):
             kge4_certificate(samples=10, seed=0, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_kge4_certificate_is_pinned(k):
+    """The worst case, lhs and rhs reproduce to the bit those recorded while
+    the triple was built as exterior elements and read back as rows."""
+    rep = kge4_certificate(k=k)
+    forms = {
+        g: {",".join(map(str, I)): float(c).hex() for I, c in sorted(el.coefficients.items())}
+        for g, el in rep.worst_case.forms.items()
+    }
+    assert forms == KGE4[str(k)]["forms"]
+    assert (rep.lhs.hex(), rep.rhs.hex()) == (KGE4[str(k)]["lhs"], KGE4[str(k)]["rhs"])
