@@ -22,6 +22,7 @@ from .bands import (
     _stream_profile,
     band_fields,
     bandlimited_noise_form,
+    closedness,
     exterior_derivative,
     lp_norm,
     primitive,
@@ -286,21 +287,15 @@ def criterion_6(level: str = "full", seed: int = 0) -> CriterionResult:
 
 def criterion_7(level: str = "full", seed: int = 0) -> CriterionResult:
     """Recursion plans track their stated envelopes."""
-    plan22 = recursion_plan(2, 20, 2)
-    band = [
-        plan22.bounds_by_level[t] / (t * 2.0**t)
-        for t in range(1, 21)
-    ]
+    band = recursion_plan(2, 20, 2).normalized_bounds
     factor = max(band) / min(band)
     envelope_ok = True
     growth_ok = True
     for p in (2, 3):
         for d in (1, 2, 3):
             plan = recursion_plan(p, 20, d)
-            cap = plan.envelope_constant
-            for t in range(1, 21):
-                ratio = plan.bounds_by_level[t] / (t ** (d - 1) * float(p) ** t)
-                envelope_ok = envelope_ok and ratio <= cap * (1.0 + 1e-12)
+            cap = plan.envelope_constant * (1.0 + 1e-12)
+            envelope_ok = envelope_ok and all(r <= cap for r in plan.normalized_bounds)
             if d <= 2:
                 # the per-stage reduction multiplies the bound by at most
                 # 2p; for d = 3 the polynomial factor alone gives 4p at
@@ -371,11 +366,7 @@ def criterion_9(level: str = "full", seed: int = 0) -> CriterionResult:
     else:
         N, levels = 32, 3
     ens = layered_profile(2, levels, 1.0, N=N, seed=seed + 3)
-    form = ens.ensemble
-    closed = float(
-        lp_norm(exterior_derivative(form), "inf")
-        / max(lp_norm(form, "inf"), 1e-300)
-    )
+    closed = closedness(ens.ensemble)
     request_err = max(
         abs(ens.profile.l1[k] - m) / m for k, m in ens.requested.items()
     )

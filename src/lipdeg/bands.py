@@ -18,6 +18,9 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   consecutive differences, so they sum to exactly 1 and band k is
   supported in the annulus ``2^{k-1} <= |xi| <= 2^{k+1}``;
 * the zero mode belongs to the lowest band;
+* ``_window`` alone applies those two rules; the partition's windows and
+  lattice multipliers and ``dominant_band`` (the band where one radius
+  weighs most) all read it;
 * every window depends on |xi| alone, so it is evaluated once per radius
   class (a distinct value of |xi| on the half lattice, ``_radius_classes``)
   and gathered onto the lattice by the class index;
@@ -30,7 +33,8 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
 
 d, its closedness residual and the primitive all read exterior's (1, p)
 wedge table, so Koszul signs and basis order come from ``exterior`` alone;
-every band loop reads one stream of band windows.
+every band loop reads one stream of band windows.  ``closedness(a)`` is
+``sup |d a| / sup |a|``, the measure the CLI and the battery report.
 
 The band stream skips silent (band, component) pairs: those where
 |spectrum| * window peaks at or below ``SILENT_FLOOR`` times the form's
@@ -74,6 +78,7 @@ __all__ = [
     "zero_form",
     "grid_axes",
     "build_partition",
+    "dominant_band",
     "project_band",
     "band_decompose",
     "band_fields",
@@ -81,6 +86,7 @@ __all__ = [
     "primitive",
     "lp_norm",
     "band_profile",
+    "closedness",
     "synthetic_profile",
     "wedge_grid",
     "spectral_support",
@@ -257,6 +263,13 @@ def _chi(r: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window(r, k, k_min: int) -> np.ndarray:
+    """Band k's window at radius r: chi(r / 2^k) - chi(r / 2^(k-1)), except
+    that the lowest band k_min keeps all of chi(r / 2^k_min), zero mode
+    included.  Radii or bands may be an array, not both."""
+    return _chi(r / 2.0**k) - np.where(k == k_min, 0.0, _chi(r / 2.0 ** (k - 1)))
+
+
 @dataclass(frozen=True)
 class DyadicPartition:
     """Dyadic radial partition of unity on the frequency lattice."""
@@ -276,28 +289,16 @@ class DyadicPartition:
         """(u, inv) of the half lattice, see ``_radius_classes``."""
         return _radius_classes(self.spatial_dim, self.resolution, self.period)
 
-    def _lowpass(self, k: int) -> np.ndarray:
-        """chi(u / 2^k) on the radius classes u."""
-        return _chi(self.classes[0] / float(2.0**k))
-
     def band_multiplier(self, k: int) -> np.ndarray:
         """Band window on the lattice (see ``windows``)."""
         if k not in self.bands:
             raise BandRangeError(f"band {k} outside {self.k_min}..{self.k_max}")
-        window = self._lowpass(k)
-        if k > self.k_min:
-            window = window - self._lowpass(k - 1)
-        return window[self.classes[1]]
+        return _window(self.classes[0], k, self.k_min)[self.classes[1]]
 
     def windows(self):
-        """Yield (k, band window on the radius classes) for every band: the
-        difference of consecutive lowpasses, where the lowest band absorbs
-        everything below it (the zero mode)."""
-        prev = None
+        """Yield (k, band window on the radius classes) for every band."""
         for k in self.bands:
-            low = self._lowpass(k)
-            yield k, low if prev is None else low - prev
-            prev = low
+            yield k, _window(self.classes[0], k, self.k_min)
 
 
 def _cell(d: int, N: int, T: float) -> float:
@@ -309,6 +310,14 @@ def _lowest_band(T: float) -> int:
     """The lowest band at period T: the one whose cutoff 2^k holds the
     smallest nonzero |xi| = 1 / T.  OverflowError when 1 / T is infinite."""
     return int(math.floor(math.log2(1.0 / T)))
+
+
+def dominant_band(rho: float, T: float) -> int:
+    """The band whose window is largest at radius rho > 0 of the period-T
+    lattice, not capped at any resolution's top band."""
+    k_min = _lowest_band(T)
+    lo = max(int(math.floor(math.log2(rho))) - 1, k_min)
+    return lo + int(np.argmax(_window(rho, np.arange(lo, lo + 4), k_min)))
 
 
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
@@ -546,6 +555,11 @@ def lp_norm(a: GridForm, which) -> float:
     if which == "inf":
         return float(np.max(np.abs(a.data))) if a.data.size else 0.0
     raise ParameterError(f"unsupported norm {which!r}")
+
+
+def closedness(a: GridForm) -> float:
+    """sup |d a| / sup |a|: 0.0 for a closed form, a top-degree one included."""
+    return lp_norm(exterior_derivative(a), "inf") / max(lp_norm(a, "inf"), 1e-300)
 
 
 @dataclass(frozen=True)

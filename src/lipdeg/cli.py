@@ -4,7 +4,9 @@ Each subcommand prints one canonical JSON document to stdout (sorted keys,
 two-space indent) whose ``meta`` block records the subcommand, seed, and
 tolerance, so equal invocations produce byte-identical output.  Side
 artifacts (CSV tables, grid containers, profile CSVs) land in ``--out``
-when given, and every CSV carries a header row plus the seed column.
+when given, and every CSV carries a header row plus the seed column: a
+handler lists the files it can write as (name, writer) pairs under
+``"artifacts"``, and ``main`` writes them in order and lists their paths.
 
 Exit status: 0 on success, 1 on a domain error (the error is reported as
 a one-line JSON object on stderr; a result holding NaN or Infinity is one),
@@ -23,12 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance
-from .bands import (
-    band_profile,
-    bandlimited_noise_form,
-    exterior_derivative,
-    lp_norm,
-)
+from .bands import band_profile, bandlimited_noise_form, closedness
 from .construct import layered_profile, recursion_plan, GeometryConstants
 from .degbound import (
     averaged_bound,
@@ -59,17 +56,16 @@ def _preset_params(args) -> dict:
     return params
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _csv(header: list, rows: list):
+    """Writer of a CSV file holding the header row, then ``rows``."""
 
+    def write(path: Path) -> None:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            w.writerows(rows)
 
-def _write_csv(path: Path, header: list, rows: list) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    return write
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -103,6 +99,10 @@ def _cmd_lp(args) -> tuple:
     d, N, p = args.dim, args.resolution, args.degree
     a = bandlimited_noise_form(d, p, N, 1.0, radius=N / 2.5, seed=args.seed)
     recon, commute, k_mid, prof = acceptance.lp_battery(a)
+    rows = [
+        [k, repr(prof.l1[k]), repr(prof.l2[k]), repr(prof.linf[k]), args.seed]
+        for k in prof.bands
+    ]
     payload = {
         "dim": d,
         "degree": p,
@@ -115,20 +115,8 @@ def _cmd_lp(args) -> tuple:
         "band_l1": prof.l1,
         "band_l2": prof.l2,
         "total_l2": prof.total_l2,
-        "artifacts": [],
+        "artifacts": [("lp_bands.csv", _csv(["band", "l1", "l2", "linf", "seed"], rows))],
     }
-    if args.out:
-        out = _out_dir(args)
-        table = out / "lp_bands.csv"
-        _write_csv(
-            table,
-            ["band", "l1", "l2", "linf", "seed"],
-            [
-                [k, repr(prof.l1[k]), repr(prof.l2[k]), repr(prof.linf[k]), args.seed]
-                for k in prof.bands
-            ],
-        )
-        payload["artifacts"].append(str(table))
     return payload, 0
 
 
@@ -160,6 +148,11 @@ def _cmd_bound(args) -> tuple:
         else:
             prof = uniform_layer_profile(L)
         reports.append((e, averaged_bound([prof], L, window, args.tail)))
+    rows = [
+        [e, repr(rep.final_bound), repr(rep.averaged), repr(rep.averaged_cross), args.seed]
+        for e, rep in reports
+    ]
+    table = _csv(["log2_L", "final_bound", "averaged", "averaged_cross", "seed"], rows)
     payload = {
         "window": window,
         "tail": args.tail,
@@ -172,7 +165,7 @@ def _cmd_bound(args) -> tuple:
             }
             for e, rep in reports
         ],
-        "artifacts": [],
+        "artifacts": [("bound_sweep.csv", table)],
     }
     if len(reports) == 1:
         payload["report"] = reports[0][1]
@@ -180,19 +173,6 @@ def _cmd_bound(args) -> tuple:
         payload["fitted_polylog_exponent"] = fit_polylog_exponent(
             [(rep.scale, rep.averaged_cross) for _, rep in reports]
         )
-    if args.out:
-        out = _out_dir(args)
-        table = out / "bound_sweep.csv"
-        rows = [
-            [e, repr(rep.final_bound), repr(rep.averaged), repr(rep.averaged_cross), args.seed]
-            for e, rep in reports
-        ]
-        _write_csv(
-            table,
-            ["log2_L", "final_bound", "averaged", "averaged_cross", "seed"],
-            rows,
-        )
-        payload["artifacts"].append(str(table))
     return payload, 0
 
 
@@ -210,34 +190,20 @@ def _cmd_profile(args) -> tuple:
         "linf": prof.linf,
         "total_l2": prof.total_l2,
         "orthogonality_ratio": prof.orthogonality_ratio(),
-        "artifacts": [],
+        "artifacts": [("profile.csv", lambda path: write_band_profile(path, prof))],
     }
-    if args.out:
-        out = _out_dir(args)
-        dest = out / "profile.csv"
-        write_band_profile(dest, prof)
-        payload["artifacts"].append(str(dest))
     return payload, 0
 
 
 def _cmd_plan(args) -> tuple:
     geometry = GeometryConstants() if args.geometry == "unit" else None
     plan = recursion_plan(args.p, args.levels, args.degree_count, geometry)
-    payload = {"plan": plan, "artifacts": []}
-    if args.out:
-        out = _out_dir(args)
-        table = out / "plan_levels.csv"
-        rows = []
-        for t in range(1, plan.levels + 1):
-            normalized = plan.bounds_by_level[t] / (
-                t ** (args.degree_count - 1) * float(args.p) ** t
-            )
-            rows.append(
-                [t, repr(plan.bounds_by_level[t]), repr(normalized), args.seed]
-            )
-        _write_csv(table, ["level", "bound", "normalized", "seed"], rows)
-        payload["artifacts"].append(str(table))
-    return payload, 0
+    rows = [
+        [t, repr(plan.bounds_by_level[t]), repr(normalized), args.seed]
+        for t, normalized in enumerate(plan.normalized_bounds, start=1)
+    ]
+    table = _csv(["level", "bound", "normalized", "seed"], rows)
+    return {"plan": plan, "artifacts": [("plan_levels.csv", table)]}, 0
 
 
 def _cmd_synth(args) -> tuple:
@@ -249,21 +215,11 @@ def _cmd_synth(args) -> tuple:
         T=args.period,
         seed=args.seed,
     )
-    payload = {"ensemble": ens, "artifacts": []}
+    files = [("profile.csv", lambda path: write_band_profile(path, ens.profile))]
+    payload = {"ensemble": ens, "artifacts": files}
     if ens.ensemble is not None:
-        payload["closedness"] = float(
-            lp_norm(exterior_derivative(ens.ensemble), "inf")
-            / max(lp_norm(ens.ensemble, "inf"), 1e-300)
-        )
-    if args.out:
-        out = _out_dir(args)
-        dest = out / "profile.csv"
-        write_band_profile(dest, ens.profile)
-        payload["artifacts"].append(str(dest))
-        if ens.ensemble is not None:
-            grid = out / "ensemble.gfrm"
-            write_gridform(grid, ens.ensemble)
-            payload["artifacts"].append(str(grid))
+        payload["closedness"] = closedness(ens.ensemble)
+        files.append(("ensemble.gfrm", lambda path: write_gridform(path, ens.ensemble)))
     return payload, 0
 
 
@@ -389,6 +345,14 @@ def main(argv=None) -> int:
         # warnings would only put extra lines on stderr
         with np.errstate(all="ignore"):
             payload, code = args.func(args)
+            if "artifacts" in payload:
+                files, payload["artifacts"] = payload["artifacts"], []
+                if args.out:
+                    out = Path(args.out)
+                    out.mkdir(parents=True, exist_ok=True)
+                    for name, write in files:
+                        write(out / name)
+                        payload["artifacts"].append(str(out / name))
         payload["meta"] = {
             "subcommand": args.subcommand,
             "seed": args.seed,

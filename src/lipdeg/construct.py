@@ -32,9 +32,8 @@ from .bands import (
     GridForm,
     _check_period,
     _check_resolution,
-    _chi,
-    _lowest_band,
     band_profile,
+    dominant_band,
     grid_axes,
     grid_form,
     synthetic_profile,
@@ -207,6 +206,9 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class RecursionPlan:
+    """A verified self-map plan; ``normalized_bounds`` is its envelope shape,
+    the one normalization the CLI table and the battery read."""
+
     p: int
     levels: int
     degree_count: int  # number of cohomological stages in the assembly
@@ -216,6 +218,15 @@ class RecursionPlan:
     bounds_by_level: tuple  # K(0..levels) in the top stage
     naive_rate: float  # Lip of the basic self-map, iterated ell times
     envelope_constant: float  # bound(ell) <= envelope * ell^(d-1) p^ell
+
+    @property
+    def normalized_bounds(self) -> tuple:
+        """bound(t) / (t^(degree_count-1) * p^t) for t = 1..levels: the
+        envelope's shape, at most ``envelope_constant``."""
+        return tuple(
+            self.bounds_by_level[t] / (t ** (self.degree_count - 1) * float(self.p) ** t)
+            for t in range(1, self.levels + 1)
+        )
 
     def growth_rates(self) -> tuple:
         return tuple(
@@ -330,26 +341,24 @@ def recursion_plan(
         K_prev, H_prev = K, H
         layers = stage_layers
     bounds = tuple(K_prev)
-    bound = bounds[levels]
-    # envelope check: bound(t) <= C * t^(stages-1) * p^t with C from level 1
-    envelope = bounds[1] / p
-    for t in range(1, levels + 1):
-        cap = envelope * t ** (degree_count - 1) * p**t
-        if bounds[t] > cap * (1.0 + 1e-9):
-            raise GeometryError(
-                f"level {t} bound {bounds[t]:.3e} escapes envelope {cap:.3e}"
-            )
-    return RecursionPlan(
+    plan = RecursionPlan(
         p=p,
         levels=levels,
         degree_count=degree_count,
         geometry=geo,
         layers=tuple(layers),
-        bound=bound,
+        bound=bounds[levels],
         bounds_by_level=bounds,
         naive_rate=_LIP_RP_PER_P * p,
-        envelope_constant=envelope,
+        envelope_constant=bounds[1] / p,  # C from level 1
     )
+    for t, ratio in enumerate(plan.normalized_bounds, start=1):
+        if ratio > plan.envelope_constant * (1.0 + 1e-9):
+            raise GeometryError(
+                f"level {t} normalized bound {ratio:.3e} escapes envelope "
+                f"{plan.envelope_constant:.3e}"
+            )
+    return plan
 
 
 # -- layered frequency ensembles -------------------------------------------------
@@ -370,15 +379,6 @@ class LayeredEnsemble:
             "layer_frequencies": self.layer_frequencies,
             "grid_realized": self.ensemble is not None,
         })
-
-
-def _dominant_band(rho: float, k_min: int) -> int:
-    """Band window taking the largest value at radius rho > 0."""
-    lo = max(int(math.floor(math.log2(rho))) - 1, k_min)
-    ks = np.arange(lo - 1, lo + 4)
-    low = _chi(rho / 2.0**ks)  # lowpass at cutoffs lo-1 .. lo+3
-    windows = low[1:] - np.where(ks[1:] == k_min, 0.0, low[:-1])
-    return lo + int(np.argmax(windows))
 
 
 _PAIR_CYCLE = ((1, 2), (3, 4), (1, 3), (2, 4), (1, 4), (2, 3))
@@ -413,10 +413,9 @@ def layered_profile(
         raise ParameterError(f"{levels} levels at base {p}, period {T} overflow float64")
     per_layer = mass_total / math.sqrt(levels + 1)
     freqs = [p**k for k in range(levels + 1)]
-    k_min = _lowest_band(T)
     requested: dict = {}
     for f in freqs:
-        band = _dominant_band(f / T, k_min)
+        band = dominant_band(f / T, T)
         requested[band] = requested.get(band, 0.0) + per_layer
     try:
         total_l2 = math.sqrt(sum(v**2 for v in requested.values()))

@@ -18,7 +18,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from lipdeg import exterior
-from lipdeg.bands import DyadicPartition, GridForm, _apply_multiplier, _partition
+from lipdeg.bands import DyadicPartition, GridForm, _apply_multiplier, _chi, _partition
 from lipdeg.errors import BandRangeError, DimensionMismatch, LipdegError, ShapeError
 from lipdeg.exterior import _check_index, _index_positions, merge_sign, multi_indices
 from lipdeg.rings import Assignment, Relation, RingPresentation
@@ -183,7 +183,8 @@ def lowpass_multiplier(part: DyadicPartition, k: int) -> np.ndarray:
     """chi(|xi| / 2^k) on the lattice; exactly 1 once k >= k_max."""
     if k < part.k_min - 1 or k > part.k_max:
         raise BandRangeError(f"cutoff {k} outside bands {part.k_min}..{part.k_max}")
-    return part._lowpass(k)[part.classes[1]]
+    u, inv = part.classes
+    return _chi(u / 2.0**k)[inv]
 
 
 def project_upto(a: GridForm, k: int) -> GridForm:

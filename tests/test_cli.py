@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lipdeg import cli, errors
-from lipdeg.bands import zero_form
+from lipdeg.bands import bandlimited_noise_form, zero_form
+from lipdeg.construct import recursion_plan
 from lipdeg.cli import main
 from lipdeg.gridio import write_gridform
 
@@ -90,6 +91,14 @@ def test_domain_error_exits_one_with_json_stderr(capsys):
     assert out == ""
     doc = json.loads(err)
     assert doc["error"] == "PresetLookupError"
+
+
+def test_preset_with_trailing_newline_exits_one(capsys):
+    code, out, err = run_cli(capsys, "scalable", "--preset", "X3\n", "--restarts", "1")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PresetLookupError"
 
 
 def test_missing_input_file_exits_one(capsys, tmp_path):
@@ -363,6 +372,120 @@ def test_plan_exits_zero_or_with_a_typed_error(p, levels, degree_count, geometry
     assert json.loads(lines[0])["error"] in errors.__all__
 
 
+def _typed_run(argv: list, out_dir) -> None:
+    """Run argv, with ``--out out_dir`` unless out_dir is None, and check the
+    exit contract: 0, 1 with empty stdout and one JSON line naming a
+    LipdegError on stderr, or 2; on 0 every listed artifact exists."""
+    if out_dir is not None:
+        argv = argv + ["--out", str(out_dir)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        doc = json.loads(out.getvalue())
+        assert doc["meta"]["subcommand"] == argv[0]
+        assert all(Path(path).is_file() for path in doc.get("artifacts", []))
+        return
+    assert out.getvalue() == ""
+    if code == 1:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1, argv
+        assert json.loads(lines[0])["error"] in errors.__all__, argv
+
+
+def _maybe_out(tmp_path_factory, use: bool):
+    return tmp_path_factory.mktemp("out") / "artifacts" if use else None
+
+
+# float tokens, two thirds of them usable values; "-inf" reads as an
+# unknown flag, a usage error
+FLOAT_TOKENS = st.one_of(
+    st.sampled_from(["1", "0.5", "2.5", "0.3"]),
+    st.sampled_from(["1", "0.5", "2.5", "0.3"]),
+    st.sampled_from(["0", "-1", "1e-300", "5e-324", "1e300", "nan", "inf", "-inf"]),
+)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    dim=st.integers(1, 3) | st.integers(-1, 3),
+    degree=st.integers(0, 3) | st.integers(-1, 4),
+    resolution=st.sampled_from([4, 8, 16]) | st.integers(-1, 16),
+    seed=st.integers(-1, 6),
+    out=st.booleans(),
+)
+def test_lp_exits_zero_or_with_a_typed_error(tmp_path_factory, dim, degree, resolution, seed, out):
+    argv = ["lp", "--dim", str(dim), "--degree", str(degree), "--resolution", str(resolution)]
+    _typed_run(argv + ["--seed", str(seed)], _maybe_out(tmp_path_factory, out))
+
+
+# sweeps stay a few scales long; the bad ones reach the scale guards at
+# 4, 2^256 and the 1024 exponent
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    scale=st.sampled_from(["1024", "16", "1048576"])
+    | st.sampled_from([None, "2", "0.5", "3", "0", "-2", "1e308", "inf", "nan"]),
+    sweep=st.none()
+    | st.tuples(st.integers(2, 30), st.integers(1, 4))
+    | st.tuples(st.sampled_from([-3, 0, 1, 254, 255, 1023, 1024]), st.integers(-1, 4)),
+    kind=st.sampled_from([[], ["--uniform"], ["--gap"]]),
+    gap=st.tuples(st.sampled_from(["0.3", "0.6", "0.1"]), st.sampled_from(["0.6", "0.9"]))
+    | st.tuples(FLOAT_TOKENS, FLOAT_TOKENS),
+    window=st.none() | st.tuples(st.sampled_from(["0.1", "0.3"]), st.sampled_from(["0.5", "0.9"]))
+    | st.tuples(FLOAT_TOKENS, FLOAT_TOKENS),
+    tail=st.sampled_from(["auto", "hold", "zero"]),
+    out=st.booleans(),
+)
+def test_bound_exits_zero_or_with_a_typed_error(
+    tmp_path_factory, scale, sweep, kind, gap, window, tail, out
+):
+    argv = ["bound", "--tail", tail]
+    if scale is not None:
+        argv += ["--scale", scale]
+    if sweep is not None:
+        argv += ["--sweep", str(sweep[0]), str(sweep[0] + sweep[1])]
+    argv += [*kind, *gap] if kind == ["--gap"] else kind
+    if window is not None:
+        argv += ["--window", *window]
+    _typed_run(argv, _maybe_out(tmp_path_factory, out))
+
+
+# levels reach past the float64 guard, which sits near 1000 levels at p = 2
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    p=st.integers(2, 5) | st.integers(-1, 10**6),
+    levels=st.integers(0, 4) | st.integers(-1, 1100),
+    mass=FLOAT_TOKENS,
+    resolution=st.none() | st.sampled_from([4, 8, 16]) | st.integers(-1, 16),
+    period=FLOAT_TOKENS,
+    seed=st.integers(-1, 6),
+    out=st.booleans(),
+)
+def test_synth_exits_zero_or_with_a_typed_error(
+    tmp_path_factory, p, levels, mass, resolution, period, seed, out
+):
+    argv = ["synth", "--p", str(p), "--levels", str(levels), "--mass", mass]
+    argv += ["--period", period, "--seed", str(seed)]
+    if resolution is not None:
+        argv += ["--resolution", str(resolution)]
+    _typed_run(argv, _maybe_out(tmp_path_factory, out))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    preset=st.sampled_from(["s3-bundle", "sphere"])
+    | st.sampled_from(["s3-bundle\n", "S3-bundle", "", "nope"]),
+    t=st.integers(-3, 5) | st.integers(-(2**80), 2**80),
+    out=st.booleans(),
+)
+def test_exponent_exits_zero_or_with_a_typed_error(tmp_path_factory, preset, t, out):
+    _typed_run(["exponent", "--preset", preset, "--t", str(t)], _maybe_out(tmp_path_factory, out))
+
+
 def test_non_finite_result_fails_as_typed_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_cmd_plan", lambda args: ({"bound": float("nan")}, 0))
     code, out, err = run_cli(capsys, "plan")
@@ -439,6 +562,34 @@ def test_plan_json_and_csv(capsys, tmp_path):
     # normalized column is bound / (level * 2^level), within a small band
     normalized = [float(r[2]) for r in rows[1:]]
     assert max(normalized) / min(normalized) <= 4.0
+    plan = recursion_plan(2, 12, 2)
+    assert [r[2] for r in rows[1:]] == [repr(x) for x in plan.normalized_bounds]
+
+
+# per subcommand: argv with "{grid}" for a stored form, and the files that
+# --out receives, in order
+ARTIFACT_CALLS = {
+    "lp": (["lp", "--dim", "2", "--degree", "1", "--resolution", "16"], ["lp_bands.csv"]),
+    "bound": (["bound", "--sweep", "4", "6", "--uniform"], ["bound_sweep.csv"]),
+    "profile": (["profile", "--input", "{grid}"], ["profile.csv"]),
+    "plan": (["plan", "--levels", "5"], ["plan_levels.csv"]),
+    "synth": (["synth", "--levels", "2", "--resolution", "16"], ["profile.csv", "ensemble.gfrm"]),
+    "synth-profile-only": (["synth", "--levels", "5"], ["profile.csv"]),
+}
+
+
+@pytest.mark.parametrize("name", list(ARTIFACT_CALLS))
+def test_artifacts_list_exactly_the_files_written(capsys, tmp_path, name):
+    argv, files = ARTIFACT_CALLS[name]
+    grid = tmp_path / "form.gfrm"
+    write_gridform(grid, bandlimited_noise_form(2, 1, 16, radius=5.0))
+    argv = [a.format(grid=grid) for a in argv]
+    out = tmp_path / "out"
+    assert run_json(capsys, *argv)["artifacts"] == []
+    assert not out.exists()
+    doc = run_json(capsys, *argv, "--out", str(out))
+    assert doc["artifacts"] == [str(out / f) for f in files]
+    assert sorted(p.name for p in out.iterdir()) == sorted(files)
 
 
 def test_synth_profile_round_trip(capsys, tmp_path):

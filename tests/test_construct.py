@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lipdeg import construct
-from lipdeg.bands import exterior_derivative, lp_norm
+from lipdeg.bands import build_partition, exterior_derivative, lp_norm
 from lipdeg.construct import (
     GeometryConstants,
     default_geometry,
@@ -259,6 +259,17 @@ def test_layered_profile_odd_base_books_dominant_bands():
     # frequencies 1, 3, 9, 27 live in windows 0, 1, 3, 5
     assert set(out.requested) == {0, 1, 3, 5}
     assert out.profile.l1[5] == pytest.approx(1.0)
+    # each layer books its mass in the band whose partition window is
+    # largest at the layer's lattice point (f, 0, 0, 0)
+    for T in (1.0, 2.5):
+        part = build_partition(4, 32, T)
+        windows = {k: part.band_multiplier(k)[:16, 0, 0, 0] for k in part.bands}
+        for p, levels in ((2, 3), (3, 2)):
+            want = {}
+            for f in (p**j for j in range(levels + 1)):
+                band = max(part.bands, key=lambda k: windows[k][f])
+                want[band] = want.get(band, 0.0) + 1.0 / math.sqrt(levels + 1)
+            assert layered_profile(p, levels, 1.0, T=T).requested == pytest.approx(want)
 
 
 def test_layered_profile_band_overflow_and_validation():

@@ -21,8 +21,9 @@
   the exact arithmetic the tests check the kernels against.
 * src/lipdeg/ touches numpy.fft through one transform pair, one
   ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
-* Only bands.py names ``build_partition``: a form's grid fixes its band
-  partition, which bands derives.
+* Only bands.py names ``build_partition``, ``_chi`` and ``_window``: a
+  form's grid fixes its band partition, which bands derives, and bands
+  alone owns the band window.
 """
 
 import ast
@@ -52,9 +53,9 @@ UNEXECUTED = {
     "acceptance.criterion_4": (25, _VERIFY),
     "acceptance.criterion_5": (18, _VERIFY),
     "acceptance.criterion_6": (11, _VERIFY),
-    "acceptance.criterion_7": (17, _VERIFY),
+    "acceptance.criterion_7": (14, _VERIFY),
     "acceptance.criterion_8": (11, _VERIFY),
-    "acceptance.criterion_9": (15, _VERIFY),
+    "acceptance.criterion_9": (14, _VERIFY),
     "acceptance.criterion_10": (4, _VERIFY),
     "acceptance.criterion_11": (6, _VERIFY),
     "acceptance.run_all": (2, _VERIFY),
@@ -451,13 +452,22 @@ def test_one_transform_pair():
     assert [n for n in names if n != "fftfreq"] == ["irfftn", "rfftn"]
 
 
-def test_only_bands_names_build_partition():
+def _naming(name: str) -> list:
+    """Files of the package that read or import ``name``."""
     names = []
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        if "build_partition" in _read_names(tree) | set(_imported(tree)):
+        if name in _read_names(tree) | set(_imported(tree)):
             names.append(path.name)
-    assert names == ["bands.py"]
+    return names
+
+
+def test_only_bands_names_build_partition():
+    assert _naming("build_partition") == ["bands.py"]
+
+
+def test_only_bands_names_the_band_window():
+    assert _naming("_chi") == _naming("_window") == ["bands.py"]
 
 
 def test_fft_check_sees_every_transform(tmp_path):

@@ -20,6 +20,7 @@ from lipdeg.bands import (
     band_profile,
     bandlimited_noise_form,
     build_partition,
+    closedness,
     exterior_derivative,
     grid_axes,
     grid_form,
@@ -503,6 +504,14 @@ def test_derivative_of_top_degree_vanishes():
     da = exterior_derivative(a)
     assert da.form_degree == 2
     assert np.all(da.data == 0.0)
+
+
+def test_closedness_is_the_relative_sup_of_d():
+    assert closedness(noise(2, 2, 16, seed=11)) == 0.0  # top degree
+    for a in (noise(3, 1, 16, seed=13), layered_profile(2, 2, 1.0, N=16, seed=4).ensemble):
+        want = lp_norm(exterior_derivative(a), "inf") / max(lp_norm(a, "inf"), 1e-300)
+        assert closedness(a) == want
+    assert closedness(noise(3, 1, 16, seed=13)) > 1e-3  # a noise 1-form is not closed
 
 
 def test_derivative_commutes_with_band_projection():

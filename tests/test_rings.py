@@ -57,6 +57,14 @@ def test_preset_shapes():
         preset_presentations("nope")
 
 
+@pytest.mark.parametrize("name", ["X3\n", "torus(3)\n", "CP2\n", "connected-sum(1,2)\n"])
+def test_preset_name_must_match_whole(name):
+    """An embedded-parameter name matches as a whole: a trailing newline is
+    not the preset it ends."""
+    with pytest.raises(PresetLookupError):
+        preset_presentations(name)
+
+
 def test_cp2_defect_vanishes_in_dim4():
     cp2 = preset_presentations("CP2")
     u = ExteriorElement(4, {(1, 2): 2.0**-0.5, (3, 4): 2.0**-0.5})
