@@ -21,11 +21,14 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
 * ``_window`` alone applies those two rules; the partition's windows and
   lattice multipliers and ``dominant_band`` (the band where one radius
   weighs most) all read it;
-* every window depends on |xi| alone, so it is evaluated once per radius
-  class (a distinct value of |xi| on the half lattice, ``_radius_classes``)
-  and gathered onto the lattice by the class index;
-* a form's grid (d, N, T) fixes its partition (``_partition``) and the
-  cell volume ``(T / N)^d`` of every Riemann sum (``GridForm.cell``);
+* a form's grid (d, N, T) fixes its partition (``_partition``, cached
+  per grid), which owns the grid's lattice: ``DyadicPartition.axes`` (xi
+  per axis) and ``DyadicPartition.classes`` (the distinct values of |xi|
+  on the half lattice and each point's class index); every radial
+  quantity, window or not, is evaluated once per radius class and
+  gathered onto the lattice by the class index;
+* the grid also fixes the cell volume ``(T / N)^d`` of every Riemann sum
+  (``GridForm.cell``);
 * a closed, mean-free form has the explicit primitive obtained by
   contracting with the frequency vector and dividing by
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
@@ -53,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Mapping, Optional
 
@@ -212,38 +215,6 @@ def grid_form(
 # -- frequency lattice and the dyadic partition ------------------------------
 
 
-@lru_cache(maxsize=64)
-def _freq_axis(d: int, N: int, T: float, axis: int) -> np.ndarray:
-    """xi = m / T along one half-lattice axis, broadcastable (read-only)."""
-    m = np.arange(N // 2 + 1) if axis == d - 1 else np.fft.fftfreq(N) * N
-    shape = [1] * d
-    shape[axis] = len(m)
-    out = (m / T).reshape(shape)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=3)
-def _freq_radius(d: int, N: int, T: float) -> np.ndarray:
-    """|xi| on the half lattice (read-only)."""
-    r = np.sqrt(sum(_freq_axis(d, N, T, i) ** 2 for i in range(d)))
-    r.setflags(write=False)
-    return r
-
-
-@lru_cache(maxsize=3)
-def _radius_classes(d: int, N: int, T: float) -> tuple:
-    """(u, inv): the distinct values u of |xi| on the half lattice and the
-    int32 class of every lattice point, so that ``u[inv]`` is |xi| (both
-    read-only).  A radial multiplier is evaluated on u and gathered by inv."""
-    r = _freq_radius(d, N, T)
-    u, inv = np.unique(r, return_inverse=True)
-    inv = inv.astype(np.int32).reshape(r.shape)
-    u.setflags(write=False)
-    inv.setflags(write=False)
-    return u, inv
-
-
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step from exp(-1/t): 0 at t<=0 rising to 1 at t>=1."""
     t = np.clip(t, 0.0, 1.0)
@@ -284,10 +255,31 @@ class DyadicPartition:
     def bands(self) -> range:
         return range(self.k_min, self.k_max + 1)
 
-    @property
+    @cached_property
+    def axes(self) -> tuple:
+        """xi = m / T along each half-lattice axis, broadcastable (read-only)."""
+        d, N = self.spatial_dim, self.resolution
+        out = []
+        for i in range(d):
+            m = np.arange(N // 2 + 1) if i == d - 1 else np.fft.fftfreq(N) * N
+            shape = [1] * d
+            shape[i] = len(m)
+            x = (m / self.period).reshape(shape)
+            x.setflags(write=False)
+            out.append(x)
+        return tuple(out)
+
+    @cached_property
     def classes(self) -> tuple:
-        """(u, inv) of the half lattice, see ``_radius_classes``."""
-        return _radius_classes(self.spatial_dim, self.resolution, self.period)
+        """(u, inv): the distinct values u of |xi| on the half lattice and the
+        int32 class of every lattice point, so that ``u[inv]`` is |xi| (both
+        read-only).  A radial multiplier is evaluated on u and gathered by inv."""
+        r = np.sqrt(sum(x**2 for x in self.axes))
+        u, inv = np.unique(r, return_inverse=True)
+        inv = inv.astype(np.int32).reshape(r.shape)
+        u.setflags(write=False)
+        inv.setflags(write=False)
+        return u, inv
 
     def band_multiplier(self, k: int) -> np.ndarray:
         """Band window on the lattice (see ``windows``)."""
@@ -320,6 +312,7 @@ def dominant_band(rho: float, T: float) -> int:
     return lo + int(np.argmax(_window(rho, np.arange(lo, lo + 4), k_min)))
 
 
+@lru_cache(maxsize=3)
 def build_partition(d: int, N: int, T: float = 1.0) -> DyadicPartition:
     """Partition covering the whole lattice: lowest nonzero |xi| up to Nyquist.
 
@@ -465,26 +458,28 @@ def exterior_derivative(a: GridForm) -> GridForm:
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     if p == d:
         return zero_form(d, d, N, T)
+    xi = _partition(a).axes
     out_spec = _combine(
         _spectra(a),
         wedge_nonzeros(d, 1, p),
-        lambda axis, sign: 2j * np.pi * sign * _freq_axis(d, N, T, axis),
+        lambda axis, sign: 2j * np.pi * sign * xi[axis],
         comb(d, p + 1),
     )
     return GridForm(d, p + 1, N, T, _synthesize(out_spec, d, N))
 
 
-def _closedness_residual(a: GridForm, specs: list) -> float:
+def _closedness_residual(a: GridForm, part: DyadicPartition, specs: list) -> float:
     """Relative spectral l2 of d(a), scale- and resolution-invariant."""
-    d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
+    d, p = a.spatial_dim, a.form_degree
     acc = _combine(
         specs,
         wedge_nonzeros(d, 1, p),
-        lambda axis, sign: sign * _freq_axis(d, N, T, axis),
+        lambda axis, sign: sign * part.axes[axis],
         comb(d, p + 1),
     )
     num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
-    r = _freq_radius(d, N, T)
+    u, inv = part.classes
+    r = u[inv]
     den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
     return np.sqrt(num / den) if den > 0 else 0.0
 
@@ -501,7 +496,7 @@ def primitive(
     BandRangeError when ``band`` is given but spectral mass leaks outside
     that band's annulus; each test is relative, at tolerance 1e-8.
     """
-    _partition(a, part)  # only checks a given part: the output needs none
+    part = _partition(a, part)
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     tol = 1e-8
     if p == 0:
@@ -515,12 +510,12 @@ def primitive(
         raise MeanObstruction(
             f"nonzero zero mode {zero_mode:.3e} (relative {zero_mode / total:.3e})"
         )
-    resid = _closedness_residual(a, specs)
+    resid = _closedness_residual(a, part, specs)
     if resid > tol:
         raise NotClosed(f"input is not closed: relative residual {resid:.3e}")
-    r = _freq_radius(d, N, T)
+    u, inv = part.classes
     if band is not None:
-        inside = (r >= 2.0 ** (band - 1)) & (r <= 2.0 ** (band + 1))
+        inside = ((u >= 2.0 ** (band - 1)) & (u <= 2.0 ** (band + 1)))[inv]
         leak = np.sqrt(
             sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for s in specs)
         )
@@ -529,14 +524,14 @@ def primitive(
                 f"spectral mass outside band {band}: relative {leak / total:.3e}"
             )
     with np.errstate(divide="ignore", invalid="ignore"):
-        inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
+        recip = (np.where(u > 0, 1.0 / np.maximum(u, 1e-300) ** 2, 0.0) / (2.0 * np.pi))[inv]
     # contraction with xi is the adjoint of xi ^: read the degree p-1 table
     # transposed, then divide by 2 pi i |xi|^2
     high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
     out_spec = _combine(
         specs,
         (low, axis, high, sign),
-        lambda axis, sign: sign * _freq_axis(d, N, T, axis) * inv * (-1j),
+        lambda axis, sign: sign * part.axes[axis] * recip * (-1j),
         comb(d, p - 1),
     )
     return GridForm(d, p - 1, N, T, _synthesize(out_spec, d, N))
@@ -710,6 +705,5 @@ def bandlimited_noise_form(
     _check_grid(d, p, N)
     rng = np.random.default_rng(seed)
     a = GridForm(d, p, N, T, rng.standard_normal((comb(d, p),) + (N,) * d))
-    r = _freq_radius(d, N, T)
-    mask = (r <= radius).astype(float)
-    return _apply_multiplier(a, mask)
+    u, inv = _partition(a).classes
+    return _apply_multiplier(a, (u <= radius).astype(float)[inv])

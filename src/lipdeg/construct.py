@@ -13,8 +13,8 @@ Three kinds of artifacts come out of this module:
   equalized layer by layer (``layered_profile``), the frequency signature
   the plans predict, in both grid-realized and profile-only form.
 
-The two geometry constants feeding the plans default to values measured
-from the degree-1 cap realization; the basic self-map's slope and the
+The geometry constant feeding the plans defaults to the Lipschitz constant
+measured on the degree-1 cap realization; the basic self-map's slope and the
 subcube ratio are module constants.
 """
 
@@ -147,24 +147,22 @@ _SUBCUBE_RATIO = 0.5
 class GeometryConstants:
     """Explicit constants feeding the recursion bookkeeping.
 
-    lip_g: Lipschitz constant of the basic cap/attaching map;
-    c1: Lipschitz-per-block constant of the block maps.
+    lip_g: Lipschitz constant of the basic cap/attaching map, which is also
+    the Lipschitz-per-block constant of the block maps.
     """
 
     lip_g: float = 1.0
-    c1: float = 1.0
 
     def __post_init__(self):
-        for name in ("lip_g", "c1"):
-            if getattr(self, name) <= 0:
-                raise GeometryError(f"{name} must be positive")
+        if self.lip_g <= 0:
+            raise GeometryError("lip_g must be positive")
 
 
 @lru_cache(maxsize=1)
 def default_geometry() -> GeometryConstants:
     """Constants measured on the degree-1 cap map over the 128^2 grid."""
     base = sphere_map(1, 128)
-    return GeometryConstants(lip_g=base.lipschitz, c1=base.lipschitz)
+    return GeometryConstants(lip_g=base.lipschitz)
 
 
 def homotopy_bound(p: int, d: int, geometry: Optional[GeometryConstants] = None) -> float:
@@ -212,7 +210,6 @@ class RecursionPlan:
     p: int
     levels: int
     degree_count: int  # number of cohomological stages in the assembly
-    geometry: GeometryConstants
     layers: tuple  # LayerSpec per level 1..levels (top stage)
     bound: float
     bounds_by_level: tuple  # K(0..levels) in the top stage
@@ -284,7 +281,7 @@ def recursion_plan(
 ) -> RecursionPlan:
     """Run the layer-equalized recursion and verify its envelope.
 
-    Stage 1 is the block-map base (Lipschitz c1 * p^level).  Each later
+    Stage 1 is the block-map base (Lipschitz lip_g * p^level).  Each later
     stage assembles level ell from level ell-1 through three regions:
 
     * homothetic grid of subcubes of side D, slope L3 = K(ell-1) / D;
@@ -311,7 +308,7 @@ def recursion_plan(
     geo = geometry or default_geometry()
     D = _SUBCUBE_RATIO / p
     # stage 1: block maps and their homotopies
-    K_prev = [geo.c1 * p**t for t in range(levels + 1)]
+    K_prev = [geo.lip_g * p**t for t in range(levels + 1)]
     H_prev = [homotopy_bound(p, p ** max(t - 1, 0), geo) for t in range(levels + 1)]
     layers = []
     for stage in range(2, degree_count + 1):
@@ -345,7 +342,6 @@ def recursion_plan(
         p=p,
         levels=levels,
         degree_count=degree_count,
-        geometry=geo,
         layers=tuple(layers),
         bound=bounds[levels],
         bounds_by_level=bounds,

@@ -396,7 +396,7 @@ def _torus(n: int) -> RingPresentation:
 # family -> (builder, pattern of the name with its parameters embedded, or
 # None, and the keyword parameters in the builder's order)
 _PRESETS = {
-    "connected-sum": (_connected_sum, r"connected-sum\((\d+),\s*(\d+)\)", ("p", "q")),
+    "connected-sum": (_connected_sum, r"connected-sum\((\d+), *(\d+)\)", ("p", "q")),
     "torus": (_torus, r"torus\((\d+)\)", ("n",)),
     "S2xS2": (_s2xs2, None, ()),
     "CPn": (_cpn, r"CP(\d+)", ("n",)),
@@ -417,7 +417,7 @@ def preset_presentations(name: str, **params) -> RingPresentation:
         return int(params[key])
 
     for family, (build, pattern, keys) in _PRESETS.items():
-        m = re.fullmatch(pattern, name) if pattern else None
+        m = re.fullmatch(pattern, name, re.ASCII) if pattern else None
         if m:
             return build(*map(int, m.groups()))
         if name == family:

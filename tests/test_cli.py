@@ -101,6 +101,15 @@ def test_preset_with_trailing_newline_exits_one(capsys):
     assert json.loads(lines[0])["error"] == "PresetLookupError"
 
 
+@pytest.mark.parametrize("name", ["X\u0663", "CP\uff12", "torus(\u0663)", "connected-sum(1,\n2)"])
+def test_preset_with_non_ascii_digit_or_newline_exits_one(capsys, name):
+    code, out, err = run_cli(capsys, "scalable", "--preset", name, "--restarts", "1")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "PresetLookupError"
+
+
 def test_missing_input_file_exits_one(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "profile", "--input", str(tmp_path / "missing.gfrm")

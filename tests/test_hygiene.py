@@ -24,6 +24,8 @@
 * Only bands.py names ``build_partition``, ``_chi`` and ``_window``: a
   form's grid fixes its band partition, which bands derives, and bands
   alone owns the band window.
+* ``DyadicPartition`` alone reads ``fftfreq`` and ``unique``: a grid's
+  cached partition owns its frequency lattice and radius classes.
 """
 
 import ast
@@ -468,6 +470,27 @@ def test_only_bands_names_build_partition():
 
 def test_only_bands_names_the_band_window():
     assert _naming("_chi") == _naming("_window") == ["bands.py"]
+
+
+def _owners(attr: str) -> list:
+    """(file, top-level definition) of every site in the package that reads
+    the attribute ``attr``."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            out += [
+                (path.name, getattr(top, "name", None))
+                for sub in ast.walk(top)
+                if isinstance(sub, ast.Attribute) and sub.attr == attr
+            ]
+    return out
+
+
+def test_only_the_partition_builds_the_lattice():
+    for gone in ("_freq_axis", "_freq_radius", "_radius_classes"):
+        assert _naming(gone) == []
+    assert _owners("fftfreq") == [("bands.py", "DyadicPartition")]
+    assert _owners("unique") == [("bands.py", "DyadicPartition")]
 
 
 def test_fft_check_sees_every_transform(tmp_path):

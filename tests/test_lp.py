@@ -1,6 +1,7 @@
 """Band calculus on periodic grids: partitions, d, primitives, supports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from lipdeg.bands import (
     SILENT_FLOOR,
     GridForm,
     _chi,
-    _freq_axis,
-    _freq_radius,
-    _radius_classes,
+    _closedness_residual,
     band_decompose,
     band_fields,
     band_profile,
@@ -42,7 +41,7 @@ from lipdeg.errors import (
     ResolutionError,
     ShapeError,
 )
-from lipdeg.exterior import multi_indices, wedge_pairing_matrix, wedge_table
+from lipdeg.exterior import multi_indices, wedge_nonzeros, wedge_pairing_matrix, wedge_table
 from lipdeg.rings import intersection_form, preset_presentations
 from oracles import (
     ExteriorElement,
@@ -128,15 +127,31 @@ def test_partition_band_disjointness_and_overlap():
     assert np.max(mid) > 1e-4
 
 
+def _lattice(d, N, T):
+    """(xi per half-lattice axis, |xi|), built from fftfreq alone: the last
+    axis holds 0..N/2, the others fftfreq's order."""
+    xi = []
+    for i in range(d):
+        m = np.fft.fftfreq(N) * N
+        if i == d - 1:
+            m = np.abs(m[: N // 2 + 1])
+        shape = [1] * d
+        shape[i] = len(m)
+        xi.append((m / T).reshape(shape))
+    return xi, np.sqrt(sum(x**2 for x in xi))
+
+
 @pytest.mark.parametrize("T", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_class_windows_equal_lattice_windows(d, T):
-    """Windows evaluated once per radius class and gathered by the class
+    """The partition's axes and radius classes are the fftfreq lattice, and
+    windows evaluated once per radius class and gathered by the class
     index are the lattice windows chi(|xi| / 2^k), bit for bit."""
     for N in (4, 8, 16, 32):
         part = build_partition(d, N, T)
-        u, inv = _radius_classes(d, N, T)
-        r = _freq_radius(d, N, T)
+        u, inv = part.classes
+        xi, r = _lattice(d, N, T)
+        assert len(part.axes) == d and all(map(np.array_equal, part.axes, xi))
         assert np.array_equal(u[inv], r)
         assert inv.dtype == np.int32 and len(u) == len(np.unique(r))
         for k in range(part.k_min - 1, part.k_max + 1):
@@ -344,7 +359,7 @@ def test_class_peak_silence_test_is_the_lattice_test(kind):
     else:
         a = _near_floor_form()
     part = build_partition(a.spatial_dim, a.resolution, a.period)
-    u, inv = _radius_classes(a.spatial_dim, a.resolution, a.period)
+    u, inv = part.classes
     windows = dict(part.windows())
     for mag in (np.abs(s) for s in _half_spectra(a)):
         peak = np.zeros(len(u))
@@ -587,6 +602,104 @@ def test_primitive_band_leak_detection():
         primitive(a, band=5, part=part)
 
 
+def _lattice_primitive(a, xi, r):
+    """The primitive's output planes, with 1 / (2 pi |xi|^2) evaluated on
+    the lattice |xi| = r."""
+    d, p, N = a.spatial_dim, a.form_degree, a.resolution
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
+    high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
+    out = bands._combine(
+        bands._spectra(a),
+        (low, axis, high, sign),
+        lambda axis, sign: sign * xi[axis] * inv * (-1j),
+        math.comb(d, p - 1),
+    )
+    return bands._synthesize(out, d, N)
+
+
+def _lattice_residual(a, xi, r):
+    """Relative spectral l2 of d(a), weighted by the lattice |xi| = r."""
+    d, p = a.spatial_dim, a.form_degree
+    specs = _half_spectra(a)
+    acc = bands._combine(
+        specs, wedge_nonzeros(d, 1, p), lambda axis, sign: sign * xi[axis], math.comb(d, p + 1)
+    )
+    num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
+    den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
+    return np.sqrt(num / den)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 2.5])
+def test_radial_quantities_equal_their_lattice_formulas(T):
+    """Noise mask, primitive (with and without a band) and the closedness
+    residual read the radius classes, and equal, bit for bit, the same
+    formulas evaluated on the fftfreq lattice."""
+    d, N, radius = 3, 16, 5.0 / T
+    xi, r = _lattice(d, N, T)
+    raw = GridForm(d, 1, N, T, np.random.default_rng(7).standard_normal((d,) + (N,) * d))
+    mask = (r <= radius).astype(float)
+    want = [np.fft.irfftn(s * mask, s=(N,) * d, axes=tuple(range(d))) for s in _half_spectra(raw)]
+    a = noise(d, 1, N, seed=7, radius=radius, T=T)
+    assert np.array_equal(a.data, np.stack(want))
+    # mean-free, not closed: the residual is the lattice one, and primitive
+    # reports it
+    part = build_partition(d, N, T)
+    b = a.copy_with(a.data - a.data.mean(axis=tuple(range(1, d + 1)), keepdims=True))
+    resid = _lattice_residual(b, xi, r)
+    assert _closedness_residual(b, part, _half_spectra(b)) == resid
+    with pytest.raises(NotClosed, match=re.escape(f"residual {resid:.3e}")):
+        primitive(b)
+    # closed: d of the noise, then its band-k piece
+    da = exterior_derivative(a)
+    assert np.array_equal(primitive(da).data, _lattice_primitive(da, xi, r))
+    k = part.k_min + 2
+    piece = project_band(da, k)
+    want = _lattice_primitive(piece, xi, r)
+    assert np.array_equal(primitive(piece, band=k).data, want)
+    assert np.array_equal(primitive(piece, band=k, part=part).data, want)
+    # band k+1's annulus holds part of the piece: the leak is the lattice one
+    inside = (r >= 2.0**k) & (r <= 2.0 ** (k + 2))
+    specs = _half_spectra(piece)
+    leak = np.sqrt(sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for s in specs))
+    total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for s in specs))
+    assert 0 < leak < total
+    with pytest.raises(BandRangeError, match=re.escape(f"relative {leak / total:.3e}")):
+        primitive(piece, band=k + 1)
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0])
+def test_primitive_band_annulus_is_closed(T):
+    """A plane wave on the circle |xi| = 2^(k+1) is inside band k and band
+    k+2, whose closed annuli both reach it, and outside band k-1."""
+    k, N = 2, 32
+    m = 2.0 ** (k + 1) * T  # |xi| = m / T exactly
+    a = grid_form(2, 1, N, T, {(1,): lambda x, y: np.cos(TAU * m * x / T) + 0.0 * y})
+    assert np.array_equal(primitive(a, band=k).data, primitive(a).data)
+    assert np.array_equal(primitive(a, band=k + 2).data, primitive(a).data)
+    with pytest.raises(BandRangeError):
+        primitive(a, band=k - 1)
+
+
+def test_one_radius_class_pass_per_grid(monkeypatch):
+    """A grid's partition is cached, and noise, its band profile, d and the
+    primitive on one grid share its radius classes: one np.unique call."""
+    assert build_partition(3, 16, 2.5) is build_partition(3, 16, 2.5)
+    calls = []
+    unique = np.unique
+
+    def counted(*args, **kw):
+        calls.append(args[0].shape)
+        return unique(*args, **kw)
+
+    bands.build_partition.cache_clear()
+    monkeypatch.setattr(np, "unique", counted)
+    a = noise(3, 1, 16, seed=5, radius=2.0, T=2.5)
+    band_profile(a)
+    primitive(exterior_derivative(a))
+    assert calls == [(16, 16, 9)]
+
+
 # -- wedge, supports, kernels ----------------------------------------------------
 
 
@@ -641,14 +754,13 @@ def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
         lambda: wedge_pairing_matrix(4, 2),
         lambda: wedge_table(4, 2, 1)[0],
         lambda: wedge_table(4, 2, 1)[1],
-        lambda: _freq_radius(3, 8, 1.0),
-        lambda: _freq_axis(3, 8, 1.0, 1),
-        lambda: _radius_classes(3, 8, 1.0)[0],
-        lambda: _radius_classes(3, 8, 1.0)[1],
+        lambda: build_partition(3, 8, 1.0).axes[1],
+        lambda: build_partition(3, 8, 1.0).classes[0],
+        lambda: build_partition(3, 8, 1.0).classes[1],
         lambda: intersection_form(preset_presentations("X3")),
     ],
     ids=[
-        "pairing", "table-target", "table-sign", "freq-radius", "freq-axis",
+        "pairing", "table-target", "table-sign", "freq-axis",
         "radius-classes", "radius-class-index", "intersection-form",
     ],
 )

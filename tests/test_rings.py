@@ -57,12 +57,28 @@ def test_preset_shapes():
         preset_presentations("nope")
 
 
-@pytest.mark.parametrize("name", ["X3\n", "torus(3)\n", "CP2\n", "connected-sum(1,2)\n"])
+@pytest.mark.parametrize(
+    "name",
+    [
+        "X3\n", "torus(3)\n", "CP2\n", "connected-sum(1,2)\n",
+        "X\u0663", "CP\uff12", "torus(\u0663)", "connected-sum(1,\n2)",
+    ],
+)
 def test_preset_name_must_match_whole(name):
-    """An embedded-parameter name matches as a whole: a trailing newline is
-    not the preset it ends."""
+    """An embedded-parameter name matches as a whole, its parameters are
+    ASCII digits, and connected-sum takes only spaces after its comma: a
+    trailing newline, an Arabic-Indic or fullwidth digit and a newline
+    after the comma are not presets."""
     with pytest.raises(PresetLookupError):
         preset_presentations(name)
+
+
+def test_connected_sum_takes_spaces_after_the_comma():
+    want = preset_presentations("connected-sum", p=2, q=3)
+    assert preset_presentations("connected-sum(2, 3)") == want
+    assert preset_presentations("connected-sum(2,  3)") == want
+    with pytest.raises(PresetLookupError):
+        preset_presentations("connected-sum(2,\t3)")
 
 
 def test_cp2_defect_vanishes_in_dim4():
