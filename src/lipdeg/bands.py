@@ -8,9 +8,10 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``xi = m / T`` and plane waves are ``exp(2 pi i <m, x> / T)``;
 * every spectrum lives on the half lattice of a real FFT (last axis
   ``0..N/2``), and one transform pair moves between grid and spectrum:
-  ``_spectra`` (rfftn, one component at a time) and ``_field`` (irfftn);
-  an all-zero sample plane or output spectrum skips its transform, since
-  the other side is zero too;
+  ``_spectra`` (rfftn, one component at a time) and ``_field`` (irfftn,
+  called by ``band_fields`` and the operators' collector alone); an
+  all-zero sample plane or output spectrum skips its transform, since the
+  other side is zero too;
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -34,10 +35,13 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
   norms by ``~ 2^{-k}``.
 
-d, its closedness residual and the primitive all read exterior's (1, p)
-wedge table, so Koszul signs and basis order come from ``exterior`` alone;
-every band loop reads one stream of band windows.  ``closedness(a)`` is
-``sup |d a| / sup |a|``, the measure the CLI and the battery report.
+One kernel, ``_combine``, carries out every operator off one of exterior's
+wedge tables: projection and the noise mask read the (0, p) table, d, its
+closedness residual and the primitive the (1, p) table or its transpose,
+and the pointwise wedge the (p, q) table.  So Koszul signs and basis
+order come from ``exterior`` alone; every band loop reads one stream of
+band windows.  ``closedness(a)`` is ``sup |d a| / sup |a|``, the measure
+the CLI and the battery report.
 
 The band stream skips silent (band, component) pairs: those where
 |spectrum| * window peaks at or below ``SILENT_FLOOR`` times the form's
@@ -166,10 +170,11 @@ class GridForm:
         return self.data[self.indices.index(tuple(I))]
 
     def same_grid(self, other: "GridForm") -> bool:
+        """Equal (d, N, T), compared exactly, as partitions compare."""
         return (
             self.spatial_dim == other.spatial_dim
             and self.resolution == other.resolution
-            and abs(self.period - other.period) < 1e-12
+            and self.period == other.period
         )
 
     def copy_with(self, data: np.ndarray) -> "GridForm":
@@ -181,10 +186,7 @@ class GridForm:
         return self.copy_with(self.data + other.data)
 
     def __sub__(self, other: "GridForm") -> "GridForm":
-        return self + other.scale(-1.0)
-
-    def scale(self, c: float) -> "GridForm":
-        return self.copy_with(self.data * float(c))
+        return self + other.copy_with(-other.data)
 
 
 def zero_form(d: int, p: int, N: int, T: float = 1.0) -> GridForm:
@@ -341,7 +343,7 @@ def _partition(a: GridForm, part: Optional[DyadicPartition] = None) -> DyadicPar
     return own
 
 
-# -- the transform pair: every spectrum in this module passes through these ---
+# -- the transform pair and the one operator kernel ---------------------------
 
 
 def _all_zero(x: np.ndarray) -> bool:
@@ -368,17 +370,51 @@ def _field(spec: np.ndarray, d: int, N: int) -> np.ndarray:
     return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
 
 
-def _apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
-    """Multiply every component's half-spectrum by a real radial multiplier."""
-    out = np.empty_like(a.data)
-    for c, spec in enumerate(_spectra(a)):
-        spec *= mult
-        out[c] = _field(spec, a.spatial_dim, a.resolution)
-    return a.copy_with(out)
+def _combine(specs, table, term):
+    """Yield (o, out[o]) once output o's last input has arrived, where out[o]
+    sums term(specs[i], axis, sign) over the rows (o, axis, i, sign) of
+    ``table`` (a wedge_nonzeros table of exterior) in increasing i.  Each
+    input is released before the outputs it completes are yielded, so a
+    generator of inputs keeps one live."""
+    rows = list(zip(*(x.tolist() for x in table)))
+    last = {o: max(r[2] for r in rows if r[0] == o) for o, *_ in rows}
+    out, i = {}, 0
+    for spec in specs:  # no enumerate: its result tuple would hold spec
+        for o, axis, _, sign in (r for r in rows if r[2] == i):
+            if o in out:
+                out[o] += term(spec, axis, sign)
+            else:
+                out[o] = term(spec, axis, sign)
+        del spec
+        for o in sorted(o for o in out if last[o] == i):
+            yield o, out.pop(o)
+        i += 1
+
+
+def _collect(outputs, a: GridForm, p: int, spectral: bool = True) -> GridForm:
+    """The degree-p form on a's grid whose component o is the field of each
+    half-spectrum (o, x) of ``outputs``, or the plane x when not
+    ``spectral``; an all-zero x, or an o never yielded, stays zero."""
+    d, N = a.spatial_dim, a.resolution
+    data = np.zeros((comb(d, p),) + (N,) * d)
+    for o, x in outputs:
+        if not spectral:  # summed onto +0.0, as by a zeroed accumulator: no -0.0
+            data[o] += x
+        elif not _all_zero(x):
+            data[o] = _field(x, d, N)
+    return GridForm(d, p, N, a.period, data)
+
+
+def _radial_wedge(a: GridForm, mult: np.ndarray) -> GridForm:
+    """a wedged with the real radial 0-form ``mult``, frequency by frequency:
+    exterior's (0, p) table, all signs +1; each fresh spectrum scales in place."""
+    table = wedge_nonzeros(a.spatial_dim, 0, a.form_degree)
+    outputs = _combine(_spectra(a), table, lambda s, ax, sg: np.multiply(s, mult, out=s))
+    return _collect(outputs, a, a.form_degree)
 
 
 def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) -> GridForm:
-    return _apply_multiplier(a, _partition(a, part).band_multiplier(k))
+    return _radial_wedge(a, _partition(a, part).band_multiplier(k))
 
 
 def band_fields(a: GridForm):
@@ -423,61 +459,24 @@ def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
 # -- exterior derivative and primitive ---------------------------------------
 
 
-def _combine(specs, table, factor, n_out: int) -> list:
-    """out[o] = sum of factor(axis, sign) * specs[i] over rows (o, axis, i, sign)
-    of ``table``, exterior's wedge_nonzeros(d, 1, p) or its transpose.
-
-    ``specs`` is consumed in component order, so a generator keeps one input
-    spectrum live; an output no row reaches stays None.
-    """
-    rows = list(zip(*(x.tolist() for x in table)))
-    out = [None] * n_out
-    for src, spec in enumerate(specs):
-        for tgt, axis, _, sign in (r for r in rows if r[2] == src):
-            term = spec * factor(axis, sign)
-            if out[tgt] is None:
-                out[tgt] = term
-            else:
-                out[tgt] += term
-    return out
-
-
-def _synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
-    """Component planes from half-spectra; None or an all-zero spectrum is
-    the zero plane, with no transform.  Each spectrum is released from
-    ``out_spec`` once its plane is written."""
-    data = np.empty((len(out_spec),) + (N,) * d)
-    for i in range(len(out_spec)):
-        spec, out_spec[i] = out_spec[i], None
-        data[i] = 0.0 if spec is None or _all_zero(spec) else _field(spec, d, N)
-    return data
-
-
 def exterior_derivative(a: GridForm) -> GridForm:
     """Spectral d; a top-degree input returns the zero form of its own degree."""
     d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
     if p == d:
         return zero_form(d, d, N, T)
     xi = _partition(a).axes
-    out_spec = _combine(
-        _spectra(a),
-        wedge_nonzeros(d, 1, p),
-        lambda axis, sign: 2j * np.pi * sign * xi[axis],
-        comb(d, p + 1),
+    outputs = _combine(
+        _spectra(a), wedge_nonzeros(d, 1, p), lambda s, ax, sg: s * (2j * np.pi * sg * xi[ax])
     )
-    return GridForm(d, p + 1, N, T, _synthesize(out_spec, d, N))
+    return _collect(outputs, a, p + 1)
 
 
 def _closedness_residual(a: GridForm, part: DyadicPartition, specs: list) -> float:
     """Relative spectral l2 of d(a), scale- and resolution-invariant."""
     d, p = a.spatial_dim, a.form_degree
-    acc = _combine(
-        specs,
-        wedge_nonzeros(d, 1, p),
-        lambda axis, sign: sign * part.axes[axis],
-        comb(d, p + 1),
-    )
-    num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
+    outputs = _combine(specs, wedge_nonzeros(d, 1, p), lambda s, ax, sg: s * (sg * part.axes[ax]))
+    # summed in output order, not arrival order
+    num = sum(n for _, n in sorted((o, float(np.sum(np.abs(t) ** 2))) for o, t in outputs))
     u, inv = part.classes
     r = u[inv]
     den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
@@ -497,14 +496,13 @@ def primitive(
     that band's annulus; each test is relative, at tolerance 1e-8.
     """
     part = _partition(a, part)
-    d, p, N, T = a.spatial_dim, a.form_degree, a.resolution, a.period
+    d, p = a.spatial_dim, a.form_degree
     tol = 1e-8
     if p == 0:
         raise ShapeError("a 0-form has no primitive")
     specs = list(_spectra(a))
+    # a zero form passes every test below and has zero outputs
     total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for s in specs))
-    if total == 0.0:
-        return zero_form(d, p - 1, N, T)
     zero_mode = max(abs(s[(0,) * d]) for s in specs)
     if zero_mode > tol * total:
         raise MeanObstruction(
@@ -516,25 +514,18 @@ def primitive(
     u, inv = part.classes
     if band is not None:
         inside = ((u >= 2.0 ** (band - 1)) & (u <= 2.0 ** (band + 1)))[inv]
-        leak = np.sqrt(
-            sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for s in specs)
-        )
+        leak = np.sqrt(sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for s in specs))
         if leak > tol * total:
-            raise BandRangeError(
-                f"spectral mass outside band {band}: relative {leak / total:.3e}"
-            )
+            raise BandRangeError(f"spectral mass outside band {band}: relative {leak / total:.3e}")
     with np.errstate(divide="ignore", invalid="ignore"):
         recip = (np.where(u > 0, 1.0 / np.maximum(u, 1e-300) ** 2, 0.0) / (2.0 * np.pi))[inv]
     # contraction with xi is the adjoint of xi ^: read the degree p-1 table
     # transposed, then divide by 2 pi i |xi|^2
     high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
-    out_spec = _combine(
-        specs,
-        (low, axis, high, sign),
-        lambda axis, sign: sign * part.axes[axis] * recip * (-1j),
-        comb(d, p - 1),
+    outputs = _combine(
+        specs, (low, axis, high, sign), lambda s, ax, sg: s * (sg * part.axes[ax] * recip * (-1j))
     )
-    return GridForm(d, p - 1, N, T, _synthesize(out_spec, d, N))
+    return _collect(outputs, a, p - 1)
 
 
 # -- norms and profiles -------------------------------------------------------
@@ -624,14 +615,13 @@ def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
     """Pointwise wedge product of grid forms (Koszul signs included)."""
     if not a.same_grid(b):
         raise DimensionMismatch("grid forms live on different grids")
-    d, N, T = a.spatial_dim, a.resolution, a.period
-    p, q = a.form_degree, b.form_degree
+    d, p, q = a.spatial_dim, a.form_degree, b.form_degree
     if p + q > d:
         raise ShapeError(f"wedge degree {p} + {q} exceeds dimension {d}")
-    out = np.zeros((comb(d, p + q),) + (N,) * d)
-    for t, i, j, s in zip(*wedge_nonzeros(d, p, q)):
-        out[t] += s * a.data[i] * b.data[j]
-    return GridForm(d, p + q, N, T, out)
+    # a's planes are the inputs: each target sums in row-major (left, right)
+    target, left, right, sign = wedge_nonzeros(d, p, q)
+    planes = _combine(a.data, (target, right, left, sign), lambda x, j, s: s * x * b.data[j])
+    return _collect(planes, a, p + q, spectral=False)
 
 
 def spectral_support(a: GridForm, thresh: float = SILENT_FLOOR) -> np.ndarray:
@@ -706,4 +696,4 @@ def bandlimited_noise_form(
     rng = np.random.default_rng(seed)
     a = GridForm(d, p, N, T, rng.standard_normal((comb(d, p),) + (N,) * d))
     u, inv = _partition(a).classes
-    return _apply_multiplier(a, (u <= radius).astype(float)[inv])
+    return _radial_wedge(a, (u <= radius).astype(float)[inv])

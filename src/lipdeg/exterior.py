@@ -14,8 +14,8 @@ Conventions used throughout the package:
   element arithmetic that tests check the float kernels against lives in
   ``tests/oracles.py``.
 * ``merge_sign`` defines the sign; ``wedge_table``/``wedge_nonzeros``
-  tabulate it per (n, p, q) as read-only arrays, and are the one sign table
-  that ``bands`` (d, primitive, pointwise wedge) and ``scalability`` read.
+  tabulate it per (n, p, q) as read-only arrays: the one sign table that
+  ``bands`` (projection, d, primitive, grid wedge) and ``scalability`` read.
 """
 
 from __future__ import annotations

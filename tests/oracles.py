@@ -10,17 +10,27 @@ arithmetic, which is exact on Fraction coefficients.
 * ``word_value`` .. ``relation_defect`` evaluate a presentation's
   relations on an assignment of elements, after ``check_degrees``.
 * ``project_upto`` is the lowpass P_{<=k} through ``lowpass_multiplier``.
+* ``apply_multiplier``, ``combine`` with ``synthesize``, and ``wedge_loop``
+  are one loop per operator, each with its own order of sums: the float
+  reference that ``bands``' one operator kernel must match bit for bit.
 """
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping, Union
 
 import numpy as np
 
 from lipdeg import exterior
-from lipdeg.bands import DyadicPartition, GridForm, _apply_multiplier, _chi, _partition
+from lipdeg.bands import DyadicPartition, GridForm, _all_zero, _chi, _field, _partition, _spectra
 from lipdeg.errors import BandRangeError, DimensionMismatch, LipdegError, ShapeError
-from lipdeg.exterior import _check_index, _index_positions, merge_sign, multi_indices
+from lipdeg.exterior import (
+    _check_index,
+    _index_positions,
+    merge_sign,
+    multi_indices,
+    wedge_nonzeros,
+)
 from lipdeg.rings import Assignment, Relation, RingPresentation
 
 Scalar = Union[int, float, Fraction]
@@ -188,4 +198,52 @@ def lowpass_multiplier(part: DyadicPartition, k: int) -> np.ndarray:
 
 
 def project_upto(a: GridForm, k: int) -> GridForm:
-    return _apply_multiplier(a, lowpass_multiplier(_partition(a), k))
+    return apply_multiplier(a, lowpass_multiplier(_partition(a), k))
+
+
+# -- one loop per operator ------------------------------------------------------
+
+
+def apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
+    """Every component's half-spectrum times a real radial multiplier, in
+    place, then transformed back, zero or not."""
+    out = np.empty_like(a.data)
+    for c, spec in enumerate(_spectra(a)):
+        spec *= mult
+        out[c] = _field(spec, a.spatial_dim, a.resolution)
+    return a.copy_with(out)
+
+
+def combine(specs, table, factor, n_out: int) -> list:
+    """out[o] = sum of specs[i] * factor(axis, sign) over the rows
+    (o, axis, i, sign) of ``table``, summed in increasing i; an output no
+    row reaches stays None."""
+    rows = list(zip(*(x.tolist() for x in table)))
+    out = [None] * n_out
+    for src, spec in enumerate(specs):
+        for tgt, axis, _, sign in (r for r in rows if r[2] == src):
+            term = spec * factor(axis, sign)
+            if out[tgt] is None:
+                out[tgt] = term
+            else:
+                out[tgt] += term
+    return out
+
+
+def synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
+    """Component planes from half-spectra; None or an all-zero spectrum is
+    the zero plane, with no transform."""
+    data = np.empty((len(out_spec),) + (N,) * d)
+    for i, spec in enumerate(out_spec):
+        data[i] = 0.0 if spec is None or _all_zero(spec) else _field(spec, d, N)
+    return data
+
+
+def wedge_loop(a: GridForm, b: GridForm) -> GridForm:
+    """Pointwise wedge, summed into zeroed planes in the table's row-major
+    (left, right) order."""
+    d, p, q = a.spatial_dim, a.form_degree, b.form_degree
+    out = np.zeros((comb(d, p + q),) + (a.resolution,) * d)
+    for t, i, j, s in zip(*wedge_nonzeros(d, p, q)):
+        out[t] += s * a.data[i] * b.data[j]
+    return GridForm(d, p + q, a.resolution, a.period, out)

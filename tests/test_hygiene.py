@@ -26,6 +26,9 @@
   alone owns the band window.
 * ``DyadicPartition`` alone reads ``fftfreq`` and ``unique``: a grid's
   cached partition owns its frequency lattice and radius classes.
+* ``bands`` carries out its table-driven operators through one kernel: the
+  per-operator loops are gone, and only the kernel's collector and
+  ``band_fields`` turn a spectrum into a field.
 """
 
 import ast
@@ -67,7 +70,6 @@ UNEXECUTED = {
     "bands.GridForm.component": (1, "accessor that tests read"),
     "bands.grid_form": (5, "components: tests build their fixtures with it"),
     "bands.GridForm.__post_init__": (1, "non-float64 data: " + _GUARD),
-    "bands.primitive": (1, "zero form: " + _GUARD),
     "bands.spectral_support": (1, "zero form: " + _GUARD),
     "bands.product_support_radius": (1, "empty support: " + _GUARD),
     "exterior.signature_exact": (2, "null direction: " + _GUARD),
@@ -472,16 +474,17 @@ def test_only_bands_names_the_band_window():
     assert _naming("_chi") == _naming("_window") == ["bands.py"]
 
 
-def _owners(attr: str) -> list:
+def _owners(name: str) -> list:
     """(file, top-level definition) of every site in the package that reads
-    the attribute ``attr``."""
+    ``name``, as an attribute or a bare name."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(), filename=str(path)).body:
             out += [
                 (path.name, getattr(top, "name", None))
                 for sub in ast.walk(top)
-                if isinstance(sub, ast.Attribute) and sub.attr == attr
+                if isinstance(sub, ast.Attribute) and sub.attr == name
+                or isinstance(sub, ast.Name) and sub.id == name
             ]
     return out
 
@@ -491,6 +494,12 @@ def test_only_the_partition_builds_the_lattice():
         assert _naming(gone) == []
     assert _owners("fftfreq") == [("bands.py", "DyadicPartition")]
     assert _owners("unique") == [("bands.py", "DyadicPartition")]
+
+
+def test_one_operator_kernel():
+    for gone in ("_apply_multiplier", "_synthesize"):
+        assert _naming(gone) == []
+    assert _owners("_field") == [("bands.py", "_collect"), ("bands.py", "band_fields")]
 
 
 def test_fft_check_sees_every_transform(tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from lipdeg.errors import (
 )
 from lipdeg.exterior import multi_indices, wedge_nonzeros, wedge_pairing_matrix, wedge_table
 from lipdeg.rings import intersection_form, preset_presentations
+import oracles
 from oracles import (
     ExteriorElement,
     dense_vector,
@@ -393,18 +395,9 @@ def test_live_pairs_match_the_complex_test(d, N, p):
 
 
 def _full_transforms(monkeypatch):
-    """Route bands through a transform on every plane, zero or not."""
-
-    def spectra(a):
-        yield from _half_spectra(a)
-
-    def synthesize(out_spec, d, N):
-        return np.stack([
-            np.zeros((N,) * d) if s is None else bands._field(s, d, N) for s in out_spec
-        ])
-
-    monkeypatch.setattr(bands, "_spectra", spectra)
-    monkeypatch.setattr(bands, "_synthesize", synthesize)
+    """Route bands through a transform on every plane and every output
+    spectrum, zero or not."""
+    monkeypatch.setattr(bands, "_all_zero", lambda x: False)
 
 
 def _count_transforms(monkeypatch) -> dict:
@@ -429,25 +422,34 @@ def test_zero_planes_skip_their_transforms_exactly(monkeypatch, kind):
         a.data[1] = 0.0
     zero = sum(1 for c in a.data if not c.any())
     assert zero > 0
+    k_top = build_partition(a.spatial_dim, a.resolution, a.period).k_max
     with monkeypatch.context() as m:
         counts = _count_transforms(m)
         da = exterior_derivative(a)
         prof = band_profile(a)
+        top = project_band(a, k_top)
     with monkeypatch.context() as m:
         _full_transforms(m)
         full_da = exterior_derivative(a)
         full_prof = band_profile(a)
+        full_top = project_band(a, k_top)
     assert np.array_equal(da.data, full_da.data)
+    assert np.array_equal(top.data, full_top.data)
     for field in ("bands", "l1", "l2", "linf", "per_component", "total_l2"):
         assert getattr(prof, field) == getattr(full_prof, field)
     n = a.data.shape[0]
     live = sum(1 for _ in band_fields(a))
     zero_out = sum(1 for c in da.data if not c.any())
-    # one rfftn per nonzero plane in d and in the profile; one irfftn per
-    # live pair and per nonzero output plane
-    assert counts == {"rfftn": 2 * (n - zero), "irfftn": live + da.data.shape[0] - zero_out}
-    if kind == "layered":
+    zero_top = sum(1 for c in top.data if not c.any())
+    # one rfftn per nonzero plane in d, the profile and the projection; one
+    # irfftn per live pair and per nonzero output plane
+    assert counts == {
+        "rfftn": 3 * (n - zero),
+        "irfftn": live + da.data.shape[0] - zero_out + n - zero_top,
+    }
+    if kind == "layered":  # d is zero, and the top band is out of reach
         assert zero_out == da.data.shape[0]
+        assert zero_top == n
 
 
 def test_dense_form_streams_every_pair():
@@ -609,20 +611,20 @@ def _lattice_primitive(a, xi, r):
     with np.errstate(divide="ignore", invalid="ignore"):
         inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
     high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
-    out = bands._combine(
+    out = oracles.combine(
         bands._spectra(a),
         (low, axis, high, sign),
         lambda axis, sign: sign * xi[axis] * inv * (-1j),
         math.comb(d, p - 1),
     )
-    return bands._synthesize(out, d, N)
+    return oracles.synthesize(out, d, N)
 
 
 def _lattice_residual(a, xi, r):
     """Relative spectral l2 of d(a), weighted by the lattice |xi| = r."""
     d, p = a.spatial_dim, a.form_degree
     specs = _half_spectra(a)
-    acc = bands._combine(
+    acc = oracles.combine(
         specs, wedge_nonzeros(d, 1, p), lambda axis, sign: sign * xi[axis], math.comb(d, p + 1)
     )
     num = sum(float(np.sum(np.abs(t) ** 2)) for t in acc if t is not None)
@@ -775,6 +777,127 @@ def test_wedge_grid_degree_overflow():
     b = noise(2, 2, 16, seed=17)
     with pytest.raises(ShapeError):
         wedge_grid(a, b)
+
+
+def test_grids_equal_only_in_exact_period():
+    """Periods 1e-13 and 3e-13 are different grids, though they differ by
+    less than 1e-12; equal grids still combine."""
+    a, b, c = (
+        noise(2, 1, 8, seed=s, radius=1.2 / T, T=T) for s, T in ((1, 1e-13), (2, 3e-13), (3, 1e-13))
+    )
+    for call in (wedge_grid, GridForm.__add__, GridForm.__sub__, product_support_radius):
+        with pytest.raises(DimensionMismatch):
+            call(a, b)
+    assert wedge_grid(a, c).period == 1e-13
+    assert np.array_equal((a + c).data, a.data + c.data)
+    assert (a - c).data.tobytes() == (a.data - c.data).tobytes()
+    assert product_support_radius(a, c) > 0
+
+
+# -- the one operator kernel -----------------------------------------------------
+
+
+def _with_zeros(a):
+    """a with its first grid slice set to exact zeros, whose products with
+    negative samples are -0.0."""
+    data = a.data.copy()
+    data[:, 0] = 0.0
+    return a.copy_with(data)
+
+
+@pytest.mark.parametrize("T", [1.0, 2.5])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_operators_equal_their_one_loop_oracles(d, T):
+    """Noise, projection, d, the closedness residual, the primitive (with
+    and without a band) and the pointwise wedge equal, bit for bit, the
+    one-loop-per-operator oracles."""
+    N = 16 if d < 4 else 8
+    part = build_partition(d, N, T)
+    u, inv = part.classes
+    xi, r = part.axes, u[inv]
+    radius = 0.3 * N / T
+    forms = []
+    for p in range(d + 1):
+        seed = 10 * d + p
+        raw = np.random.default_rng(seed).standard_normal((math.comb(d, p),) + (N,) * d)
+        want = oracles.apply_multiplier(GridForm(d, p, N, T, raw), (r <= radius).astype(float))
+        a = noise(d, p, N, seed=seed, radius=radius, T=T)
+        assert a.data.tobytes() == want.data.tobytes()
+        forms.append(a)
+        for k in part.bands:
+            want = oracles.apply_multiplier(a, part.band_multiplier(k))
+            assert project_band(a, k).data.tobytes() == want.data.tobytes()
+        if p < d:
+            spec = oracles.combine(
+                bands._spectra(a),
+                wedge_nonzeros(d, 1, p),
+                lambda axis, sign: 2j * np.pi * sign * xi[axis],
+                math.comb(d, p + 1),
+            )
+            want = oracles.synthesize(spec, d, N)
+            assert exterior_derivative(a).data.tobytes() == want.tobytes()
+            resid = _closedness_residual(a, part, _half_spectra(a))
+            assert resid == _lattice_residual(a, xi, r) > 0
+        if p > 0:  # d of the degree p-1 noise is closed and mean-free
+            da = exterior_derivative(forms[p - 1])
+            assert primitive(da).data.tobytes() == _lattice_primitive(da, xi, r).tobytes()
+            k = part.k_min + 1
+            piece = project_band(da, k)
+            want = _lattice_primitive(piece, xi, r)
+            assert primitive(piece, band=k).data.tobytes() == want.tobytes()
+    for p, a in enumerate(forms):
+        a0 = _with_zeros(a)
+        for b in forms[: d + 1 - p]:
+            assert wedge_grid(a0, b).data.tobytes() == oracles.wedge_loop(a0, b).data.tobytes()
+
+
+def test_residual_sums_in_output_order(monkeypatch):
+    """The squared norms of d's outputs are summed in output order, whatever
+    order the kernel yields them in: 2^53 then five 1.0s sums to 2^53, the
+    1.0s first to 2^53 + 4."""
+    a = noise(4, 1, 8, seed=4)
+    part, specs = build_partition(4, 8, 1.0), _half_spectra(a)
+    planes = [np.array([2.0**26, 2.0**26])] + [np.array([1.0])] * 5
+    got = set()
+    for order in (range(6), range(5, -1, -1)):
+        stream = [(o, planes[o]) for o in order]
+        monkeypatch.setattr(bands, "_combine", lambda *_, stream=stream: iter(stream))
+        got.add(_closedness_residual(a, part, specs))
+    assert len(got) == 1
+
+
+def _tracked(shape, refs: dict, n: int):
+    """n fresh inputs, each with a weakref in ``refs``; the generator itself
+    holds none of them."""
+
+    def make(i):
+        x = np.full(shape, i + 1.0)
+        refs[i] = weakref.ref(x)
+        return x
+
+    return (make(i) for i in range(n))
+
+
+@pytest.mark.parametrize("p,transposed", [(0, False), (2, False), (2, True)])
+def test_kernel_releases_each_input_before_its_outputs(p, transposed):
+    """d on a 4D 0-form and 2-form, and the primitive's transposed table on
+    a 2-form: when an output arrives, every input whose outputs have all
+    arrived is dead."""
+    if transposed:
+        high, axis, low, sign = wedge_nonzeros(4, 1, p - 1)
+        table = (low, axis, high, sign)
+    else:
+        table = wedge_nonzeros(4, 1, p)
+    outputs_of = {}
+    for o, i in zip(table[0].tolist(), table[2].tolist()):
+        outputs_of.setdefault(i, set()).add(o)
+    refs, seen = {}, set()
+    stream = bands._combine(_tracked((4, 3), refs, math.comb(4, p)), table, lambda x, ax, s: x * s)
+    for o, _ in stream:
+        seen.add(o)
+        assert all(refs[i]() is None for i in refs if outputs_of[i] <= seen)
+    assert seen == set(table[0].tolist())
+    assert all(ref() is None for ref in refs.values())
 
 
 def _support_oracle(a, thresh=1e-12):
