@@ -8,10 +8,19 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``xi = m / T`` and plane waves are ``exp(2 pi i <m, x> / T)``;
 * every spectrum lives on the half lattice of a real FFT (last axis
   ``0..N/2``), and one transform pair moves between grid and spectrum:
-  ``_spectra`` (rfftn, one component at a time) and ``_field`` (irfftn,
-  called by ``band_fields`` and the operators' collector alone); an
-  all-zero sample plane or output spectrum skips its transform, since the
-  other side is zero too;
+  ``_spectra`` (rfftn, one component at a time, through ``_spectrum``)
+  and ``_field`` (irfftn, called by ``band_fields`` and the operators'
+  collector alone, which hands it its output plane); an all-zero sample
+  plane or output spectrum skips its transform, since the other side is
+  zero too;
+* each transform runs numpy's n-D transform as its 1-D passes, in numpy's
+  order (forward: rfft on the last axis, then fft on axes d-2 down to 0;
+  inverse: ifft on axes 0 up to d-2, then irfft), each pass into a fresh
+  array, so the bits are numpy's ``rfftn``/``irfftn``'s; on a grid of at
+  least ``_SPLIT_POINTS`` = 2^18 points each pass cuts its lines in two
+  halves along the first other axis, and one worker thread, started by
+  the first such pass, transforms one half while the caller transforms
+  the other;
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -59,8 +68,9 @@ Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from math import comb
 from typing import Mapping, Optional
 
@@ -110,6 +120,10 @@ _MAX_SAMPLES = 2**27
 SILENT_FLOOR = 1e-12
 
 _TINY = 2.0**-1022  # smallest normal float64
+
+# a transform on a grid of at least this many points runs each 1-D pass as
+# two halves on two threads
+_SPLIT_POINTS = 2**18
 
 
 def _check_resolution(N: int) -> None:
@@ -357,17 +371,89 @@ def _spectra(a: GridForm):
     """Yield each component's half-spectrum in component order (one live);
     an all-zero plane gets the zero half-spectrum with no transform."""
     d, N = a.spatial_dim, a.resolution
-    axes = tuple(range(d))
     for c in a.data:
         if _all_zero(c):
             yield np.zeros((N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
         else:
-            yield np.fft.rfftn(c, axes=axes)
+            yield _spectrum(c)
 
 
-def _field(spec: np.ndarray, d: int, N: int) -> np.ndarray:
-    """The real field on the N^d grid with half-spectrum ``spec``."""
-    return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
+def _spectrum(c: np.ndarray) -> np.ndarray:
+    """``np.fft.rfftn(c)`` for one plane c of the N^d grid, pass by pass."""
+    d, N = c.ndim, c.shape[0]
+    x = _lines(np.fft.rfft, c, N, d - 1, np.empty(c.shape[:-1] + (N // 2 + 1,), complex))
+    for axis in range(d - 2, -1, -1):
+        x = _lines(np.fft.fft, x, N, axis, np.empty(x.shape, complex))
+    return x
+
+
+def _field(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into ``out``, a float64 plane of the N^d grid, the real field
+    with half-spectrum ``spec`` (``np.fft.irfftn``, pass by pass); ``spec``
+    is left unchanged."""
+    d, N = out.ndim, out.shape[0]
+    x = spec
+    for axis in range(d - 1):
+        x = _lines(np.fft.ifft, x, N, axis, np.empty(x.shape, complex))
+    return _lines(np.fft.irfft, x, N, d - 1, out)
+
+
+def _lines(fn, x: np.ndarray, N: int, axis: int, out: np.ndarray) -> np.ndarray:
+    """``fn(x, N, axis, out=out)`` for a 1-D numpy.fft transform ``fn`` on
+    the N^d grid, d = x.ndim.
+
+    On a grid of at least ``_SPLIT_POINTS`` points (d >= 2) the lines are
+    cut in two along the first axis other than ``axis``: the worker thread
+    transforms one half while this thread transforms the other, and the
+    worker's half has finished before this returns or raises.  Every line
+    runs the same plan either way, so the bits do not depend on the cut."""
+    d = x.ndim
+    if d == 1 or N**d < _SPLIT_POINTS:
+        return fn(x, N, axis, out=out)
+    s = 1 if axis == 0 else 0  # the first axis other than ``axis``
+    cut = x.shape[s] // 2
+    head = (slice(None),) * s + (slice(None, cut),)
+    tail = (slice(None),) * s + (slice(cut, None),)
+    half = _worker().submit(fn, x[tail], N, axis, out=out[tail])
+    try:
+        fn(x[head], N, axis, out=out[head])
+    finally:
+        half.exception()  # waits for the worker's half, whatever happened here
+    half.result()  # raises what the worker's half raised
+    return out
+
+
+@cache
+def _worker():
+    """The one worker thread, started by the first pass that splits.  A
+    forked child starts its own: the parent's thread does not survive."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    if hasattr(os, "register_at_fork"):
+        os.register_at_fork(after_in_child=_worker.cache_clear)
+    return ThreadPoolExecutor(max_workers=1, initializer=_leave_cpu, initargs=(_cpu(),))
+
+
+def _cpu() -> Optional[int]:
+    """The CPU the calling thread runs on (Linux), else None."""
+    try:
+        with open("/proc/thread-self/stat") as fh:
+            return int(fh.read().rsplit(")", 1)[1].split()[36])
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def _leave_cpu(cpu: Optional[int]) -> None:
+    """Move the calling thread off ``cpu`` once, then give it back its
+    affinity mask.  Linux wakes a thread on its waker's CPU unless the CPU
+    it last ran on is idle, so a worker that started beside the caller would
+    run every half after the caller's instead of beside it."""
+    try:
+        allowed = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, allowed - {cpu} or allowed)
+        os.sched_setaffinity(0, allowed)
+    except (AttributeError, OSError):  # no affinity calls on this platform
+        pass
 
 
 def _combine(specs, table, term):
@@ -401,7 +487,7 @@ def _collect(outputs, a: GridForm, p: int, spectral: bool = True) -> GridForm:
         if not spectral:  # summed onto +0.0, as by a zeroed accumulator: no -0.0
             data[o] += x
         elif not _all_zero(x):
-            data[o] = _field(x, d, N)
+            _field(x, data[o])
     return GridForm(d, p, N, a.period, data)
 
 
@@ -444,7 +530,7 @@ def band_fields(a: GridForm):
             if float((peak * window).max()) > floor:
                 if mult is None:
                     mult = window[inv]
-                yield k, c, _field(spec * mult, d, N)
+                yield k, c, _field(spec * mult, np.empty((N,) * d))
 
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:

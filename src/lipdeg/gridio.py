@@ -11,9 +11,10 @@ row-major.  Band profiles round-trip through a plain CSV with one row per
 from __future__ import annotations
 
 import csv
+import os
+import stat
 import struct
 from math import comb
-from pathlib import Path
 
 import numpy as np
 
@@ -38,22 +39,29 @@ def write_gridform(path, a: GridForm) -> None:
                 _MAGIC, a.spatial_dim, a.form_degree, a.resolution, a.period
             )
         )
-        fh.write(np.ascontiguousarray(a.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(a.data, dtype="<f8"))  # its buffer, not a bytes copy
 
 
 def read_gridform(path) -> GridForm:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ShapeError(f"{path}: truncated header")
-    magic, d, p, N, T = _HEADER.unpack_from(raw)
-    if magic != _MAGIC:
-        raise ShapeError(f"{path}: bad magic {magic!r}")
-    _check_grid(d, p, N)
-    count = comb(d, p) * N**d
-    body = raw[_HEADER.size :]
-    if len(body) != 8 * count:
-        raise ShapeError(f"{path}: payload {len(body)} bytes, want {8 * count}")
-    data = np.frombuffer(body, dtype="<f8").astype(np.float64)
+    """The grid form stored at ``path``.  The header, and a regular file's
+    size, are checked before the payload is read, straight into one array;
+    a pipe is read to one byte past the payload."""
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise ShapeError(f"{path}: truncated header")
+        magic, d, p, N, T = _HEADER.unpack(head)
+        if magic != _MAGIC:
+            raise ShapeError(f"{path}: bad magic {magic!r}")
+        _check_grid(d, p, N)
+        count = comb(d, p) * N**d
+        info = os.fstat(fh.fileno())
+        size = info.st_size - _HEADER.size
+        if stat.S_ISREG(info.st_mode) and size != 8 * count:
+            raise ShapeError(f"{path}: payload {size} bytes, want {8 * count}")
+        data = np.empty(count, dtype="<f8")
+        if fh.readinto(data) != 8 * count or fh.read(1):
+            raise ShapeError(f"{path}: payload is not the {8 * count} bytes the header gives")
     if not np.isfinite(data).all():
         raise ShapeError(f"{path}: non-finite samples")
     return GridForm(d, p, N, T, data.reshape((comb(d, p),) + (N,) * d))

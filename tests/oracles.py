@@ -13,6 +13,8 @@ arithmetic, which is exact on Fraction coefficients.
 * ``apply_multiplier``, ``combine`` with ``synthesize``, and ``wedge_loop``
   are one loop per operator, each with its own order of sums: the float
   reference that ``bands``' one operator kernel must match bit for bit.
+  They transform back with numpy's one-call ``irfftn``, so that match also
+  checks ``bands``' pass-by-pass inverse against numpy's.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from typing import Mapping, Union
 import numpy as np
 
 from lipdeg import exterior
-from lipdeg.bands import DyadicPartition, GridForm, _all_zero, _chi, _field, _partition, _spectra
+from lipdeg.bands import DyadicPartition, GridForm, _all_zero, _chi, _partition, _spectra
 from lipdeg.errors import BandRangeError, DimensionMismatch, LipdegError, ShapeError
 from lipdeg.exterior import (
     _check_index,
@@ -204,13 +206,18 @@ def project_upto(a: GridForm, k: int) -> GridForm:
 # -- one loop per operator ------------------------------------------------------
 
 
+def irfftn(spec: np.ndarray, d: int, N: int) -> np.ndarray:
+    """numpy's n-D inverse real transform onto the N^d grid, in one call."""
+    return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
+
+
 def apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
     """Every component's half-spectrum times a real radial multiplier, in
     place, then transformed back, zero or not."""
     out = np.empty_like(a.data)
     for c, spec in enumerate(_spectra(a)):
         spec *= mult
-        out[c] = _field(spec, a.spatial_dim, a.resolution)
+        out[c] = irfftn(spec, a.spatial_dim, a.resolution)
     return a.copy_with(out)
 
 
@@ -235,7 +242,7 @@ def synthesize(out_spec: list, d: int, N: int) -> np.ndarray:
     the zero plane, with no transform."""
     data = np.empty((len(out_spec),) + (N,) * d)
     for i, spec in enumerate(out_spec):
-        data[i] = 0.0 if spec is None or _all_zero(spec) else _field(spec, d, N)
+        data[i] = 0.0 if spec is None or _all_zero(spec) else irfftn(spec, d, N)
     return data
 
 

@@ -1,6 +1,9 @@
 """Round trips for the binary grid container and the profile CSV."""
 
+import os
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +27,60 @@ def test_gridform_binary_round_trip(tmp_path):
     assert b.spatial_dim == 3 and b.form_degree == 2
     assert b.resolution == 16 and b.period == 2.0
     assert np.array_equal(a.data, b.data)  # bit-exact float64 payload
+
+
+def test_gridform_file_is_header_then_payload(tmp_path):
+    a = bandlimited_noise_form(3, 1, 8, T=1.5, seed=6)
+    path = tmp_path / "a.gfrm"
+    write_gridform(path, a)
+    header = struct.pack("<4sIIId", b"GFRM", 3, 1, 8, 1.5)
+    assert path.read_bytes() == header + a.data.astype("<f8").tobytes()
+
+
+def test_gridform_payload_size_is_checked_before_reading(tmp_path):
+    """A valid header, its 2 MiB payload and 256 MiB of trailing bytes (a
+    sparse file) fail typed before the payload is read."""
+    path = tmp_path / "long.gfrm"
+    path.write_bytes(struct.pack("<4sIIId", b"GFRM", 3, 0, 64, 1.0))
+    os.truncate(path, path.stat().st_size + 8 * 64**3 + 2**28)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ShapeError, match="payload"):
+            read_gridform(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _through_fifo(tmp_path, raw: bytes):
+    """read_gridform of a named pipe that another thread fills with raw."""
+    fifo = tmp_path / "pipe.gfrm"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(raw)
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        return read_gridform(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_gridform_reads_from_a_pipe(tmp_path):
+    a = bandlimited_noise_form(2, 1, 8, seed=8)
+    path = tmp_path / "a.gfrm"
+    write_gridform(path, a)
+    raw = path.read_bytes()
+    assert np.array_equal(_through_fifo(tmp_path, raw).data, a.data)
+    for bad in (raw[:-8], raw + b"\0"):
+        (tmp_path / "pipe.gfrm").unlink()
+        with pytest.raises(ShapeError, match="payload"):
+            _through_fifo(tmp_path, bad)
 
 
 def test_gridform_header_is_portable(tmp_path):
@@ -50,6 +107,10 @@ def test_gridform_rejects_corruption(tmp_path):
     short.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ShapeError):
         read_gridform(short)
+    nan = tmp_path / "nan.gfrm"
+    nan.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+    with pytest.raises(ShapeError, match="non-finite"):
+        read_gridform(nan)
     # a header alone claiming a huge grid fails before its size is computed
     huge = tmp_path / "huge.gfrm"
     huge.write_bytes(struct.pack("<4sIIId", b"GFRM", 2**32 - 1, 0, 2**31, 1.0))

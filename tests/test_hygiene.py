@@ -9,8 +9,10 @@
 * Every statement in src/lipdeg/ runs (see ``unexecuted``).  A fresh
   interpreter sets ``sys.settrace`` before it imports lipdeg, then runs
   ``SESSION``: the command lines of ``CLI_CALLS`` at N <= 16 with one or
-  two restarts, then the benchmark's ``algebra``, ``spectral`` and
-  ``pipeline`` job lists at ``"smoke"`` size.  A statement counts as run
+  two restarts (and one at the grid size where transforms split across two
+  threads), then the benchmark's ``algebra``, ``spectral`` and
+  ``pipeline`` job lists at ``"smoke"`` size.  Threads the session starts
+  are traced too.  A statement counts as run
   when a line of its own (its header, for a compound statement) reports
   a line event.  Docstrings, ``raise`` statements and ``except`` bodies
   are exempt; every other statement the session leaves unrun must be
@@ -19,8 +21,12 @@
 * src/ holds no ``assert`` statement: ``python -O`` strips them.
 * src/lipdeg/ imports nothing from tests/, whose ``oracles`` module holds
   the exact arithmetic the tests check the kernels against.
-* src/lipdeg/ touches numpy.fft through one transform pair, one
-  ``rfftn`` and one ``irfftn``; ``fftfreq`` is the only other name it reads.
+* src/lipdeg/ touches numpy.fft through one forward and one inverse
+  transform: ``rfft`` and ``fft`` are read only in the forward one,
+  ``ifft`` and ``irfft`` only in the inverse one, and ``fftfreq`` only in
+  ``DyadicPartition``.
+* Importing ``lipdeg.cli`` starts no thread and loads no
+  ``concurrent.futures``.
 * Only bands.py names ``build_partition``, ``_chi`` and ``_window``: a
   form's grid fixes its band partition, which bands derives, and bands
   alone owns the band window.
@@ -33,6 +39,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -228,7 +235,7 @@ def test_reach_check_sees_dead_code(tmp_path):
 # source and the output path.  Only frames of files under the package get a
 # local trace function, so the rest of the session runs at full speed.
 _TRACER = """
-import json, os, sys
+import json, os, sys, threading
 package, session, out = sys.argv[1] + os.sep, sys.argv[2], sys.argv[3]
 hits = {}
 def on_line(frame, event, arg):
@@ -238,6 +245,7 @@ def on_line(frame, event, arg):
 def on_call(frame, event, arg):
     return on_line if frame.f_code.co_filename.startswith(package) else None
 sys.settrace(on_call)
+threading.settrace(on_call)
 exec(compile(session, "<session>", "exec"), {"__name__": "__session__"})
 sys.settrace(None)
 with open(out, "w") as fh:
@@ -312,7 +320,8 @@ def reach_findings(unrun: dict, allowed: dict) -> list:
 
 
 # One command line per surface and branch, at N <= 16 and one or two
-# restarts; "{tmp}" is a scratch directory that later calls read back.
+# restarts, and one on the 64^3 grid, where transforms split in two halves;
+# "{tmp}" is a scratch directory that later calls read back.
 CLI_CALLS = (
     ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "1"],
     ["scalable", "--preset", "X4", "--restarts", "2", "--max-iters", "10"],
@@ -325,6 +334,7 @@ CLI_CALLS = (
     ["scalable", "--preset", "torus(3)", "--ambient", "6", "--restarts", "1", "--max-iters", "20"],
     ["lp", "--dim", "2", "--degree", "1", "--resolution", "16", "--out", "{tmp}"],
     ["lp", "--dim", "2", "--degree", "2", "--resolution", "16"],
+    ["lp", "--dim", "3", "--degree", "1", "--resolution", "64"],
     ["bound", "--sweep", "10", "12", "--uniform", "--tail", "hold", "--out", "{tmp}"],
     ["bound", "--scale", "1048576", "--gap", "0.3", "0.6"],
     ["synth", "--levels", "2", "--resolution", "16", "--out", "{tmp}"],
@@ -433,27 +443,58 @@ def test_src_imports_nothing_from_tests():
     assert found == []
 
 
+def _fft_names_in(node) -> list:
+    """Every numpy.fft name read or imported under an AST node."""
+    out = []
+    for sub in ast.walk(node):
+        if (
+            isinstance(sub, ast.Attribute)
+            and isinstance(sub.value, ast.Attribute)
+            and sub.value.attr == "fft"
+            and isinstance(sub.value.value, ast.Name)
+            and sub.value.value.id in ("np", "numpy")
+        ):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom) and sub.module == "numpy.fft":
+            out.extend(alias.name for alias in sub.names)
+    return out
+
+
 def fft_names(path: Path) -> list:
     """Every numpy.fft name a module reads or imports, one entry per site."""
+    return sorted(_fft_names_in(ast.parse(path.read_text(), filename=str(path))))
+
+
+def fft_readers(path: Path) -> list:
+    """(numpy.fft name, top-level definition) of every site in a module that
+    reads or imports a numpy.fft name."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    out = []
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Attribute)
-            and node.value.attr == "fft"
-            and isinstance(node.value.value, ast.Name)
-            and node.value.value.id in ("np", "numpy")
-        ):
-            out.append(node.attr)
-        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
-            out.extend(alias.name for alias in node.names)
-    return sorted(out)
+    return sorted(
+        (name, getattr(top, "name", None)) for top in tree.body for name in _fft_names_in(top)
+    )
 
 
-def test_one_transform_pair():
-    names = [n for path in sorted(PACKAGE.glob("*.py")) for n in fft_names(path)]
-    assert [n for n in names if n != "fftfreq"] == ["irfftn", "rfftn"]
+def test_one_forward_and_one_inverse_transform():
+    sites = [site for path in sorted(PACKAGE.glob("*.py")) for site in fft_readers(path)]
+    assert sites == [
+        ("fft", "_spectrum"),
+        ("fftfreq", "DyadicPartition"),
+        ("ifft", "_field"),
+        ("irfft", "_field"),
+        ("rfft", "_spectrum"),
+    ]
+
+
+def test_import_starts_no_thread():
+    code = (
+        "import sys, threading\nimport lipdeg.cli\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+    )
+    assert res.stdout.split() == ["False", "1"], res.stderr
 
 
 def _naming(name: str) -> list:
@@ -510,3 +551,6 @@ def test_fft_check_sees_every_transform(tmp_path):
         "    return np.fft.irfftn(y), g, np.fft.fftfreq(4), ifftn\n"
     )
     assert fft_names(mod) == ["fftfreq", "fftn", "ifftn", "irfftn", "rfftn"]
+    assert fft_readers(mod) == [
+        ("fftfreq", "f"), ("fftn", "f"), ("ifftn", None), ("irfftn", "f"), ("rfftn", "f"),
+    ]

@@ -1,8 +1,14 @@
 """Band calculus on periodic grids: partitions, d, primitives, supports."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -401,15 +407,16 @@ def _full_transforms(monkeypatch):
 
 
 def _count_transforms(monkeypatch) -> dict:
+    """Count bands' n-D transforms: each ``_spectrum`` is one rfftn and each
+    ``_field`` one irfftn, however many 1-D passes and halves it runs."""
     counts = {"rfftn": 0, "irfftn": 0}
-    for name in counts:
-        fn = getattr(np.fft, name)
+    for name, fn in (("rfftn", bands._spectrum), ("irfftn", bands._field)):
 
         def counted(*args, _fn=fn, _name=name, **kw):
             counts[_name] += 1
             return _fn(*args, **kw)
 
-        monkeypatch.setattr(np.fft, name, counted)
+        monkeypatch.setattr(bands, fn.__name__, counted)
     return counts
 
 
@@ -1028,3 +1035,125 @@ def test_bandlimited_noise_respects_radius():
     a = bandlimited_noise_form(2, 1, 32, radius=7.0, seed=20)
     pts = spectral_support(a, thresh=1e-9)
     assert np.all(np.linalg.norm(pts, axis=1) <= 7.0 + 1e-9)
+
+
+# -- transforms split across two threads ---------------------------------------
+
+
+class _CountingWorker:
+    """The worker pool, counting the halves handed to it."""
+
+    def __init__(self):
+        self.pool, self.halves = bands._worker(), 0
+
+    def submit(self, *args, **kwargs):
+        self.halves += 1
+        return self.pool.submit(*args, **kwargs)
+
+
+def _count_halves(monkeypatch, forced: bool) -> _CountingWorker:
+    """Count the worker's halves; ``forced`` splits the passes of every grid."""
+    worker = _CountingWorker()
+    monkeypatch.setattr(bands, "_worker", lambda: worker)
+    if forced:
+        monkeypatch.setattr(bands, "_SPLIT_POINTS", 1)
+    return worker
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize(
+    "d,N",
+    [(1, 64), (2, 32), (2, 512), (3, 16), (3, 32), (3, 64), (4, 8), (4, 32), (5, 8), (5, 16)],
+)
+def test_split_transforms_equal_numpys(monkeypatch, d, N, forced):
+    """The pass-by-pass transforms equal numpy's rfftn and irfftn byte for
+    byte, split or not; the inverse leaves its input spectrum unchanged.
+    Grids of 2^18 points or more split every pass (64^3 is the smallest
+    cube there, though its half-spectra hold fewer points)."""
+    worker = _count_halves(monkeypatch, forced)
+    c = np.random.default_rng(d * N).standard_normal((N,) * d)
+    axes = tuple(range(d))
+    spec = bands._spectrum(c)
+    assert spec.tobytes() == np.fft.rfftn(c, axes=axes).tobytes()
+    before = spec.copy()
+    out = np.empty((N,) * d)
+    assert bands._field(spec, out) is out
+    assert out.tobytes() == np.fft.irfftn(before, s=(N,) * d, axes=axes).tobytes()
+    assert spec.tobytes() == before.tobytes()
+    split = d > 1 and (forced or N**d >= 2**18)
+    assert worker.halves == (2 * d if split else 0)
+
+
+def test_split_operators_equal_serial(monkeypatch):
+    """Forcing every pass to split leaves each operator's output unchanged."""
+    f = noise(3, 0, 16, seed=41, radius=5.0)
+    a = noise(3, 1, 16, seed=42, radius=5.0)
+    k = build_partition(3, 16, 1.0).k_min + 1
+
+    def run():
+        df = exterior_derivative(f)
+        piece = project_band(df, k)
+        planes = [exterior_derivative(a), df, primitive(df), primitive(piece, band=k)]
+        planes += band_decompose(a).values()
+        return [b.data.tobytes() for b in planes], band_profile(a), lp_battery(a)
+
+    serial = run()
+    worker = _count_halves(monkeypatch, forced=True)
+    assert run() == serial
+    assert worker.halves > 0
+
+
+@pytest.mark.parametrize("raiser", ["caller", "worker"])
+def test_a_raising_half_propagates_after_both_halves_finish(monkeypatch, raiser):
+    monkeypatch.setattr(bands, "_SPLIT_POINTS", 1)
+    caller = threading.get_ident()
+    finished = []
+
+    def fn(x, n, axis, out):
+        mine = "caller" if threading.get_ident() == caller else "worker"
+        if mine == raiser:
+            raise RuntimeError(mine)
+        time.sleep(0.2)
+        finished.append(mine)
+
+    with pytest.raises(RuntimeError, match=raiser):
+        bands._lines(fn, np.zeros((4, 4)), 4, 1, np.empty((4, 4)))
+    assert finished == ["worker" if raiser == "caller" else "caller"]
+
+
+def _fresh_process(code: str) -> list:
+    """Whitespace-split stdout of ``code`` run by a fresh interpreter."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+def test_one_worker_thread_starts_at_the_threshold():
+    """In a fresh process a band profile at 3D N=16 starts no thread and
+    loads no concurrent.futures; transforms on the 64^3 grid start one."""
+    code = (
+        "import sys, threading\nimport numpy as np\n"
+        "from lipdeg.bands import _spectrum, band_profile, bandlimited_noise_form\n"
+        "band_profile(bandlimited_noise_form(3, 1, 16, seed=1))\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+        "for _ in range(3):\n    _spectrum(np.ones((64,) * 3))\n"
+        "print(threading.active_count())\n"
+    )
+    assert _fresh_process(code) == ["False", "1", "2"]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_starts_its_own_worker():
+    """The parent's worker thread does not survive a fork; a child's split
+    transform runs on a worker of its own instead of waiting forever."""
+    code = (
+        "import os, signal\nimport numpy as np\nfrom lipdeg.bands import _spectrum\n"
+        "_spectrum(np.ones((64,) * 3))\npid = os.fork()\nif pid == 0:\n"
+        "    signal.alarm(30)\n    _spectrum(np.ones((64,) * 3))\n    os._exit(0)\n"
+        "print(os.waitpid(pid, 0)[1])\n"
+    )
+    assert _fresh_process(code) == ["0"]
