@@ -8,11 +8,11 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``xi = m / T`` and plane waves are ``exp(2 pi i <m, x> / T)``;
 * every spectrum lives on the half lattice of a real FFT (last axis
   ``0..N/2``), and one transform pair moves between grid and spectrum:
-  ``_spectra`` (rfftn, one component at a time, through ``_spectrum``)
-  and ``_field`` (irfftn, called by ``band_fields`` and the operators'
-  collector alone, which hands it its output plane); an all-zero sample
-  plane or output spectrum skips its transform, since the other side is
-  zero too;
+  ``_spectrum`` (rfftn of one component; ``_spectra`` yields a form's, one
+  at a time) and ``_field`` (irfftn, called by ``band_fields`` and the
+  operators' collector alone, which hands it its output plane); an
+  all-zero sample plane or output spectrum skips its transform, since the
+  other side is zero too;
 * each transform runs numpy's n-D transform as its 1-D passes, in numpy's
   order (forward: rfft on the last axis, then fft on axes d-2 down to 0;
   inverse: ifft on axes 0 up to d-2, then irfft), each pass into a fresh
@@ -52,14 +52,27 @@ order come from ``exterior`` alone; every band loop reads one stream of
 band windows.  ``closedness(a)`` is ``sup |d a| / sup |a|``, the measure
 the CLI and the battery report.
 
-The band stream skips silent (band, component) pairs: those where
+The band stream ``band_fields`` runs component by component, and band by
+band within a component, with one half-spectrum live: it transforms
+component c, folds its magnitudes into one peak per radius class, yields
+c's live fields (each windowed spectrum written into one plane that the
+whole stream reuses) and drops the spectrum before it transforms c + 1.
+It reads max |c| of every component first; a component whose max is zero
+gets no transform.  It skips silent (band, component) pairs: those where
 |spectrum| * window peaks at or below ``SILENT_FLOOR`` times the form's
 largest spectral magnitude, the same relative floor ``spectral_support``
-cuts at.  The test reads real magnitudes, folded into one peak per radius
-class, so it costs one magnitude plane per component, not one per pair.
-A silent pair gets no inverse transform; ``band_decompose`` leaves its plane
-zero, and a band profile keeps every band and every (band, component) key,
-reporting a silent pair as ``(0, 0, 0)``.
+cuts at.  That largest magnitude is settled without holding the other
+spectra: every |spectrum| is at most N^d max |a|, so a pair above
+``SILENT_FLOOR`` times twice that bound (the factor covers FFT roundoff)
+is live, and one at or below ``SILENT_FLOOR`` times the largest peak seen
+so far is silent.  At the first pair in between, the remaining
+components are transformed once for their peaks and dropped, and the
+stream goes on from that pair with the exact floor.  Consumers sum over
+components in increasing c for each band, and over bands in increasing k
+for each component, in either order, so every number is the band-major
+stream's.  A silent pair gets no inverse transform; ``band_decompose``
+leaves its plane zero, and a band profile keeps every band and every
+(band, component) key, reporting a silent pair as ``(0, 0, 0)``.
 
 Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 ``L2 = sqrt(sum_I integral a_I^2)``, ``Linf = max |a_I|``.
@@ -504,33 +517,47 @@ def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) ->
 
 
 def band_fields(a: GridForm):
-    """Yield (k, c, component c of P_k a) band by band, one field at a time,
-    skipping the silent pairs (their field is zero up to roundoff).
+    """Yield (k, c, component c of P_k a) component by component and, within
+    a component, band by band, one field at a time, skipping the silent
+    pairs (their field is zero up to roundoff).
 
     Each component's spectral magnitudes are folded once into a peak per
     radius class, and pair (k, c) is live when max(peak_c * window_k) over
     the classes exceeds the floor.  Rounding is monotone and the window is
     constant on a class, so that is max |spectrum| * window over the
-    lattice, bit for bit.  A band's window is gathered onto the lattice only
-    when one of its pairs is live."""
+    lattice, bit for bit.  One component's spectrum is live at a time; the
+    floor is settled without the others' (see the module docstring)."""
     d, N = a.spatial_dim, a.resolution
     part = _partition(a)
     u, inv = part.classes  # before any spectrum is live: np.unique's temporaries
-    specs, peaks = [], []
-    for spec in _spectra(a):
+    windows = list(part.windows())
+    sups = _sups(a)  # a zero sup is an all-zero plane, whose spectrum is zero
+    # |rfftn(c)| <= sum |c| <= N^d max |c|; twice that covers FFT roundoff
+    above = SILENT_FLOOR * (2.0 * N**d * float(np.max(sups)))
+    # tops: each component's largest magnitude so far, in component order
+    # (every component's, once the first pair between ``above`` and the
+    # running floor sets the exact floor); prod: the one windowed-spectrum
+    # plane, reused by every pair
+    tops, floor, prod = [], None, None
+    for c, plane in enumerate(a.data):
+        if not sups[c]:  # peak 0.0, no live pair, no transform
+            tops.append(0.0)
+            continue
+        spec = _spectrum(plane)
         peak = np.zeros(len(u))
         # flat operands keep ufunc.at on its fast path; one magnitude plane live
         np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
-        specs.append(spec)
-        peaks.append(peak)
-    floor = SILENT_FLOOR * max(float(peak.max()) for peak in peaks)
-    for k, window in part.windows():
-        mult = None
-        for c, (spec, peak) in enumerate(zip(specs, peaks)):
-            if float((peak * window).max()) > floor:
-                if mult is None:
-                    mult = window[inv]
-                yield k, c, _field(spec * mult, np.empty((N,) * d))
+        tops.append(float(peak.max()))
+        for k, window in windows:
+            v = float((peak * window).max())
+            if floor is None and not v > above and not v <= SILENT_FLOOR * max(tops):
+                later = zip(a.data[c + 1 :], sups[c + 1 :])
+                tops += [float(np.abs(_spectrum(x)).max()) if s else 0.0 for x, s in later]
+                floor = SILENT_FLOOR * max(tops)
+            if v > (above if floor is None else floor):
+                prod = np.multiply(spec, window[inv], out=prod)
+                yield k, c, _field(prod, np.empty((N,) * d))
+        del spec  # before the next component's transform
 
 
 def band_decompose(a: GridForm, part: Optional[DyadicPartition] = None) -> dict:
@@ -625,8 +652,14 @@ def lp_norm(a: GridForm, which) -> float:
     if which == 2:
         return float(np.sqrt(sum((c**2).sum() * cell for c in a.data)))
     if which == "inf":
-        return float(np.max(np.abs(a.data))) if a.data.size else 0.0
+        return float(np.max(_sups(a)))  # np.max keeps a NaN
     raise ParameterError(f"unsupported norm {which!r}")
+
+
+def _sups(a: GridForm) -> list:
+    """max |c| of each component c, without an |c| temporary: the larger of
+    |max c| and |min c|, NaN where c holds one."""
+    return [max(abs(c.max()), abs(c.min())) for c in a.data]
 
 
 def closedness(a: GridForm) -> float:
@@ -663,10 +696,12 @@ def _stream_profile(a: GridForm, fields) -> BandProfile:
     l1, s2, linf = ({k: 0.0 for k in bands} for _ in range(3))
     per = {(k, I): (0.0, 0.0, 0.0) for k in bands for I in idx}
     for k, c, fld in fields:
-        c1 = float(np.abs(fld).sum() * cell)
-        c2 = float(np.sqrt((fld**2).sum() * cell))
-        ci = float(np.max(np.abs(fld)))
+        mag = np.abs(fld)
         del fld  # free it before the stream computes the next field
+        c1 = float(mag.sum() * cell)
+        ci = float(mag.max())
+        c2 = float(np.sqrt(np.square(mag, out=mag).sum() * cell))  # |x| |x| == x x
+        del mag
         per[(k, idx[c])] = (c1, c2, ci)
         l1[k] += c1
         s2[k] += c2**2

@@ -9,8 +9,9 @@ handler lists the files it can write as (name, writer) pairs under
 ``"artifacts"``, and ``main`` writes them in order and lists their paths.
 
 Exit status: 0 on success, 1 on a domain error (the error is reported as
-a one-line JSON object on stderr; a result holding NaN or Infinity is one),
-2 on usage errors (argparse).
+a one-line JSON object on stderr; a result holding NaN or Infinity is one,
+and so is an allocation the process cannot make, reported as
+``OutOfMemory``), 2 on usage errors (argparse).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .degbound import (
     spectral_gap_profile,
     uniform_layer_profile,
 )
-from .errors import LipdegError, ParameterError, UnsupportedPresentation
+from .errors import LipdegError, OutOfMemory, ParameterError, UnsupportedPresentation
 from .exterior import jsonable
 from .gridio import read_gridform, write_band_profile, write_gridform
 from .rings import (
@@ -362,7 +363,9 @@ def main(argv=None) -> int:
             text = json.dumps(jsonable(payload), sort_keys=True, indent=2, allow_nan=False)
         except ValueError as exc:
             raise ParameterError(f"result is not finite: {exc}") from None
-    except (LipdegError, OSError) as exc:
+    except (LipdegError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # an allocation past what the process may use
+            exc = OutOfMemory(str(exc) or "out of memory")
         err = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(err, sort_keys=True) + "\n")
         return 1

@@ -24,6 +24,7 @@ __all__ = [
     "WindowError",
     "GeometryError",
     "EmptyData",
+    "OutOfMemory",
 ]
 
 
@@ -89,3 +90,7 @@ class GeometryError(LipdegError):
 
 class EmptyData(LipdegError):
     """An operation received no data to work on."""
+
+
+class OutOfMemory(LipdegError):
+    """An allocation failed: the input needs more memory than the process may use."""

@@ -15,6 +15,11 @@ arithmetic, which is exact on Fraction coefficients.
   reference that ``bands``' one operator kernel must match bit for bit.
   They transform back with numpy's one-call ``irfftn``, so that match also
   checks ``bands``' pass-by-pass inverse against numpy's.
+* ``band_fields`` is the band-major band stream, every component's
+  half-spectrum live and the silent floor taken over all of them before
+  the first field, and ``stream_profile`` reads band norms off a stream
+  with one temporary per norm: the reference for ``bands``' component-major
+  stream and its fused norms.
 """
 
 from fractions import Fraction
@@ -24,7 +29,17 @@ from typing import Mapping, Union
 import numpy as np
 
 from lipdeg import exterior
-from lipdeg.bands import DyadicPartition, GridForm, _all_zero, _chi, _partition, _spectra
+from lipdeg.bands import (
+    SILENT_FLOOR,
+    BandProfile,
+    DyadicPartition,
+    GridForm,
+    _all_zero,
+    _chi,
+    _partition,
+    _spectra,
+    lp_norm,
+)
 from lipdeg.errors import BandRangeError, DimensionMismatch, LipdegError, ShapeError
 from lipdeg.exterior import (
     _check_index,
@@ -254,3 +269,41 @@ def wedge_loop(a: GridForm, b: GridForm) -> GridForm:
     for t, i, j, s in zip(*wedge_nonzeros(d, p, q)):
         out[t] += s * a.data[i] * b.data[j]
     return GridForm(d, p + q, a.resolution, a.period, out)
+
+
+def band_fields(a: GridForm):
+    """Yield (k, c, component c of P_k a) band by band over live pairs: a
+    pair is live when max |spectrum_c| * window_k, folded per radius class,
+    exceeds SILENT_FLOOR times the largest magnitude of every spectrum."""
+    d, N = a.spatial_dim, a.resolution
+    part = _partition(a)
+    u, inv = part.classes
+    specs, peaks = [], []
+    for spec in _spectra(a):
+        peak = np.zeros(len(u))
+        np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
+        specs.append(spec)
+        peaks.append(peak)
+    floor = SILENT_FLOOR * max(float(peak.max()) for peak in peaks)
+    for k, window in part.windows():
+        for c, (spec, peak) in enumerate(zip(specs, peaks)):
+            if float((peak * window).max()) > floor:
+                yield k, c, irfftn(spec * window[inv], d, N)
+
+
+def stream_profile(a: GridForm, fields) -> BandProfile:
+    """Band norms of a off a stream of (k, c, field), each norm from its
+    own temporary; a pair the stream skips keeps zero entries."""
+    bands, cell, idx = _partition(a).bands, a.cell, a.indices
+    l1, s2, linf = ({k: 0.0 for k in bands} for _ in range(3))
+    per = {(k, I): (0.0, 0.0, 0.0) for k in bands for I in idx}
+    for k, c, fld in fields:
+        c1 = float(np.abs(fld).sum() * cell)
+        c2 = float(np.sqrt((fld**2).sum() * cell))
+        ci = float(np.max(np.abs(fld)))
+        per[(k, idx[c])] = (c1, c2, ci)
+        l1[k] += c1
+        s2[k] += c2**2
+        linf[k] = max(linf[k], ci)
+    l2 = {k: float(np.sqrt(v)) for k, v in s2.items()}
+    return BandProfile(tuple(bands), l1, l2, linf, per, lp_norm(a, 2))

@@ -227,6 +227,29 @@ def test_overflow_leaves_one_json_line_on_stderr(tmp_path):
     assert json.loads(lines[0])["error"] == "ParameterError"
 
 
+def test_out_of_memory_leaves_one_json_line_on_stderr():
+    """An allocation past the process's address-space limit fails typed:
+    the child alone runs under a 512 MiB RLIMIT_AS, and the 1 GiB noise
+    form of the 512^3 grid is its first large array."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run(
+        [sys.executable, "-m", "lipdeg.cli", "lp", "--dim", "3", "--resolution", "512"],
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=cap,
+    )
+    assert (res.returncode, res.stdout) == (1, "")
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "OutOfMemory"
+    assert "allocate" in doc["message"]
+
+
 # GFRM resolutions: powers of two, twice as often as small non-powers
 GFRM_N = st.one_of(
     st.sampled_from([4, 8, 16]), st.sampled_from([4, 8]), st.sampled_from([0, 1, 2, 3, 5, 6, 12])

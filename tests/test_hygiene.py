@@ -10,7 +10,8 @@
   interpreter sets ``sys.settrace`` before it imports lipdeg, then runs
   ``SESSION``: the command lines of ``CLI_CALLS`` at N <= 16 with one or
   two restarts (and one at the grid size where transforms split across two
-  threads), then the benchmark's ``algebra``, ``spectral`` and
+  threads, and one synth whose band stream settles its floor exactly), then
+  the benchmark's ``algebra``, ``spectral`` and
   ``pipeline`` job lists at ``"smoke"`` size.  Threads the session starts
   are traced too.  A statement counts as run
   when a line of its own (its header, for a compound statement) reports
@@ -321,7 +322,9 @@ def reach_findings(unrun: dict, allowed: dict) -> list:
 
 # One command line per surface and branch, at N <= 16 and one or two
 # restarts, and one on the 64^3 grid, where transforms split in two halves;
-# "{tmp}" is a scratch directory that later calls read back.
+# "{tmp}" is a scratch directory that later calls read back.  At period
+# 0.5091 each layer's frequency sits where a band window is about 2e-12,
+# so the band stream meets a pair between its two floors.
 CLI_CALLS = (
     ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "1"],
     ["scalable", "--preset", "X4", "--restarts", "2", "--max-iters", "10"],
@@ -343,6 +346,7 @@ CLI_CALLS = (
     ["plan", "--p", "2", "--levels", "6", "--out", "{tmp}"],
     ["plan", "--p", "3", "--levels", "4", "--degree-count", "3", "--geometry", "unit"],
     ["synth", "--levels", "3"],
+    ["synth", "--levels", "2", "--resolution", "16", "--period", "0.5091"],
     ["exponent", "--preset", "s3-bundle"],
     ["exponent", "--preset", "sphere", "--t", "3"],
 )

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipdeg import bands
+from lipdeg import acceptance, bands
 from lipdeg.acceptance import lp_battery
 from lipdeg.bands import (
     SILENT_FLOOR,
@@ -97,6 +98,26 @@ def test_lp_norm_exact_values():
     assert lp_norm(g, 2) == pytest.approx(np.sqrt(0.5), abs=1e-12)
     with pytest.raises(ParameterError):
         lp_norm(f, "l1")  # only the documented 1, 2 and "inf"
+
+
+def test_sup_norm_is_exact_without_a_form_sized_temporary():
+    a = noise(3, 2, 64, seed=14, radius=10.0)
+    tracemalloc.start()
+    try:
+        got = lp_norm(a, "inf")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == float(np.max(np.abs(a.data)))
+    assert peak < 2**16  # the form is 6 MiB
+    for zero in (0.0, -0.0):  # an all-zero form of either sign: +0.0
+        z = zero_form(2, 1, 8)
+        z.data[:] = zero
+        assert math.copysign(1.0, lp_norm(z, "inf")) == 1.0 and lp_norm(z, "inf") == 0.0
+    for c, value in ((0, np.nan), (2, np.nan), (1, -np.inf)):
+        b = a.copy_with(a.data.copy())
+        b.data[c, 5, 6, 7] = value
+        assert np.array_equal(lp_norm(b, "inf"), float(np.max(np.abs(b.data))), equal_nan=True)
 
 
 # -- partition structure -------------------------------------------------------
@@ -327,17 +348,17 @@ def _half_spectra(a):
 
 
 def _live_pairs(a, complex_product: bool) -> list:
-    """The (band, component) pairs above the silent floor, tested on the
-    whole lattice: on |spectrum * window| with ``complex_product``, else on
-    |spectrum| * window."""
+    """The (band, component) pairs above the silent floor, component by
+    component, tested on the whole lattice: on |spectrum * window| with
+    ``complex_product``, else on |spectrum| * window."""
     specs = _half_spectra(a)
     mags = [np.abs(s) for s in specs]
     floor = SILENT_FLOOR * max(float(m.max()) for m in mags)
     part = build_partition(a.spatial_dim, a.resolution, a.period)
     live = []
-    for k in part.bands:
-        w = part.band_multiplier(k)
-        for c, (spec, mag) in enumerate(zip(specs, mags)):
+    for c, (spec, mag) in enumerate(zip(specs, mags)):
+        for k in part.bands:
+            w = part.band_multiplier(k)
             peak = np.abs(spec * w).max() if complex_product else (mag * w).max()
             if float(peak) > floor:
                 live.append((k, c))
@@ -398,6 +419,121 @@ def test_live_pairs_match_the_complex_test(d, N, p):
     # the top band is silent in every dense form
     k_top = build_partition(d, N, 1.0).k_max
     assert all(k != k_top for k, _ in live)
+
+
+def _profile_bytes(prof) -> bytes:
+    """A band profile's keys and every number in it, in its own order."""
+    maps = (prof.l1, prof.l2, prof.linf, prof.per_component)
+    nums = [prof.total_l2] + [x for m in maps for v in m.values() for x in np.atleast_1d(v)]
+    return repr((prof.bands, [list(m) for m in maps])).encode() + np.array(nums).tobytes()
+
+
+def _recorded(stream, pairs: list):
+    """``stream`` of (k, c, field), recording each (k, c) in ``pairs``."""
+    for k, c, fld in stream:
+        pairs.append((k, c))
+        yield k, c, fld
+
+
+def _component_major(pairs) -> list:
+    return sorted(pairs, key=lambda kc: (kc[1], kc[0]))
+
+
+def _check_band_stream(a, decompose: bool):
+    """band_profile and band_decompose equal the band-major oracle's bit for
+    bit, and the stream visits the oracle's live pairs component-major."""
+    got, want = [], []
+    prof = bands._stream_profile(a, _recorded(band_fields(a), got))
+    oracle = oracles.stream_profile(a, _recorded(oracles.band_fields(a), want))
+    assert _profile_bytes(prof) == _profile_bytes(oracle)
+    assert _profile_bytes(band_profile(a)) == _profile_bytes(oracle)
+    assert got == _component_major(want)
+    if decompose:
+        pieces = band_decompose(a)
+        planes = {k: np.zeros_like(a.data) for k in pieces}
+        for k, c, fld in oracles.band_fields(a):
+            planes[k][c] = fld
+        assert all(pieces[k].data.tobytes() == planes[k].tobytes() for k in pieces)
+    return got
+
+
+# the forms the stream must reproduce: (d, p, N) of noise at radius N / 2.5,
+# or the layered 4D N=32 ensemble; decomposed where every band stays small
+BAND_STREAM_FORMS = [(2, 1, 256), (3, 1, 64), (3, 2, 64), (4, 0, 32), (4, 2, 32), "layered"]
+
+
+@pytest.mark.parametrize("form", BAND_STREAM_FORMS, ids=str)
+def test_band_stream_equals_the_band_major_oracle(form):
+    if form == "layered":
+        a = layered_profile(2, 3, 1.0, N=32, seed=7).ensemble
+    else:
+        d, p, N = form
+        a = noise(d, p, N, seed=40 + 10 * d + p, radius=N / 2.5)
+    _check_band_stream(a, decompose=a.data.nbytes <= 2**23)
+
+
+@pytest.mark.parametrize("d,p,N", [(3, 1, 32), (2, 2, 64)])
+def test_lp_battery_equals_its_band_major_oracle(monkeypatch, d, p, N):
+    a = noise(d, p, N, seed=50 + d, radius=N / 2.5)
+    got = lp_battery(a)
+    monkeypatch.setattr(acceptance, "band_fields", oracles.band_fields)
+    monkeypatch.setattr(acceptance, "_stream_profile", oracles.stream_profile)
+    want = lp_battery(a)
+    assert np.array(got[:3]).tobytes() == np.array(want[:3]).tobytes()
+    assert _profile_bytes(got[3]) == _profile_bytes(want[3])
+
+
+def test_a_pair_between_the_bounds_takes_the_exact_floor(monkeypatch):
+    # component 0 at 1e-10 of component 1: its live pairs lie above the
+    # floor its own peak sets and at or below the floor the sample bound
+    # sets; component 2 is zero
+    a = noise(3, 2, 32, seed=61, radius=32 / 2.5)
+    a.data[0] *= 1e-10
+    a.data[2] = 0.0
+    part = build_partition(3, 32, 1.0)
+    mags = [np.abs(s) for s in _half_spectra(a)]
+    floor = SILENT_FLOOR * max(float(m.max()) for m in mags)
+    above = SILENT_FLOOR * 2.0 * 32**3 * lp_norm(a, "inf")
+    own = SILENT_FLOOR * float(mags[0].max())
+    zero = [float((mags[0] * part.band_multiplier(k)).max()) for k in part.bands]
+    assert any(max(own, floor) < v <= above for v in zero)
+    live = _check_band_stream(a, decompose=True)
+    assert live[0][1] == 0  # component 0's pairs come first
+    with monkeypatch.context() as m:
+        counts = _count_transforms(m)
+        assert sum(1 for _ in band_fields(a)) == len(live)
+    # one rfftn per nonzero component, and component 1 once more for the
+    # exact floor; one irfftn per live pair
+    assert counts == {"rfftn": 2 + 1, "irfftn": len(live)}
+
+
+def test_a_nan_component_floors_as_in_the_band_major_stream():
+    # max() keeps its first value against a later NaN and a NaN first value
+    # against everything, so the floor depends on where the NaN plane sits
+    for planes in ((0, 1, 2), (1, 2, 0), (2, 1, 0)):
+        a = noise(3, 1, 16, seed=63, radius=5.0)
+        a.data[planes[0]] = 0.0
+        a.data[planes[1], 1, 2, 3] = np.nan
+        with np.errstate(all="ignore"):
+            got, want = [], []
+            prof = bands._stream_profile(a, _recorded(band_fields(a), got))
+            oracle = oracles.stream_profile(a, _recorded(oracles.band_fields(a), want))
+        assert _profile_bytes(prof) == _profile_bytes(oracle)
+        assert got == _component_major(want)
+
+
+def test_band_stream_holds_one_half_spectrum():
+    a = noise(4, 2, 32, seed=62, radius=32 / 2.5)  # six 8 MiB components
+    build_partition(4, 32, 1.0).classes  # built beforehand: not the stream's
+    half = 16 * 32**3 * 17  # one complex half-spectrum, 8.5 MiB
+    tracemalloc.start()
+    try:
+        band_profile(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the stream with every spectrum live rose about 10.4 half-spectra
+    assert peak <= 6 * half
 
 
 def _full_transforms(monkeypatch):
