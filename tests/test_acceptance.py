@@ -3,8 +3,16 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS/FAIL lines; each test asserts its criterion so the suite fails loudly
 if any guarantee regresses.
+
+Every number is pinned as well: ``data/pinned_verify.json`` holds the
+sha256 of each full-level criterion's JSON and of the ``verify --level
+quick`` stdout, so a change that moves any bit of a reported result fails
+here even where the criterion still passes.  Regenerate a digest only for
+a change that means to move a result, and say so where the change is
+described.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +21,14 @@ from pathlib import Path
 
 from lipdeg import acceptance
 
+from lipdeg.exterior import jsonable
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+PINNED = json.loads((Path(__file__).parent / "data" / "pinned_verify.json").read_text())
+
+
+def _sha256(blob: bytes) -> str:
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _check(fn):
@@ -21,6 +36,8 @@ def _check(fn):
     tag = "PASS" if result.passed else "FAIL"
     print(f"CRITERION {result.number} {tag}: {result.details['summary']}")
     assert result.passed, result.details
+    blob = json.dumps(jsonable(result), sort_keys=True).encode()
+    assert _sha256(blob) == PINNED["criteria"][str(result.number)], result.details
     return result
 
 
@@ -82,6 +99,7 @@ def test_criterion_11_verify_byte_identical():
     assert first.returncode == 0, first.stderr.decode()[-2000:]
     assert second.returncode == 0
     assert first.stdout == second.stdout
+    assert _sha256(first.stdout) == PINNED["verify_quick"]
     tag = "PASS" if first.stdout == second.stdout else "FAIL"
     print(f"CRITERION 11 {tag}: verify twice -> byte-identical "
           f"({len(first.stdout)} bytes)")
