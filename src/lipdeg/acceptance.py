@@ -159,7 +159,9 @@ def lp_battery(a: GridForm) -> tuple:
             del fld  # free it before the stream computes the next field
 
     profile = _stream_profile(a, summed())
-    recon = float(np.max(np.abs(total - a.data)) / np.max(np.abs(a.data)))
+    np.subtract(total, a.data, out=total)
+    # a float64 quotient: a zero form gives NaN, not ZeroDivisionError
+    recon = float(np.float64(lp_norm(a.copy_with(total), "inf")) / lp_norm(a, "inf"))
     del total
     k_mid = profile.bands[len(profile.bands) // 2]
     da = exterior_derivative(a)

@@ -54,25 +54,21 @@ the CLI and the battery report.
 
 The band stream ``band_fields`` runs component by component, and band by
 band within a component, with one half-spectrum live: it transforms
-component c, folds its magnitudes into one peak per radius class, yields
-c's live fields (each windowed spectrum written into one plane that the
-whole stream reuses) and drops the spectrum before it transforms c + 1.
-It reads max |c| of every component first; a component whose max is zero
-gets no transform.  It skips silent (band, component) pairs: those where
-|spectrum| * window peaks at or below ``SILENT_FLOOR`` times the form's
-largest spectral magnitude, the same relative floor ``spectral_support``
-cuts at.  That largest magnitude is settled without holding the other
-spectra: every |spectrum| is at most N^d max |a|, so a pair above
-``SILENT_FLOOR`` times twice that bound (the factor covers FFT roundoff)
-is live, and one at or below ``SILENT_FLOOR`` times the largest peak seen
-so far is silent.  At the first pair in between, the remaining
-components are transformed once for their peaks and dropped, and the
-stream goes on from that pair with the exact floor.  Consumers sum over
-components in increasing c for each band, and over bands in increasing k
-for each component, in either order, so every number is the band-major
-stream's.  A silent pair gets no inverse transform; ``band_decompose``
-leaves its plane zero, and a band profile keeps every band and every
-(band, component) key, reporting a silent pair as ``(0, 0, 0)``.
+component c (an all-zero plane gets no transform and no live pair), folds
+its magnitudes into one peak per radius class, yields c's live fields
+(each windowed spectrum written into one plane that the whole stream
+reuses) and drops the spectrum before it transforms c + 1.  It skips
+silent (band, component) pairs: those where |spectrum| * window peaks at
+or below ``SILENT_FLOOR`` times that component's own largest spectral
+magnitude, the scale its transform's roundoff grows with.  So whether a
+pair is live reads no other component: a component far below the others
+keeps its bands, and a NaN sample silences its own component alone.
+Consumers sum over components in increasing c for each band, and over
+bands in increasing k for each component, in either order, so every
+number is the band-major stream's.  A silent pair gets no inverse
+transform; ``band_decompose`` leaves its plane zero, and a band profile
+keeps every band and every (band, component) key, reporting a silent pair
+as ``(0, 0, 0)``.
 
 Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 ``L2 = sqrt(sum_I integral a_I^2)``, ``Linf = max |a_I|``.
@@ -128,8 +124,9 @@ __all__ = [
 # largest grid one form may hold: 2**27 float64 samples, 1 GiB
 _MAX_SAMPLES = 2**27
 
-# relative spectral floor: magnitudes at or below SILENT_FLOOR times the
-# form's largest spectral magnitude count as roundoff
+# relative spectral floor: magnitudes at or below SILENT_FLOOR times a
+# reference magnitude count as roundoff; the band stream's reference is the
+# component's own largest, spectral_support's default the whole form's
 SILENT_FLOOR = 1e-12
 
 _TINY = 2.0**-1022  # smallest normal float64
@@ -523,38 +520,25 @@ def band_fields(a: GridForm):
 
     Each component's spectral magnitudes are folded once into a peak per
     radius class, and pair (k, c) is live when max(peak_c * window_k) over
-    the classes exceeds the floor.  Rounding is monotone and the window is
-    constant on a class, so that is max |spectrum| * window over the
-    lattice, bit for bit.  One component's spectrum is live at a time; the
-    floor is settled without the others' (see the module docstring)."""
+    the classes exceeds ``SILENT_FLOOR`` times max(peak_c), the component's
+    own largest magnitude.  Rounding is monotone and the window is constant
+    on a class, so that is max |spectrum| * window over the lattice, bit for
+    bit.  One component's spectrum is live at a time, transformed once."""
     d, N = a.spatial_dim, a.resolution
     part = _partition(a)
     u, inv = part.classes  # before any spectrum is live: np.unique's temporaries
     windows = list(part.windows())
-    sups = _sups(a)  # a zero sup is an all-zero plane, whose spectrum is zero
-    # |rfftn(c)| <= sum |c| <= N^d max |c|; twice that covers FFT roundoff
-    above = SILENT_FLOOR * (2.0 * N**d * float(np.max(sups)))
-    # tops: each component's largest magnitude so far, in component order
-    # (every component's, once the first pair between ``above`` and the
-    # running floor sets the exact floor); prod: the one windowed-spectrum
-    # plane, reused by every pair
-    tops, floor, prod = [], None, None
+    prod = None  # the one windowed-spectrum plane, reused by every pair
     for c, plane in enumerate(a.data):
-        if not sups[c]:  # peak 0.0, no live pair, no transform
-            tops.append(0.0)
+        if _all_zero(plane):  # a zero spectrum: no live pair, no transform
             continue
         spec = _spectrum(plane)
         peak = np.zeros(len(u))
         # flat operands keep ufunc.at on its fast path; one magnitude plane live
         np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
-        tops.append(float(peak.max()))
+        floor = SILENT_FLOOR * peak.max()  # NaN for a NaN plane: every pair silent
         for k, window in windows:
-            v = float((peak * window).max())
-            if floor is None and not v > above and not v <= SILENT_FLOOR * max(tops):
-                later = zip(a.data[c + 1 :], sups[c + 1 :])
-                tops += [float(np.abs(_spectrum(x)).max()) if s else 0.0 for x, s in later]
-                floor = SILENT_FLOOR * max(tops)
-            if v > (above if floor is None else floor):
+            if (peak * window).max() > floor:
                 prod = np.multiply(spec, window[inv], out=prod)
                 yield k, c, _field(prod, np.empty((N,) * d))
         del spec  # before the next component's transform
@@ -652,14 +636,10 @@ def lp_norm(a: GridForm, which) -> float:
     if which == 2:
         return float(np.sqrt(sum((c**2).sum() * cell for c in a.data)))
     if which == "inf":
-        return float(np.max(_sups(a)))  # np.max keeps a NaN
+        # max |c| without an |c| temporary: the larger of |max c| and |min c|,
+        # NaN where c holds one; np.max keeps a NaN
+        return float(np.max([max(abs(c.max()), abs(c.min())) for c in a.data]))
     raise ParameterError(f"unsupported norm {which!r}")
-
-
-def _sups(a: GridForm) -> list:
-    """max |c| of each component c, without an |c| temporary: the larger of
-    |max c| and |min c|, NaN where c holds one."""
-    return [max(abs(c.max()), abs(c.min())) for c in a.data]
 
 
 def closedness(a: GridForm) -> float:

@@ -16,8 +16,8 @@ arithmetic, which is exact on Fraction coefficients.
   They transform back with numpy's one-call ``irfftn``, so that match also
   checks ``bands``' pass-by-pass inverse against numpy's.
 * ``band_fields`` is the band-major band stream, every component's
-  half-spectrum live and the silent floor taken over all of them before
-  the first field, and ``stream_profile`` reads band norms off a stream
+  half-spectrum live and every component's silent floor taken before the
+  first field, and ``stream_profile`` reads band norms off a stream
   with one temporary per norm: the reference for ``bands``' component-major
   stream and its fused norms.
 """
@@ -274,19 +274,19 @@ def wedge_loop(a: GridForm, b: GridForm) -> GridForm:
 def band_fields(a: GridForm):
     """Yield (k, c, component c of P_k a) band by band over live pairs: a
     pair is live when max |spectrum_c| * window_k, folded per radius class,
-    exceeds SILENT_FLOOR times the largest magnitude of every spectrum."""
+    exceeds SILENT_FLOOR times the largest magnitude of spectrum_c."""
     d, N = a.spatial_dim, a.resolution
     part = _partition(a)
     u, inv = part.classes
-    specs, peaks = [], []
+    specs, peaks, floors = [], [], []
     for spec in _spectra(a):
         peak = np.zeros(len(u))
         np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
         specs.append(spec)
         peaks.append(peak)
-    floor = SILENT_FLOOR * max(float(peak.max()) for peak in peaks)
+        floors.append(SILENT_FLOOR * float(peak.max()))
     for k, window in part.windows():
-        for c, (spec, peak) in enumerate(zip(specs, peaks)):
+        for c, (spec, peak, floor) in enumerate(zip(specs, peaks, floors)):
             if float((peak * window).max()) > floor:
                 yield k, c, irfftn(spec * window[inv], d, N)
 

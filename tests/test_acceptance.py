@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 from lipdeg import acceptance
-
 from lipdeg.exterior import jsonable
 
 SRC = Path(__file__).resolve().parents[1] / "src"

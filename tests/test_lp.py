@@ -348,15 +348,14 @@ def _half_spectra(a):
 
 
 def _live_pairs(a, complex_product: bool) -> list:
-    """The (band, component) pairs above the silent floor, component by
-    component, tested on the whole lattice: on |spectrum * window| with
-    ``complex_product``, else on |spectrum| * window."""
-    specs = _half_spectra(a)
-    mags = [np.abs(s) for s in specs]
-    floor = SILENT_FLOOR * max(float(m.max()) for m in mags)
+    """The (band, component) pairs above their component's silent floor,
+    component by component, tested on the whole lattice: on |spectrum *
+    window| with ``complex_product``, else on |spectrum| * window."""
     part = build_partition(a.spatial_dim, a.resolution, a.period)
     live = []
-    for c, (spec, mag) in enumerate(zip(specs, mags)):
+    for c, spec in enumerate(_half_spectra(a)):
+        mag = np.abs(spec)
+        floor = SILENT_FLOOR * float(mag.max())
         for k in part.bands:
             w = part.band_multiplier(k)
             peak = np.abs(spec * w).max() if complex_product else (mag * w).max()
@@ -483,43 +482,52 @@ def test_lp_battery_equals_its_band_major_oracle(monkeypatch, d, p, N):
     assert _profile_bytes(got[3]) == _profile_bytes(want[3])
 
 
-def test_a_pair_between_the_bounds_takes_the_exact_floor(monkeypatch):
-    # component 0 at 1e-10 of component 1: its live pairs lie above the
-    # floor its own peak sets and at or below the floor the sample bound
-    # sets; component 2 is zero
+def test_lp_battery_recon_is_the_sup_quotient():
+    a = noise(3, 1, 16, seed=64, radius=16 / 2.5)
+    total = np.zeros_like(a.data)
+    for piece in band_decompose(a).values():
+        total += piece.data
+    want = np.max(np.abs(total - a.data)) / np.max(np.abs(a.data))
+    assert lp_battery(a)[0] == want
+    with np.errstate(invalid="ignore"):  # 0 / 0 in float64, not ZeroDivisionError
+        assert math.isnan(lp_battery(zero_form(2, 0, 8))[0])
+
+
+def test_a_faint_component_keeps_its_bands(monkeypatch):
+    # component 0 at 1e-13 of the others: every magnitude of it lies below
+    # SILENT_FLOOR times the form's largest, yet its bands stay live
     a = noise(3, 2, 32, seed=61, radius=32 / 2.5)
-    a.data[0] *= 1e-10
-    a.data[2] = 0.0
-    part = build_partition(3, 32, 1.0)
-    mags = [np.abs(s) for s in _half_spectra(a)]
-    floor = SILENT_FLOOR * max(float(m.max()) for m in mags)
-    above = SILENT_FLOOR * 2.0 * 32**3 * lp_norm(a, "inf")
-    own = SILENT_FLOOR * float(mags[0].max())
-    zero = [float((mags[0] * part.band_multiplier(k)).max()) for k in part.bands]
-    assert any(max(own, floor) < v <= above for v in zero)
+    a.data[0] *= 1e-13
+    tops = [float(np.abs(s).max()) for s in _half_spectra(a)]
+    assert tops[0] <= SILENT_FLOOR * max(tops)
     live = _check_band_stream(a, decompose=True)
-    assert live[0][1] == 0  # component 0's pairs come first
+    zero = [(k, c) for k, c in live if c == 0]
+    assert zero and zero == [(k, c) for k, c in _live_pairs(a, False) if c == 0]
+    pieces = band_decompose(a)
+    recon = sum(pieces[k].data[0] for k in pieces)
+    ref = np.max(np.abs(a.data[0]))
+    assert np.max(np.abs(recon - a.data[0])) <= 1e-14 * ref
     with monkeypatch.context() as m:
         counts = _count_transforms(m)
         assert sum(1 for _ in band_fields(a)) == len(live)
-    # one rfftn per nonzero component, and component 1 once more for the
-    # exact floor; one irfftn per live pair
-    assert counts == {"rfftn": 2 + 1, "irfftn": len(live)}
+    # one rfftn per nonzero component, one irfftn per live pair
+    assert counts == {"rfftn": 3, "irfftn": len(live)}
 
 
 def test_a_nan_component_floors_as_in_the_band_major_stream():
-    # max() keeps its first value against a later NaN and a NaN first value
-    # against everything, so the floor depends on where the NaN plane sits
-    for planes in ((0, 1, 2), (1, 2, 0), (2, 1, 0)):
+    # each component sets its own floor, so a NaN sample silences the
+    # component it sits in and no other, wherever that component sits
+    for zero, nan in ((0, 1), (1, 2), (2, 1), (2, 0)):
         a = noise(3, 1, 16, seed=63, radius=5.0)
-        a.data[planes[0]] = 0.0
-        a.data[planes[1], 1, 2, 3] = np.nan
+        a.data[zero] = 0.0
+        a.data[nan, 1, 2, 3] = np.nan
         with np.errstate(all="ignore"):
             got, want = [], []
             prof = bands._stream_profile(a, _recorded(band_fields(a), got))
             oracle = oracles.stream_profile(a, _recorded(oracles.band_fields(a), want))
         assert _profile_bytes(prof) == _profile_bytes(oracle)
         assert got == _component_major(want)
+        assert {c for _, c in got} == {0, 1, 2} - {zero, nan}
 
 
 def test_band_stream_holds_one_half_spectrum():
