@@ -1,7 +1,16 @@
-"""CLI contract: JSON shapes, exit codes, artifacts, determinism."""
+"""CLI contract: JSON shapes, exit codes, artifacts, determinism.
+
+Every byte is pinned as well: ``data/pinned_cli.json`` holds, for each
+command line of ``PINNED_CALLS``, the sha256 of its stdout, its stderr, its
+exit code and every file it writes under ``--out`` (see ``cli_digests``).
+Regenerate it, with ``json.dumps(cli_digests(), indent=1, sort_keys=True)``
+run from an empty working directory, only for a change that means to move
+an output, and say so where the change is described.
+"""
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -20,6 +29,7 @@ from lipdeg.bands import bandlimited_noise_form, zero_form
 from lipdeg.construct import recursion_plan
 from lipdeg.cli import main
 from lipdeg.gridio import write_gridform
+from test_hygiene import CLI_CALLS
 
 
 def run_cli(capsys, *argv):
@@ -659,6 +669,40 @@ def test_output_is_byte_deterministic(capsys):
     _, out3, _ = run_cli(capsys, "lp", "--dim", "2", "--resolution", "32")
     _, out4, _ = run_cli(capsys, "lp", "--dim", "2", "--resolution", "32")
     assert out3 == out4
+
+
+# the traced session's command lines, plus a 2^20-point grid
+PINNED_CALLS = CLI_CALLS + (["lp", "--dim", "4", "--resolution", "32", "--degree", "2"],)
+PINNED_CLI = json.loads((Path(__file__).parent / "data" / "pinned_cli.json").read_text())
+
+
+def cli_digests() -> dict:
+    """Run ``PINNED_CALLS`` in order through ``cli.main`` in the working
+    directory, with ``{tmp}`` as ``out``, and return {argv: {"stdout",
+    "stderr", "exit", "files": {path: digest}}}, every value a sha256."""
+
+    def sha(blob: bytes) -> str:
+        return hashlib.sha256(blob).hexdigest()
+
+    digests = {}
+    for argv in PINNED_CALLS:
+        argv = [a.format(tmp="out") for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        written = json.loads(out.getvalue()).get("artifacts", []) if code == 0 else []
+        digests[" ".join(argv)] = {
+            "stdout": sha(out.getvalue().encode()),
+            "stderr": sha(err.getvalue().encode()),
+            "exit": sha(str(code).encode()),
+            "files": {path: sha(Path(path).read_bytes()) for path in written},
+        }
+    return digests
+
+
+def test_cli_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert cli_digests() == PINNED_CLI
 
 
 def test_seed_changes_search_but_stays_recorded(capsys):
