@@ -10,17 +10,16 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``0..N/2``), and one transform pair moves between grid and spectrum:
   ``_spectrum`` (rfftn of one component; ``_spectra`` yields a form's, one
   at a time) and ``_field`` (irfftn, called by ``band_fields`` and the
-  operators' collector alone, which hands it its output plane); an
-  all-zero sample plane or output spectrum skips its transform, since the
-  other side is zero too;
+  operators' collector alone, which hand it a spectrum they give up and
+  its output plane); an all-zero sample plane or output spectrum skips
+  its transform, since the other side is zero too;
 * each transform runs numpy's n-D transform as its 1-D passes, in numpy's
-  order (forward: rfft on the last axis, then fft on axes d-2 down to 0;
-  inverse: ifft on axes 0 up to d-2, then irfft), each pass into a fresh
-  array, so the bits are numpy's ``rfftn``/``irfftn``'s; on a grid of at
-  least ``_SPLIT_POINTS`` = 2^18 points each pass cuts its lines in two
-  halves along the first other axis, and one worker thread, started by
-  the first such pass, transforms one half while the caller transforms
-  the other;
+  order, on the calling thread (forward: rfft on the last axis into a
+  fresh half-spectrum, then fft on axes d-2 down to 0 in place; inverse:
+  ifft on axes 0 up to d-2 in place on the spectrum, then irfft into the
+  output plane), so the bits are numpy's ``rfftn``/``irfftn``'s; the
+  passes are spelled out because ``irfftn`` allocates a fresh array for
+  each ifft pass;
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -77,9 +76,8 @@ Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Mapping, Optional
 
@@ -130,10 +128,6 @@ _MAX_SAMPLES = 2**27
 SILENT_FLOOR = 1e-12
 
 _TINY = 2.0**-1022  # smallest normal float64
-
-# a transform on a grid of at least this many points runs each 1-D pass as
-# two halves on two threads
-_SPLIT_POINTS = 2**18
 
 
 def _check_resolution(N: int) -> None:
@@ -307,10 +301,14 @@ class DyadicPartition:
         inv.setflags(write=False)
         return u, inv
 
-    def band_multiplier(self, k: int) -> np.ndarray:
-        """Band window on the lattice (see ``windows``)."""
+    def check_band(self, k) -> None:
+        """BandRangeError unless k is one of the partition's bands."""
         if k not in self.bands:
             raise BandRangeError(f"band {k} outside {self.k_min}..{self.k_max}")
+
+    def band_multiplier(self, k: int) -> np.ndarray:
+        """Band window on the lattice (see ``windows``)."""
+        self.check_band(k)
         return _window(self.classes[0], k, self.k_min)[self.classes[1]]
 
     def windows(self):
@@ -391,79 +389,20 @@ def _spectra(a: GridForm):
 def _spectrum(c: np.ndarray) -> np.ndarray:
     """``np.fft.rfftn(c)`` for one plane c of the N^d grid, pass by pass."""
     d, N = c.ndim, c.shape[0]
-    x = _lines(np.fft.rfft, c, N, d - 1, np.empty(c.shape[:-1] + (N // 2 + 1,), complex))
+    x = np.fft.rfft(c, N, d - 1)
     for axis in range(d - 2, -1, -1):
-        x = _lines(np.fft.fft, x, N, axis, np.empty(x.shape, complex))
+        np.fft.fft(x, N, axis, out=x)
     return x
 
 
 def _field(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into ``out``, a float64 plane of the N^d grid, the real field
-    with half-spectrum ``spec`` (``np.fft.irfftn``, pass by pass); ``spec``
-    is left unchanged."""
+    with half-spectrum ``spec`` (``np.fft.irfftn``, pass by pass).  The ifft
+    passes run in place: ``spec`` is consumed, and nothing may read it after."""
     d, N = out.ndim, out.shape[0]
-    x = spec
     for axis in range(d - 1):
-        x = _lines(np.fft.ifft, x, N, axis, np.empty(x.shape, complex))
-    return _lines(np.fft.irfft, x, N, d - 1, out)
-
-
-def _lines(fn, x: np.ndarray, N: int, axis: int, out: np.ndarray) -> np.ndarray:
-    """``fn(x, N, axis, out=out)`` for a 1-D numpy.fft transform ``fn`` on
-    the N^d grid, d = x.ndim.
-
-    On a grid of at least ``_SPLIT_POINTS`` points (d >= 2) the lines are
-    cut in two along the first axis other than ``axis``: the worker thread
-    transforms one half while this thread transforms the other, and the
-    worker's half has finished before this returns or raises.  Every line
-    runs the same plan either way, so the bits do not depend on the cut."""
-    d = x.ndim
-    if d == 1 or N**d < _SPLIT_POINTS:
-        return fn(x, N, axis, out=out)
-    s = 1 if axis == 0 else 0  # the first axis other than ``axis``
-    cut = x.shape[s] // 2
-    head = (slice(None),) * s + (slice(None, cut),)
-    tail = (slice(None),) * s + (slice(cut, None),)
-    half = _worker().submit(fn, x[tail], N, axis, out=out[tail])
-    try:
-        fn(x[head], N, axis, out=out[head])
-    finally:
-        half.exception()  # waits for the worker's half, whatever happened here
-    half.result()  # raises what the worker's half raised
-    return out
-
-
-@cache
-def _worker():
-    """The one worker thread, started by the first pass that splits.  A
-    forked child starts its own: the parent's thread does not survive."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    if hasattr(os, "register_at_fork"):
-        os.register_at_fork(after_in_child=_worker.cache_clear)
-    return ThreadPoolExecutor(max_workers=1, initializer=_leave_cpu, initargs=(_cpu(),))
-
-
-def _cpu() -> Optional[int]:
-    """The CPU the calling thread runs on (Linux), else None."""
-    try:
-        with open("/proc/thread-self/stat") as fh:
-            return int(fh.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def _leave_cpu(cpu: Optional[int]) -> None:
-    """Move the calling thread off ``cpu`` once, then give it back its
-    affinity mask.  Linux wakes a thread on its waker's CPU unless the CPU
-    it last ran on is idle, so a worker that started beside the caller would
-    run every half after the caller's instead of beside it."""
-    try:
-        allowed = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, allowed - {cpu} or allowed)
-        os.sched_setaffinity(0, allowed)
-    except (AttributeError, OSError):  # no affinity calls on this platform
-        pass
+        np.fft.ifft(spec, N, axis, out=spec)
+    return np.fft.irfft(spec, N, d - 1, out=out)
 
 
 def _combine(specs, table, term):
@@ -490,7 +429,9 @@ def _combine(specs, table, term):
 def _collect(outputs, a: GridForm, p: int, spectral: bool = True) -> GridForm:
     """The degree-p form on a's grid whose component o is the field of each
     half-spectrum (o, x) of ``outputs``, or the plane x when not
-    ``spectral``; an all-zero x, or an o never yielded, stays zero."""
+    ``spectral``; an all-zero x, or an o never yielded, stays zero.  ``_field``
+    consumes each x: a term returning a spectrum still held elsewhere would
+    see it overwritten."""
     d, N = a.spatial_dim, a.resolution
     data = np.zeros((comb(d, p),) + (N,) * d)
     for o, x in outputs:
@@ -528,7 +469,7 @@ def band_fields(a: GridForm):
     part = _partition(a)
     u, inv = part.classes  # before any spectrum is live: np.unique's temporaries
     windows = list(part.windows())
-    prod = None  # the one windowed-spectrum plane, reused by every pair
+    prod = None  # the one windowed-spectrum plane, rewritten (and consumed) by every pair
     for c, plane in enumerate(a.data):
         if _all_zero(plane):  # a zero spectrum: no live pair, no transform
             continue
@@ -589,14 +530,17 @@ def primitive(
     ``2 pi i |xi|^2 / T``; exact on closed spectra, and on band k the
     output is smaller by ``~ 2^{-k}``.  Raises MeanObstruction when a
     component carries a zero mode, NotClosed when d(a) is not ~0, and
-    BandRangeError when ``band`` is given but spectral mass leaks outside
-    that band's annulus; each test is relative, at tolerance 1e-8.
+    BandRangeError when ``band`` is given but is not one of the partition's
+    bands or spectral mass leaks outside that band's annulus; each test is
+    relative, at tolerance 1e-8.
     """
     part = _partition(a, part)
     d, p = a.spatial_dim, a.form_degree
     tol = 1e-8
     if p == 0:
         raise ShapeError("a 0-form has no primitive")
+    if band is not None:
+        part.check_band(band)
     specs = list(_spectra(a))
     # a zero form passes every test below and has zero outputs
     total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for s in specs))

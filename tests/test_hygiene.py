@@ -9,12 +9,11 @@
 * Every statement in src/lipdeg/ runs (see ``unexecuted``).  A fresh
   interpreter sets ``sys.settrace`` before it imports lipdeg, then runs
   ``SESSION``: the command lines of ``CLI_CALLS`` at N <= 16 with one or
-  two restarts (and one at the grid size where transforms split across two
-  threads, and one synth whose band stream meets pairs next to its floor), then
-  the benchmark's ``algebra``, ``spectral`` and
-  ``pipeline`` job lists at ``"smoke"`` size.  Threads the session starts
-  are traced too.  A statement counts as run
-  when a line of its own (its header, for a compound statement) reports
+  two restarts (and one on the 64^3 grid, and one synth whose band stream
+  meets pairs next to its floor), then the benchmark's ``algebra``,
+  ``spectral`` and ``pipeline`` job lists at ``"smoke"`` size.  Threads
+  the session starts are traced too.  A statement counts as run when a
+  line of its own (its header, for a compound statement) reports
   a line event.  Docstrings, ``raise`` statements and ``except`` bodies
   are exempt; every other statement the session leaves unrun must be
   counted in ``UNEXECUTED``, and an entry whose count no longer matches
@@ -321,10 +320,10 @@ def reach_findings(unrun: dict, allowed: dict) -> list:
 
 
 # One command line per surface and branch, at N <= 16 and one or two
-# restarts, and one on the 64^3 grid, where transforms split in two halves;
-# "{tmp}" is a scratch directory that later calls read back.  At period
-# 0.5091 each layer's frequency sits where a band window is about 2e-12,
-# so the band stream decides pairs within a factor of a few of its floor.
+# restarts, and one on the 64^3 grid; "{tmp}" is a scratch directory that
+# later calls read back.  At period 0.5091 each layer's frequency sits
+# where a band window is about 2e-12, so the band stream decides pairs
+# within a factor of a few of its floor.
 CLI_CALLS = (
     ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "1"],
     ["scalable", "--preset", "X4", "--restarts", "2", "--max-iters", "10"],

@@ -5,8 +5,6 @@ import os
 import re
 import subprocess
 import sys
-import threading
-import time
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -834,6 +832,19 @@ def test_primitive_band_annulus_is_closed(T):
         primitive(a, band=k - 1)
 
 
+@pytest.mark.parametrize("band", [99, -50, 2.5])
+def test_primitive_rejects_a_band_outside_the_partition(band):
+    """A band outside the partition's range fails as band_multiplier fails
+    on it, for a zero form as for a nonzero one (2D N=16: bands 0..4)."""
+    part = build_partition(2, 16, 1.0)
+    msg = re.escape(f"band {band} outside 0..4")
+    with pytest.raises(BandRangeError, match=msg):
+        part.band_multiplier(band)
+    for a in (zero_form(2, 1, 16), exterior_derivative(noise(2, 0, 16, seed=24, radius=5.0))):
+        with pytest.raises(BandRangeError, match=msg):
+            primitive(a, band=band)
+
+
 def test_one_radius_class_pass_per_grid(monkeypatch):
     """A grid's partition is cached, and noise, its band profile, d and the
     primitive on one grid share its radius classes: one np.unique call."""
@@ -1181,88 +1192,46 @@ def test_bandlimited_noise_respects_radius():
     assert np.all(np.linalg.norm(pts, axis=1) <= 7.0 + 1e-9)
 
 
-# -- transforms split across two threads ---------------------------------------
+# -- the transform pair --------------------------------------------------------
 
 
-class _CountingWorker:
-    """The worker pool, counting the halves handed to it."""
-
-    def __init__(self):
-        self.pool, self.halves = bands._worker(), 0
-
-    def submit(self, *args, **kwargs):
-        self.halves += 1
-        return self.pool.submit(*args, **kwargs)
-
-
-def _count_halves(monkeypatch, forced: bool) -> _CountingWorker:
-    """Count the worker's halves; ``forced`` splits the passes of every grid."""
-    worker = _CountingWorker()
-    monkeypatch.setattr(bands, "_worker", lambda: worker)
-    if forced:
-        monkeypatch.setattr(bands, "_SPLIT_POINTS", 1)
-    return worker
-
-
-@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize(
     "d,N",
     [(1, 64), (2, 32), (2, 512), (3, 16), (3, 32), (3, 64), (4, 8), (4, 32), (5, 8), (5, 16)],
 )
-def test_split_transforms_equal_numpys(monkeypatch, d, N, forced):
-    """The pass-by-pass transforms equal numpy's rfftn and irfftn byte for
-    byte, split or not; the inverse leaves its input spectrum unchanged.
-    Grids of 2^18 points or more split every pass (64^3 is the smallest
-    cube there, though its half-spectra hold fewer points)."""
-    worker = _count_halves(monkeypatch, forced)
+def test_transforms_equal_numpys(d, N):
+    """The pass-by-pass transforms equal numpy's rfftn and irfftn bytewise."""
     c = np.random.default_rng(d * N).standard_normal((N,) * d)
     axes = tuple(range(d))
     spec = bands._spectrum(c)
     assert spec.tobytes() == np.fft.rfftn(c, axes=axes).tobytes()
-    before = spec.copy()
+    want = np.fft.irfftn(spec, s=(N,) * d, axes=axes)
     out = np.empty((N,) * d)
     assert bands._field(spec, out) is out
-    assert out.tobytes() == np.fft.irfftn(before, s=(N,) * d, axes=axes).tobytes()
-    assert spec.tobytes() == before.tobytes()
-    split = d > 1 and (forced or N**d >= 2**18)
-    assert worker.halves == (2 * d if split else 0)
+    assert out.tobytes() == want.tobytes()
 
 
-def test_split_operators_equal_serial(monkeypatch):
-    """Forcing every pass to split leaves each operator's output unchanged."""
-    f = noise(3, 0, 16, seed=41, radius=5.0)
-    a = noise(3, 1, 16, seed=42, radius=5.0)
-    k = build_partition(3, 16, 1.0).k_min + 1
-
-    def run():
-        df = exterior_derivative(f)
-        piece = project_band(df, k)
-        planes = [exterior_derivative(a), df, primitive(df), primitive(piece, band=k)]
-        planes += band_decompose(a).values()
-        return [b.data.tobytes() for b in planes], band_profile(a), lp_battery(a)
-
-    serial = run()
-    worker = _count_halves(monkeypatch, forced=True)
-    assert run() == serial
-    assert worker.halves > 0
-
-
-@pytest.mark.parametrize("raiser", ["caller", "worker"])
-def test_a_raising_half_propagates_after_both_halves_finish(monkeypatch, raiser):
-    monkeypatch.setattr(bands, "_SPLIT_POINTS", 1)
-    caller = threading.get_ident()
-    finished = []
-
-    def fn(x, n, axis, out):
-        mine = "caller" if threading.get_ident() == caller else "worker"
-        if mine == raiser:
-            raise RuntimeError(mine)
-        time.sleep(0.2)
-        finished.append(mine)
-
-    with pytest.raises(RuntimeError, match=raiser):
-        bands._lines(fn, np.zeros((4, 4)), 4, 1, np.empty((4, 4)))
-    assert finished == ["worker" if raiser == "caller" else "caller"]
+@pytest.mark.parametrize("d,N", [(3, 64), (4, 32)])
+def test_each_transform_allocates_only_its_output(d, N):
+    """After a warm-up call, the forward transform's tracemalloc peak is its
+    one half-spectrum and the inverse's next to nothing: every pass but the
+    forward rfft runs in place."""
+    c = np.random.default_rng(d * N).standard_normal((N,) * d)
+    half = 16 * N ** (d - 1) * (N // 2 + 1)
+    out = np.empty((N,) * d)
+    bands._field(bands._spectrum(c), out)
+    tracemalloc.start()
+    try:
+        spec = bands._spectrum(c)
+        forward = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        bands._field(spec, out)
+        inverse = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert forward <= 1.05 * half
+    assert inverse <= 0.05 * half
 
 
 def _fresh_process(code: str) -> list:
@@ -1276,28 +1245,14 @@ def _fresh_process(code: str) -> list:
     return res.stdout.split()
 
 
-def test_one_worker_thread_starts_at_the_threshold():
-    """In a fresh process a band profile at 3D N=16 starts no thread and
-    loads no concurrent.futures; transforms on the 64^3 grid start one."""
+def test_transforms_start_no_thread():
+    """In a fresh process, transforms on the 64^3 and 32^4 grids run on the
+    calling thread alone and never load concurrent.futures."""
     code = (
         "import sys, threading\nimport numpy as np\n"
-        "from lipdeg.bands import _spectrum, band_profile, bandlimited_noise_form\n"
-        "band_profile(bandlimited_noise_form(3, 1, 16, seed=1))\n"
+        "from lipdeg.bands import _field, _spectrum\n"
+        "for shape in ((64,) * 3, (32,) * 4):\n"
+        "    _field(_spectrum(np.ones(shape)), np.empty(shape))\n"
         "print('concurrent.futures' in sys.modules, threading.active_count())\n"
-        "for _ in range(3):\n    _spectrum(np.ones((64,) * 3))\n"
-        "print(threading.active_count())\n"
     )
-    assert _fresh_process(code) == ["False", "1", "2"]
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_a_forked_child_starts_its_own_worker():
-    """The parent's worker thread does not survive a fork; a child's split
-    transform runs on a worker of its own instead of waiting forever."""
-    code = (
-        "import os, signal\nimport numpy as np\nfrom lipdeg.bands import _spectrum\n"
-        "_spectrum(np.ones((64,) * 3))\npid = os.fork()\nif pid == 0:\n"
-        "    signal.alarm(30)\n    _spectrum(np.ones((64,) * 3))\n    os._exit(0)\n"
-        "print(os.waitpid(pid, 0)[1])\n"
-    )
-    assert _fresh_process(code) == ["0"]
+    assert _fresh_process(code) == ["False", "1"]
