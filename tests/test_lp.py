@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -1195,20 +1196,33 @@ def test_bandlimited_noise_respects_radius():
 # -- the transform pair --------------------------------------------------------
 
 
+@pytest.mark.parametrize("forced", [False, True])
 @pytest.mark.parametrize(
     "d,N",
     [(1, 64), (2, 32), (2, 512), (3, 16), (3, 32), (3, 64), (4, 8), (4, 32), (5, 8), (5, 16)],
 )
-def test_transforms_equal_numpys(d, N):
-    """The pass-by-pass transforms equal numpy's rfftn and irfftn bytewise."""
+def test_split_transforms_equal_numpys(d, N, forced):
+    """The pass-by-pass transforms equal numpy's rfftn and irfftn bytewise,
+    on the calling thread or, ``forced``, on a thread split off from it."""
     c = np.random.default_rng(d * N).standard_normal((N,) * d)
     axes = tuple(range(d))
-    spec = bands._spectrum(c)
-    assert spec.tobytes() == np.fft.rfftn(c, axes=axes).tobytes()
-    want = np.fft.irfftn(spec, s=(N,) * d, axes=axes)
     out = np.empty((N,) * d)
-    assert bands._field(spec, out) is out
-    assert out.tobytes() == want.tobytes()
+    got = {}
+
+    def run():
+        got["spec"] = bands._spectrum(c)
+        got["want"] = np.fft.irfftn(got["spec"], s=(N,) * d, axes=axes)
+        got["field"] = bands._field(got["spec"].copy(), out)
+
+    if forced:
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+    else:
+        run()
+    assert got["spec"].tobytes() == np.fft.rfftn(c, axes=axes).tobytes()
+    assert got["field"] is out
+    assert out.tobytes() == got["want"].tobytes()
 
 
 @pytest.mark.parametrize("d,N", [(3, 64), (4, 32)])
