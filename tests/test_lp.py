@@ -543,6 +543,48 @@ def test_band_stream_holds_one_half_spectrum():
     assert peak <= 6 * half
 
 
+# tracemalloc peak / form bytes of each operator on a dense 3D N=64 1-form,
+# after one warm-up call: the measured ratio plus 0.01
+MEMORY_PINS = {
+    "project_band": 1.891,
+    "exterior_derivative": 2.746,
+    "exterior_derivative_zeroed": 2.746,
+    "closedness_zeroed": 2.746,
+    "band_profile": 1.384,
+    "primitive": 3.782,
+    "spectral_support": 1.206,
+    "lp_battery": 4.746,
+}
+
+
+@pytest.mark.parametrize("op", MEMORY_PINS)
+def test_operator_memory_is_pinned(op):
+    a = noise(3, 1, 64, seed=3, radius=64 / 2.5)
+    zeroed = a.copy_with(a.data.copy())
+    zeroed.data[1] = 0.0
+    bands_ = build_partition(3, 64, 1.0).bands
+    k = bands_[len(bands_) // 2]
+    piece = project_band(exterior_derivative(a), k)
+    call = {
+        "project_band": lambda: project_band(a, k),
+        "exterior_derivative": lambda: exterior_derivative(a),
+        "exterior_derivative_zeroed": lambda: exterior_derivative(zeroed),
+        "closedness_zeroed": lambda: closedness(zeroed),
+        "band_profile": lambda: band_profile(a),
+        "primitive": lambda: primitive(piece),
+        "spectral_support": lambda: spectral_support(a),
+        "lp_battery": lambda: lp_battery(a),
+    }[op]
+    call()  # warm-up: the cached partition and its classes are not the operator's
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= MEMORY_PINS[op] * a.data.nbytes
+
+
 def _full_transforms(monkeypatch):
     """Route bands through a transform on every plane and every output
     spectrum, zero or not."""
