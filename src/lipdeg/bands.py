@@ -8,11 +8,11 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``xi = m / T`` and plane waves are ``exp(2 pi i <m, x> / T)``;
 * every spectrum lives on the half lattice of a real FFT (last axis
   ``0..N/2``), and one transform pair moves between grid and spectrum:
-  ``_spectrum`` (rfftn of one component; ``_spectra`` yields a form's, one
-  at a time) and ``_field`` (irfftn, called by ``band_fields`` and the
-  operators' collector alone, which hand it a spectrum they give up and
-  its output plane); an all-zero sample plane or output spectrum skips
-  its transform, since the other side is zero too;
+  ``_spectrum`` (rfftn of one component, read through ``_spectra`` alone,
+  which yields a form's nonzero components one at a time, so an all-zero
+  plane reaches no consumer) and ``_field`` (irfftn, called by
+  ``band_fields`` and the collector alone, which hand it a spectrum they
+  give up and its output plane; an all-zero output spectrum is skipped);
 * each transform runs numpy's n-D transform as its 1-D passes, in numpy's
   order, on the calling thread (forward: rfft on the last axis into a
   fresh half-spectrum, then fft on axes d-2 down to 0 in place; inverse:
@@ -52,16 +52,17 @@ band windows.  ``closedness(a)`` is ``sup |d a| / sup |a|``, the measure
 the CLI and the battery report.
 
 The band stream ``band_fields`` runs component by component, and band by
-band within a component, with one half-spectrum live: it transforms
-component c (an all-zero plane gets no transform and no live pair), folds
-its magnitudes into one peak per radius class, yields c's live fields
-(each windowed spectrum written into one plane that the whole stream
-reuses) and drops the spectrum before it transforms c + 1.  It skips
-silent (band, component) pairs: those where |spectrum| * window peaks at
-or below ``SILENT_FLOOR`` times that component's own largest spectral
-magnitude, the scale its transform's roundoff grows with.  So whether a
-pair is live reads no other component: a component far below the others
-keeps its bands, and a NaN sample silences its own component alone.
+band within a component, with one half-spectrum live: it reads component
+c's spectrum off ``_spectra``, folds its magnitudes into one peak per
+radius class, yields c's live fields (each windowed spectrum written into
+one plane that the whole stream reuses) and drops the spectrum before the
+next one.  It skips silent (band, component) pairs: those where
+|spectrum| * window peaks at or below ``SILENT_FLOOR`` times that
+component's own largest spectral magnitude, the scale its transform's
+roundoff grows with; ``spectral_support`` cuts each component at the same
+reference.  So whether a pair or a support point is live reads no other
+component: a component far below the others keeps its bands and its
+support, and a NaN sample silences its own component alone.
 Consumers sum over components in increasing c for each band, and over
 bands in increasing k for each component, in either order, so every
 number is the band-major stream's.  A silent pair gets no inverse
@@ -75,6 +76,7 @@ Norms are Riemann sums: ``L1 = sum_I integral |a_I|``,
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -122,9 +124,8 @@ __all__ = [
 # largest grid one form may hold: 2**27 float64 samples, 1 GiB
 _MAX_SAMPLES = 2**27
 
-# relative spectral floor: magnitudes at or below SILENT_FLOOR times a
-# reference magnitude count as roundoff; the band stream's reference is the
-# component's own largest, spectral_support's default the whole form's
+# relative spectral floor: a magnitude at or below SILENT_FLOOR times its
+# component's largest counts as roundoff (band stream, spectral_support)
 SILENT_FLOOR = 1e-12
 
 _TINY = 2.0**-1022  # smallest normal float64
@@ -135,8 +136,8 @@ def _check_resolution(N: int) -> None:
         raise ResolutionError(f"resolution must be a power of two >= 4, got {N}")
 
 
-def _check_grid(d: int, p: int, N: int) -> None:
-    """Reject a degree-p form on the N^d grid before anything is allocated."""
+def _check_grid(d: int, p: int, N: int, T: float) -> None:
+    """Reject a degree-p form on the period-T N^d grid before any allocation."""
     if d < 1:
         raise DimensionMismatch("spatial dimension must be >= 1")
     if not 0 <= p <= d:
@@ -148,6 +149,7 @@ def _check_grid(d: int, p: int, N: int) -> None:
             f"a degree-{p} form on the {N}^{d} grid exceeds the cap of "
             f"{_MAX_SAMPLES} samples"
         )
+    build_partition(d, N, T)
 
 
 def _check_period(T: float) -> None:
@@ -167,8 +169,7 @@ class GridForm:
 
     def __post_init__(self):
         d, p, N = self.spatial_dim, self.form_degree, self.resolution
-        _check_grid(d, p, N)
-        build_partition(d, N, self.period)  # the grid check
+        _check_grid(d, p, N, self.period)
         want = (comb(d, p),) + (N,) * d
         if self.data.shape != want:
             raise ShapeError(f"data shape {self.data.shape}, want {want}")
@@ -208,7 +209,7 @@ class GridForm:
 
 
 def zero_form(d: int, p: int, N: int, T: float = 1.0) -> GridForm:
-    _check_grid(d, p, N)
+    _check_grid(d, p, N, T)
     return GridForm(d, p, N, T, np.zeros((comb(d, p),) + (N,) * d))
 
 
@@ -246,12 +247,7 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
 def _chi(r: np.ndarray) -> np.ndarray:
     """Radial low-pass profile: 1 on r<=1, 0 on r>=2, smooth between."""
-    out = np.ones_like(r)
-    trans = (r > 1.0) & (r < 2.0)
-    out[r >= 2.0] = 0.0
-    if np.any(trans):
-        out[trans] = _smooth_step(2.0 - r[trans])
-    return out
+    return _smooth_step(2.0 - r)
 
 
 def _window(r, k, k_min: int) -> np.ndarray:
@@ -376,14 +372,11 @@ def _all_zero(x: np.ndarray) -> bool:
 
 
 def _spectra(a: GridForm):
-    """Yield each component's half-spectrum in component order (one live);
-    an all-zero plane gets the zero half-spectrum with no transform."""
-    d, N = a.spatial_dim, a.resolution
-    for c in a.data:
-        if _all_zero(c):
-            yield np.zeros((N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
-        else:
-            yield _spectrum(c)
+    """Yield (c, half-spectrum of component c) in component order, one live,
+    for every component whose plane is not all zero (the one zero skip)."""
+    for c, plane in enumerate(a.data):
+        if not _all_zero(plane):
+            yield c, _spectrum(plane)
 
 
 def _spectrum(c: np.ndarray) -> np.ndarray:
@@ -405,25 +398,26 @@ def _field(spec: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, N, d - 1, out=out)
 
 
-def _combine(specs, table, term):
-    """Yield (o, out[o]) once output o's last input has arrived, where out[o]
-    sums term(specs[i], axis, sign) over the rows (o, axis, i, sign) of
-    ``table`` (a wedge_nonzeros table of exterior) in increasing i.  Each
-    input is released before the outputs it completes are yielded, so a
-    generator of inputs keeps one live."""
+def _combine(inputs, table, term):
+    """Yield (o, out[o]) for every output o an input reaches, where out[o]
+    sums term(x, axis, sign) in increasing i over the rows (o, axis, i, sign)
+    of ``table`` (a wedge_nonzeros table of exterior) whose input (i, x)
+    arrives.  Output o is yielded at the first input past its last row, or
+    at the end; each input is released first, so a generator of fresh
+    (i, x) pairs keeps one live."""
     rows = list(zip(*(x.tolist() for x in table)))
     last = {o: max(r[2] for r in rows if r[0] == o) for o, *_ in rows}
-    out, i = {}, 0
-    for spec in specs:  # no enumerate: its result tuple would hold spec
+    out = {}
+    # a last input past every row, (inf, None), yields the outputs still pending
+    for i, x in itertools.chain(inputs, [(math.inf, None)]):
         for o, axis, _, sign in (r for r in rows if r[2] == i):
             if o in out:
-                out[o] += term(spec, axis, sign)
+                out[o] += term(x, axis, sign)
             else:
-                out[o] = term(spec, axis, sign)
-        del spec
-        for o in sorted(o for o in out if last[o] == i):
+                out[o] = term(x, axis, sign)
+        del x
+        for o in sorted(o for o in out if last[o] <= i):
             yield o, out.pop(o)
-        i += 1
 
 
 def _collect(outputs, a: GridForm, p: int, spectral: bool = True) -> GridForm:
@@ -456,8 +450,8 @@ def project_band(a: GridForm, k: int, part: Optional[DyadicPartition] = None) ->
 
 def band_fields(a: GridForm):
     """Yield (k, c, component c of P_k a) component by component and, within
-    a component, band by band, one field at a time, skipping the silent
-    pairs (their field is zero up to roundoff).
+    a component, band by band, one field at a time, skipping the zero
+    components and the silent pairs (their field is zero up to roundoff).
 
     Each component's spectral magnitudes are folded once into a peak per
     radius class, and pair (k, c) is live when max(peak_c * window_k) over
@@ -470,10 +464,7 @@ def band_fields(a: GridForm):
     u, inv = part.classes  # before any spectrum is live: np.unique's temporaries
     windows = list(part.windows())
     prod = None  # the one windowed-spectrum plane, rewritten (and consumed) by every pair
-    for c, plane in enumerate(a.data):
-        if _all_zero(plane):  # a zero spectrum: no live pair, no transform
-            continue
-        spec = _spectrum(plane)
+    for c, spec in _spectra(a):
         peak = np.zeros(len(u))
         # flat operands keep ufunc.at on its fast path; one magnitude plane live
         np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
@@ -517,7 +508,7 @@ def _closedness_residual(a: GridForm, part: DyadicPartition, specs: list) -> flo
     num = sum(n for _, n in sorted((o, float(np.sum(np.abs(t) ** 2))) for o, t in outputs))
     u, inv = part.classes
     r = u[inv]
-    den = sum(float(np.sum((np.abs(s) * r) ** 2)) for s in specs)
+    den = sum(float(np.sum((np.abs(s) * r) ** 2)) for _, s in specs)
     return np.sqrt(num / den) if den > 0 else 0.0
 
 
@@ -543,8 +534,8 @@ def primitive(
         part.check_band(band)
     specs = list(_spectra(a))
     # a zero form passes every test below and has zero outputs
-    total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for s in specs))
-    zero_mode = max(abs(s[(0,) * d]) for s in specs)
+    total = np.sqrt(sum(float(np.sum(np.abs(s) ** 2)) for _, s in specs))
+    zero_mode = max((abs(s[(0,) * d]) for _, s in specs), default=0.0)
     if zero_mode > tol * total:
         raise MeanObstruction(
             f"nonzero zero mode {zero_mode:.3e} (relative {zero_mode / total:.3e})"
@@ -555,7 +546,7 @@ def primitive(
     u, inv = part.classes
     if band is not None:
         inside = ((u >= 2.0 ** (band - 1)) & (u <= 2.0 ** (band + 1)))[inv]
-        leak = np.sqrt(sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for s in specs))
+        leak = np.sqrt(sum(float(np.sum(np.abs(np.where(inside, 0, s)) ** 2)) for _, s in specs))
         if leak > tol * total:
             raise BandRangeError(f"spectral mass outside band {band}: relative {leak / total:.3e}")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -665,21 +656,26 @@ def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
         raise ShapeError(f"wedge degree {p} + {q} exceeds dimension {d}")
     # a's planes are the inputs: each target sums in row-major (left, right)
     target, left, right, sign = wedge_nonzeros(d, p, q)
-    planes = _combine(a.data, (target, right, left, sign), lambda x, j, s: s * x * b.data[j])
+    planes = _combine(
+        enumerate(a.data), (target, right, left, sign), lambda x, j, s: s * x * b.data[j]
+    )
     return _collect(planes, a, p + q, spectral=False)
 
 
 def spectral_support(a: GridForm, thresh: float = SILENT_FLOOR) -> np.ndarray:
     """Integer lattice points where some component's spectrum exceeds
-    thresh * (largest spectral magnitude); shape (m, d)."""
+    thresh times that component's largest spectral magnitude; shape (m, d)."""
     d, N = a.spatial_dim, a.resolution
-    mag = None
-    for spec in _spectra(a):
-        mag = np.abs(spec) if mag is None else np.maximum(mag, np.abs(spec), out=mag)
-    top = float(mag.max())
-    if top == 0.0:
+    keep = None
+    for _, spec in _spectra(a):
+        mag = np.abs(spec)
+        del spec
+        cut = mag > thresh * mag.max()
+        del mag  # one magnitude plane live, freed before the OR
+        keep = cut if keep is None else np.logical_or(keep, cut, out=keep)
+    if keep is None:
         return np.zeros((0, d), dtype=np.int64)
-    pts = np.argwhere(mag > thresh * top)
+    pts = np.argwhere(keep)
     # a real form's spectrum is Hermitian, so add -m off the last-index 0 and
     # N/2 planes (the half lattice holds both there); wrap like fftfreq
     inner = (pts[:, -1] > 0) & (pts[:, -1] < N // 2)
@@ -737,7 +733,7 @@ def bandlimited_noise_form(
     seed: int = 0,
 ) -> GridForm:
     """Random real form with spectrum confined to |xi| <= radius."""
-    _check_grid(d, p, N)
+    _check_grid(d, p, N, T)
     rng = np.random.default_rng(seed)
     a = GridForm(d, p, N, T, rng.standard_normal((comb(d, p),) + (N,) * d))
     u, inv = _partition(a).classes

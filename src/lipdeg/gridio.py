@@ -53,7 +53,7 @@ def read_gridform(path) -> GridForm:
         magic, d, p, N, T = _HEADER.unpack(head)
         if magic != _MAGIC:
             raise ShapeError(f"{path}: bad magic {magic!r}")
-        _check_grid(d, p, N)
+        _check_grid(d, p, N, T)
         count = comb(d, p) * N**d
         info = os.fstat(fh.fileno())
         size = info.st_size - _HEADER.size

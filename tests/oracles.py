@@ -10,6 +10,8 @@ arithmetic, which is exact on Fraction coefficients.
 * ``word_value`` .. ``relation_defect`` evaluate a presentation's
   relations on an assignment of elements, after ``check_degrees``.
 * ``project_upto`` is the lowpass P_{<=k} through ``lowpass_multiplier``.
+* ``spectra`` is the dense spectrum stream: every component's half-spectrum,
+  the zero one for an all-zero plane, where ``bands`` skips that component.
 * ``apply_multiplier``, ``combine`` with ``synthesize``, and ``wedge_loop``
   are one loop per operator, each with its own order of sums: the float
   reference that ``bands``' one operator kernel must match bit for bit.
@@ -37,7 +39,7 @@ from lipdeg.bands import (
     _all_zero,
     _chi,
     _partition,
-    _spectra,
+    _spectrum,
     lp_norm,
 )
 from lipdeg.errors import BandRangeError, DimensionMismatch, LipdegError, ShapeError
@@ -226,11 +228,22 @@ def irfftn(spec: np.ndarray, d: int, N: int) -> np.ndarray:
     return np.fft.irfftn(spec, s=(N,) * d, axes=tuple(range(d)))
 
 
+def spectra(a: GridForm):
+    """Yield every component's half-spectrum in component order (one live);
+    an all-zero plane gets the zero half-spectrum with no transform."""
+    d, N = a.spatial_dim, a.resolution
+    for c in a.data:
+        if _all_zero(c):
+            yield np.zeros((N,) * (d - 1) + (N // 2 + 1,), dtype=complex)
+        else:
+            yield _spectrum(c)
+
+
 def apply_multiplier(a: GridForm, mult: np.ndarray) -> GridForm:
     """Every component's half-spectrum times a real radial multiplier, in
     place, then transformed back, zero or not."""
     out = np.empty_like(a.data)
-    for c, spec in enumerate(_spectra(a)):
+    for c, spec in enumerate(spectra(a)):
         spec *= mult
         out[c] = irfftn(spec, a.spatial_dim, a.resolution)
     return a.copy_with(out)
@@ -279,7 +292,7 @@ def band_fields(a: GridForm):
     part = _partition(a)
     u, inv = part.classes
     specs, peaks, floors = [], [], []
-    for spec in _spectra(a):
+    for spec in spectra(a):
         peak = np.zeros(len(u))
         np.maximum.at(peak, inv.ravel(), np.abs(spec).ravel())
         specs.append(spec)

@@ -10,7 +10,7 @@ import pytest
 
 from lipdeg.bands import band_profile, bandlimited_noise_form, synthetic_profile
 from lipdeg.degbound import averaged_bound
-from lipdeg.errors import DimensionMismatch, ResolutionError, ShapeError
+from lipdeg.errors import DimensionMismatch, ParameterError, ResolutionError, ShapeError
 from lipdeg.gridio import (
     read_band_profile,
     read_gridform,
@@ -51,6 +51,24 @@ def test_gridform_payload_size_is_checked_before_reading(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_gridform_period_is_checked_before_reading(tmp_path):
+    """A header whose period fails the grid check, with its full 6 MiB
+    payload (a sparse file), fails typed before the payload is read."""
+    payload = 8 * 3 * 64**3
+    for period in (float("nan"), 0.0, -1.0, 1e-300):
+        path = tmp_path / "bad.gfrm"
+        path.write_bytes(struct.pack("<4sIIId", b"GFRM", 3, 1, 64, period))
+        os.truncate(path, path.stat().st_size + payload)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="period"):
+                read_gridform(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < payload
 
 
 def _through_fifo(tmp_path, raw: bytes):

@@ -33,8 +33,9 @@
 * ``DyadicPartition`` alone reads ``fftfreq`` and ``unique``: a grid's
   cached partition owns its frequency lattice and radius classes.
 * ``bands`` carries out its table-driven operators through one kernel: the
-  per-operator loops are gone, and only the kernel's collector and
-  ``band_fields`` turn a spectrum into a field.
+  per-operator loops are gone, only the kernel's collector and
+  ``band_fields`` turn a spectrum into a field, and only ``_spectra``
+  turns a plane into a spectrum.
 """
 
 import ast
@@ -544,6 +545,7 @@ def test_one_operator_kernel():
     for gone in ("_apply_multiplier", "_synthesize"):
         assert _naming(gone) == []
     assert _owners("_field") == [("bands.py", "_collect"), ("bands.py", "band_fields")]
+    assert _owners("_spectrum") == [("bands.py", "_spectra")]
 
 
 def test_fft_check_sees_every_transform(tmp_path):

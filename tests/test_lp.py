@@ -548,11 +548,11 @@ def test_band_stream_holds_one_half_spectrum():
 MEMORY_PINS = {
     "project_band": 1.891,
     "exterior_derivative": 2.746,
-    "exterior_derivative_zeroed": 2.746,
-    "closedness_zeroed": 2.746,
+    "exterior_derivative_zeroed": 2.402,
+    "closedness_zeroed": 2.402,
     "band_profile": 1.384,
     "primitive": 3.782,
-    "spectral_support": 1.206,
+    "spectral_support": 0.733,
     "lp_battery": 4.746,
 }
 
@@ -562,8 +562,8 @@ def test_operator_memory_is_pinned(op):
     a = noise(3, 1, 64, seed=3, radius=64 / 2.5)
     zeroed = a.copy_with(a.data.copy())
     zeroed.data[1] = 0.0
-    bands_ = build_partition(3, 64, 1.0).bands
-    k = bands_[len(bands_) // 2]
+    ks = build_partition(3, 64, 1.0).bands
+    k = ks[len(ks) // 2]
     piece = project_band(exterior_derivative(a), k)
     call = {
         "project_band": lambda: project_band(a, k),
@@ -804,7 +804,7 @@ def _lattice_primitive(a, xi, r):
         inv = np.where(r > 0, 1.0 / np.maximum(r, 1e-300) ** 2, 0.0) / (2.0 * np.pi)
     high, axis, low, sign = wedge_nonzeros(d, 1, p - 1)
     out = oracles.combine(
-        bands._spectra(a),
+        oracles.spectra(a),
         (low, axis, high, sign),
         lambda axis, sign: sign * xi[axis] * inv * (-1j),
         math.comb(d, p - 1),
@@ -841,7 +841,7 @@ def test_radial_quantities_equal_their_lattice_formulas(T):
     part = build_partition(d, N, T)
     b = a.copy_with(a.data - a.data.mean(axis=tuple(range(1, d + 1)), keepdims=True))
     resid = _lattice_residual(b, xi, r)
-    assert _closedness_residual(b, part, _half_spectra(b)) == resid
+    assert _closedness_residual(b, part, list(enumerate(_half_spectra(b)))) == resid
     with pytest.raises(NotClosed, match=re.escape(f"residual {resid:.3e}")):
         primitive(b)
     # closed: d of the noise, then its band-k piece
@@ -1021,35 +1021,42 @@ def test_operators_equal_their_one_loop_oracles(d, T):
     u, inv = part.classes
     xi, r = part.axes, u[inv]
     radius = 0.3 * N / T
-    forms = []
+    forms, zeroed = [], []
     for p in range(d + 1):
         seed = 10 * d + p
         raw = np.random.default_rng(seed).standard_normal((math.comb(d, p),) + (N,) * d)
         want = oracles.apply_multiplier(GridForm(d, p, N, T, raw), (r <= radius).astype(float))
         a = noise(d, p, N, seed=seed, radius=radius, T=T)
         assert a.data.tobytes() == want.data.tobytes()
+        # and a with one zero component, which bands never transforms: the
+        # first at odd p, else the last (all of a 0- or d-form)
+        z = a.copy_with(a.data.copy())
+        z.data[p % 2 - 1] = 0.0
         forms.append(a)
-        for k in part.bands:
-            want = oracles.apply_multiplier(a, part.band_multiplier(k))
-            assert project_band(a, k).data.tobytes() == want.data.tobytes()
-        if p < d:
-            spec = oracles.combine(
-                bands._spectra(a),
-                wedge_nonzeros(d, 1, p),
-                lambda axis, sign: 2j * np.pi * sign * xi[axis],
-                math.comb(d, p + 1),
-            )
-            want = oracles.synthesize(spec, d, N)
-            assert exterior_derivative(a).data.tobytes() == want.tobytes()
-            resid = _closedness_residual(a, part, _half_spectra(a))
-            assert resid == _lattice_residual(a, xi, r) > 0
-        if p > 0:  # d of the degree p-1 noise is closed and mean-free
-            da = exterior_derivative(forms[p - 1])
-            assert primitive(da).data.tobytes() == _lattice_primitive(da, xi, r).tobytes()
-            k = part.k_min + 1
-            piece = project_band(da, k)
-            want = _lattice_primitive(piece, xi, r)
-            assert primitive(piece, band=k).data.tobytes() == want.tobytes()
+        zeroed.append(z)
+        for b in (a, z):
+            for k in part.bands:
+                want = oracles.apply_multiplier(b, part.band_multiplier(k))
+                assert project_band(b, k).data.tobytes() == want.data.tobytes()
+            if p < d:
+                spec = oracles.combine(
+                    oracles.spectra(b),
+                    wedge_nonzeros(d, 1, p),
+                    lambda axis, sign: 2j * np.pi * sign * xi[axis],
+                    math.comb(d, p + 1),
+                )
+                want = oracles.synthesize(spec, d, N)
+                assert exterior_derivative(b).data.tobytes() == want.tobytes()
+            if p < d and b.data.any():
+                resid = _closedness_residual(b, part, list(bands._spectra(b)))
+                assert resid == _lattice_residual(b, xi, r) > 0
+        if p > 0:  # d of the degree p-1 forms is closed and mean-free
+            for da in (exterior_derivative(forms[p - 1]), exterior_derivative(zeroed[p - 1])):
+                assert primitive(da).data.tobytes() == _lattice_primitive(da, xi, r).tobytes()
+                k = part.k_min + 1
+                piece = project_band(da, k)
+                want = _lattice_primitive(piece, xi, r)
+                assert primitive(piece, band=k).data.tobytes() == want.tobytes()
     for p, a in enumerate(forms):
         a0 = _with_zeros(a)
         for b in forms[: d + 1 - p]:
@@ -1061,7 +1068,7 @@ def test_residual_sums_in_output_order(monkeypatch):
     order the kernel yields them in: 2^53 then five 1.0s sums to 2^53, the
     1.0s first to 2^53 + 4."""
     a = noise(4, 1, 8, seed=4)
-    part, specs = build_partition(4, 8, 1.0), _half_spectra(a)
+    part, specs = build_partition(4, 8, 1.0), list(enumerate(_half_spectra(a)))
     planes = [np.array([2.0**26, 2.0**26])] + [np.array([1.0])] * 5
     got = set()
     for order in (range(6), range(5, -1, -1)):
@@ -1072,13 +1079,13 @@ def test_residual_sums_in_output_order(monkeypatch):
 
 
 def _tracked(shape, refs: dict, n: int):
-    """n fresh inputs, each with a weakref in ``refs``; the generator itself
-    holds none of them."""
+    """n fresh (i, input) pairs, each input with a weakref in ``refs``; the
+    generator itself holds none of them."""
 
     def make(i):
         x = np.full(shape, i + 1.0)
         refs[i] = weakref.ref(x)
-        return x
+        return i, x
 
     return (make(i) for i in range(n))
 
@@ -1106,11 +1113,14 @@ def test_kernel_releases_each_input_before_its_outputs(p, transposed):
 
 
 def _support_oracle(a, thresh=1e-12):
-    """Support read off the complex FFT of every component (full lattice)."""
+    """Support read off the complex FFT of every component (full lattice),
+    each component cut at thresh times its own largest magnitude."""
     d, N = a.spatial_dim, a.resolution
-    mag = np.max(np.abs(np.fft.fftn(a.data, axes=tuple(range(1, d + 1)))), axis=0)
+    axes = tuple(range(1, d + 1))
+    mag = np.abs(np.fft.fftn(a.data, axes=axes))
+    keep = np.any(mag > thresh * mag.max(axis=axes, keepdims=True), axis=0)
     freqs = (np.fft.fftfreq(N) * N).astype(np.int64)
-    return freqs[np.argwhere(mag > thresh * mag.max())]
+    return freqs[np.argwhere(keep)]
 
 
 @pytest.mark.parametrize("d,p,N", [(2, 0, 32), (2, 1, 8), (3, 2, 16), (4, 2, 8)])
@@ -1169,6 +1179,22 @@ def test_product_support_alias_guard():
     a = grid_form(2, 0, N, components={(): lambda x, y: np.cos(5 * TAU * x) + 0.0 * y})
     with pytest.raises(BandRangeError):
         product_support_radius(a, a)
+
+
+def test_a_faint_component_keeps_its_support():
+    # component (1,) at 1e-13 of component (2,): its own peak sets its cut,
+    # so (13, 0) stays in the support and the product with a 4-wave reaches
+    # 13 + 4 >= Nyquist 16
+    N = 32
+    a = grid_form(2, 1, N, components={
+        (1,): lambda x, y: 1e-13 * np.cos(13 * TAU * x) + 0.0 * y,
+        (2,): lambda x, y: np.cos(2 * TAU * y) + 0.0 * x,
+    })
+    pts = {tuple(int(x) for x in row) for row in spectral_support(a)}
+    assert pts == {(13, 0), (-13, 0), (0, 2), (0, -2)}
+    b = grid_form(2, 0, N, components={(): lambda x, y: np.cos(4 * TAU * x) + 0.0 * y})
+    with pytest.raises(BandRangeError):
+        product_support_radius(a, b)
 
 
 def _wave_form(d, p, N, waves):
