@@ -554,6 +554,8 @@ MEMORY_PINS = {
     "primitive": 3.782,
     "spectral_support": 0.733,
     "lp_battery": 4.746,
+    "wedge_grid": 2.344,
+    "bandlimited_noise_form": 2.891,
 }
 
 
@@ -574,6 +576,8 @@ def test_operator_memory_is_pinned(op):
         "primitive": lambda: primitive(piece),
         "spectral_support": lambda: spectral_support(a),
         "lp_battery": lambda: lp_battery(a),
+        "wedge_grid": lambda: wedge_grid(a, a),
+        "bandlimited_noise_form": lambda: noise(3, 1, 64, seed=3, radius=64 / 2.5),
     }[op]
     call()  # warm-up: the cached partition and its classes are not the operator's
     tracemalloc.start()
@@ -1010,6 +1014,15 @@ def _with_zeros(a):
     return a.copy_with(data)
 
 
+def _with_specials(a):
+    """a with -0.0, inf, -inf and NaN samples spread over its components."""
+    data = a.data.copy()
+    flat = data.reshape(-1)
+    for start, value in enumerate((-0.0, np.inf, -np.inf, np.nan)):
+        flat[start::5] = value
+    return a.copy_with(data)
+
+
 @pytest.mark.parametrize("T", [1.0, 2.5])
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_operators_equal_their_one_loop_oracles(d, T):
@@ -1058,9 +1071,11 @@ def test_operators_equal_their_one_loop_oracles(d, T):
                 want = _lattice_primitive(piece, xi, r)
                 assert primitive(piece, band=k).data.tobytes() == want.tobytes()
     for p, a in enumerate(forms):
-        a0 = _with_zeros(a)
         for b in forms[: d + 1 - p]:
-            assert wedge_grid(a0, b).data.tobytes() == oracles.wedge_loop(a0, b).data.tobytes()
+            for x, y in ((_with_zeros(a), b), (_with_specials(a), _with_specials(b))):
+                with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf are NaN
+                    got, want = wedge_grid(x, y), oracles.wedge_loop(x, y)
+                assert got.data.tobytes() == want.data.tobytes()
 
 
 def test_residual_sums_in_output_order(monkeypatch):
