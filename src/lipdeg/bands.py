@@ -43,13 +43,13 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   ``2 pi i |xi|^2``, frequency by frequency; on band k this shrinks
   norms by ``~ 2^{-k}``.
 
-One kernel, ``_combine``, carries out every operator off one of exterior's
-wedge tables: projection and the noise mask read the (0, p) table, d, its
-closedness residual and the primitive the (1, p) table or its transpose,
-and the pointwise wedge the (p, q) table.  So Koszul signs and basis
-order come from ``exterior`` alone; every band loop reads one stream of
-band windows.  ``closedness(a)`` is ``sup |d a| / sup |a|``, the measure
-the CLI and the battery report.
+One kernel, ``_combine``, carries out every spectral operator off one of
+exterior's wedge tables: projection and the noise mask read the (0, p)
+table, and d, its closedness residual and the primitive the (1, p) table
+or its transpose; the pointwise wedge sums the (p, q) table's products
+itself.  So Koszul signs and basis order come from ``exterior`` alone;
+every band loop reads one stream of band windows.  ``closedness(a)`` is
+``sup |d a| / sup |a|``, the measure the CLI and the battery report.
 
 The band stream ``band_fields`` runs component by component, and band by
 band within a component, with one half-spectrum live: it reads component
@@ -420,20 +420,17 @@ def _combine(inputs, table, term):
             yield o, out.pop(o)
 
 
-def _collect(outputs, a: GridForm, p: int, spectral: bool = True) -> GridForm:
+def _collect(outputs, a: GridForm, p: int) -> GridForm:
     """The degree-p form on a's grid whose component o is the field of each
-    half-spectrum (o, x) of ``outputs``, or the plane x when not
-    ``spectral``; an all-zero x, or an o never yielded, stays zero.  ``_field``
-    consumes each x: a term returning a spectrum still held elsewhere would
-    see it overwritten."""
-    d, N = a.spatial_dim, a.resolution
-    data = np.zeros((comb(d, p),) + (N,) * d)
+    half-spectrum (o, x) of ``outputs``; an all-zero x, or an o never
+    yielded, stays zero.  ``_field`` consumes each x: a term returning a
+    spectrum still held elsewhere would see it overwritten."""
+    out = zero_form(a.spatial_dim, p, a.resolution, a.period)
     for o, x in outputs:
-        if not spectral:  # summed onto +0.0, as by a zeroed accumulator: no -0.0
-            data[o] += x
-        elif not _all_zero(x):
-            _field(x, data[o])
-    return GridForm(d, p, N, a.period, data)
+        if not _all_zero(x):
+            _field(x, out.data[o])
+        del x  # released before the stream computes the next spectrum
+    return out
 
 
 def _radial_wedge(a: GridForm, mult: np.ndarray) -> GridForm:
@@ -648,18 +645,17 @@ def synthetic_profile(masses: Mapping, total_l2: float) -> BandProfile:
 
 
 def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
-    """Pointwise wedge product of grid forms (Koszul signs included)."""
+    """Pointwise wedge product (Koszul signs included), each target summed
+    onto a zeroed plane in the table's row-major (left, right) order."""
     if not a.same_grid(b):
         raise DimensionMismatch("grid forms live on different grids")
     d, p, q = a.spatial_dim, a.form_degree, b.form_degree
     if p + q > d:
         raise ShapeError(f"wedge degree {p} + {q} exceeds dimension {d}")
-    # a's planes are the inputs: each target sums in row-major (left, right)
-    target, left, right, sign = wedge_nonzeros(d, p, q)
-    planes = _combine(
-        enumerate(a.data), (target, right, left, sign), lambda x, j, s: s * x * b.data[j]
-    )
-    return _collect(planes, a, p + q, spectral=False)
+    out = zero_form(d, p + q, a.resolution, a.period)
+    for o, i, j, s in zip(*wedge_nonzeros(d, p, q)):
+        out.data[o] += s * a.data[i] * b.data[j]
+    return out
 
 
 def spectral_support(a: GridForm, thresh: float = SILENT_FLOOR) -> np.ndarray:

@@ -4,7 +4,9 @@ Each subcommand prints one canonical JSON document to stdout (sorted keys,
 two-space indent) whose ``meta`` block records the subcommand, seed, and
 tolerance, so equal invocations produce byte-identical output.  Side
 artifacts (CSV tables, grid containers, profile CSVs) land in ``--out``
-when given, and every CSV carries a header row plus the seed column: a
+when given.  Every CSV carries a header row; the tables (``lp_bands``,
+``bound_sweep``, ``plan_levels``) also carry the seed column, while
+``profile.csv`` keeps gridio's band-profile format, which has none.  A
 handler lists the files it can write as (name, writer) pairs under
 ``"artifacts"``, and ``main`` writes them in order and lists their paths.
 
@@ -17,7 +19,6 @@ and so is an allocation the process cannot make, reported as
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -36,7 +37,7 @@ from .degbound import (
 )
 from .errors import LipdegError, OutOfMemory, ParameterError, UnsupportedPresentation
 from .exterior import jsonable
-from .gridio import read_gridform, write_band_profile, write_gridform
+from .gridio import read_gridform, write_band_profile, write_csv, write_gridform
 from .rings import (
     intersection_form,
     lipschitz_lower_exponent,
@@ -59,14 +60,7 @@ def _preset_params(args) -> dict:
 
 def _csv(header: list, rows: list):
     """Writer of a CSV file holding the header row, then ``rows``."""
-
-    def write(path: Path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-
-    return write
+    return lambda path: write_csv(path, header, rows)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -274,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--p", type=int, default=None)
     sc.add_argument("--q", type=int, default=None)
     sc.add_argument("--ambient", type=int, nargs="+", default=[4])
-    sc.add_argument("--restarts", type=int, default=16)
-    sc.add_argument("--max-iters", type=int, default=300)
+    sc.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    sc.add_argument("--max-iters", type=int, default=SearchConfig.max_iters)
     sc.set_defaults(func=_cmd_scalable)
 
     lp = subs.add_parser("lp", help="band-decomposition diagnostics battery")

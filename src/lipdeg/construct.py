@@ -42,6 +42,7 @@ from .errors import (
     GeometryError,
     ParameterError,
     ResolutionError,
+    ShapeError,
 )
 from .exterior import jsonable
 
@@ -66,9 +67,10 @@ __all__ = [
 class SampledSphereMap:
     """Unit-sphere-valued samples of a degree d^2 block map on the 2-torus.
 
-    values has shape (3, N, N); the map is the cap map on each of the d x d
-    subsquares (north pole at the center, south pole on every subsquare
-    edge), so it glues periodically and its mapping degree is d^2.
+    values has shape (3, N, N), N the resolution, and holds unit vectors;
+    the map keeps a read-only float64 copy.  It is the cap map on each of
+    the d x d subsquares (north pole at the center, south pole on every
+    subsquare edge), so it glues periodically and its mapping degree is d^2.
     """
 
     block_count: int
@@ -77,8 +79,13 @@ class SampledSphereMap:
     lipschitz: float
 
     def __post_init__(self):
-        norms = np.sqrt((self.values**2).sum(axis=0))
-        if np.abs(norms - 1.0).max() > 1e-9:
+        N, values = self.resolution, np.array(self.values, dtype=np.float64)
+        if values.shape != (3, N, N):
+            raise ShapeError(f"sphere map values have shape {values.shape}, want {(3, N, N)}")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        norms = np.sqrt((values**2).sum(axis=0))
+        if not (np.abs(norms - 1.0) <= 1e-9).all():  # a NaN sample fails too
             raise GeometryError("sphere map samples must be unit vectors")
 
 

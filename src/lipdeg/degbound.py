@@ -28,7 +28,6 @@ from .construct import SampledSphereMap
 from .errors import (
     BandRangeError,
     EmptyData,
-    GeometryError,
     ParameterError,
     ShapeError,
     WindowError,
@@ -71,9 +70,6 @@ def pullback_area_form(f: SampledSphereMap) -> GridForm:
     N = f.resolution
     if N < 8:
         raise ParameterError("resolution must be at least 8")
-    norms = np.sqrt((f.values**2).sum(axis=0))
-    if float(np.max(np.abs(norms - 1.0))) > 1e-9:
-        raise GeometryError("samples are not unit vectors")
     h = 1.0 / N
     fu = _stencil_derivative(f.values, axis=1, h=h)
     fv = _stencil_derivative(f.values, axis=2, h=h)
@@ -106,10 +102,6 @@ class BoundReport(JsonFields):
     averaged: float  # cutoff-averaged Cauchy-Schwarz bound
     averaged_cross: float  # the Cauchy-Schwarz cross component alone
     averaged_highlow: float  # the window-endpoint component (scales ~ L^3.9)
-
-
-def _profile_bands(profile: BandProfile):
-    return [(k, profile.l1.get(k, 0.0)) for k in profile.bands]
 
 
 def _tail_mode(profile: BandProfile, tail: str, L: float) -> str:
@@ -167,7 +159,8 @@ def finalbound_terms(
     for prof in profiles:
         mode = _tail_mode(prof, tail, L)
         last_k, last_mass = None, 0.0
-        for k, mass in _profile_bands(prof):
+        for k in prof.bands:
+            mass = prof.l1.get(k, 0.0)
             if k > cutoff:
                 t_cross += 2.0 ** (cutoff - k) * L**2 * mass
             last_k, last_mass = k, mass

@@ -5,7 +5,8 @@ little-endian u32 fields (dimension, degree, resolution), one f64 period,
 then the component planes as float64 in lexicographic multi-index order,
 row-major.  Band profiles round-trip through a plain CSV with one row per
 (band, component) plus an "all" aggregate row per band and a final
-"total" row carrying the global L2 norm.
+"total" row carrying the global L2 norm.  ``write_csv`` writes every CSV
+file lipdeg makes.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .bands import BandProfile, GridForm, _check_grid
 from .errors import ShapeError
 
 __all__ = [
+    "write_csv",
     "write_gridform",
     "read_gridform",
     "write_band_profile",
@@ -30,6 +32,15 @@ __all__ = [
 
 _MAGIC = b"GFRM"
 _HEADER = struct.Struct("<4sIIId")
+_PROFILE_HEADER = ["band", "component", "l1", "l2", "linf"]
+
+
+def write_csv(path, header: list, rows) -> None:
+    """Write a CSV file holding the header row, then ``rows``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_gridform(path, a: GridForm) -> None:
@@ -76,23 +87,14 @@ def _parse_component(s: str):
 
 
 def write_band_profile(path, prof: BandProfile) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["band", "component", "l1", "l2", "linf"])
-        for k in prof.bands:
-            for (kk, I), (c1, c2, ci) in sorted(prof.per_component.items()):
-                if kk == k:
-                    w.writerow([k, _fmt_component(I), repr(c1), repr(c2), repr(ci)])
-            w.writerow(
-                [
-                    k,
-                    "all",
-                    repr(prof.l1.get(k, 0.0)),
-                    repr(prof.l2.get(k, 0.0)),
-                    repr(prof.linf.get(k, 0.0)),
-                ]
-            )
-        w.writerow(["total", "all", "", repr(prof.total_l2), ""])
+    rows = []
+    for k in prof.bands:
+        for (kk, I), (c1, c2, ci) in sorted(prof.per_component.items()):
+            if kk == k:
+                rows.append([k, _fmt_component(I), repr(c1), repr(c2), repr(ci)])
+        rows.append([k, "all"] + [repr(m.get(k, 0.0)) for m in (prof.l1, prof.l2, prof.linf)])
+    rows.append(["total", "all", "", repr(prof.total_l2), ""])
+    write_csv(path, _PROFILE_HEADER, rows)
 
 
 def read_band_profile(path) -> BandProfile:
@@ -100,7 +102,7 @@ def read_band_profile(path) -> BandProfile:
     total_l2 = 0.0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["band", "component", "l1", "l2", "linf"]:
+    if not rows or rows[0] != _PROFILE_HEADER:
         raise ShapeError(f"{path}: not a band-profile CSV")
     for row in rows[1:]:
         if not row:

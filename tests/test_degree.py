@@ -65,6 +65,27 @@ def test_sphere_map_sample_validation():
         SampledSphereMap(
             block_count=1, resolution=16, values=values, lipschitz=0.0
         )
+    nan = constant_map(16).values.copy()
+    nan[0, 3, 5] = np.nan
+    with pytest.raises(GeometryError):
+        SampledSphereMap(block_count=1, resolution=16, values=nan, lipschitz=0.0)
+    # samples off the resolution's grid, or not 3-vectors, fail at construction
+    good = sphere_map(2, 64).values
+    for N, bad in ((64, good[:, :32]), (128, good), (16, np.ones((2, 16, 16)))):
+        with pytest.raises(ShapeError):
+            SampledSphereMap(block_count=2, resolution=N, values=bad, lipschitz=0.0)
+
+
+def test_sphere_map_values_are_a_read_only_copy():
+    values = np.zeros((3, 16, 16), dtype=np.float32)
+    values[2] = 1.0
+    f = SampledSphereMap(block_count=1, resolution=16, values=values, lipschitz=0.0)
+    values[2] = 2.0
+    assert f.values.dtype == np.float64 and not f.values.flags.writeable
+    with pytest.raises(ValueError):
+        f.values[2, 0, 0] = 0.0
+    assert (f.values[2] == 1.0).all()
+    assert lp_norm(pullback_area_form(f), "inf") == 0.0
 
 
 # -- degree integral ---------------------------------------------------------------

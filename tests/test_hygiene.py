@@ -32,10 +32,15 @@
   alone owns the band window.
 * ``DyadicPartition`` alone reads ``fftfreq`` and ``unique``: a grid's
   cached partition owns its frequency lattice and radius classes.
-* ``bands`` carries out its table-driven operators through one kernel: the
-  per-operator loops are gone, only the kernel's collector and
+* ``bands`` carries out its table-driven spectral operators through one
+  kernel: the per-operator loops are gone, only the kernel's collector and
   ``band_fields`` turn a spectrum into a field, and only ``_spectra``
-  turns a plane into a spectrum.
+  turns a plane into a spectrum.  The collector takes spectra alone (it
+  has no ``spectral`` flag) from projection, d and the primitive;
+  ``wedge_grid`` sums its grid planes itself.
+* ``gridio.write_csv`` is the one site that makes a ``csv.writer``.
+* The search defaults, 16 restarts and 300 iterations, are written in
+  ``scalability.SearchConfig`` alone; cli.py reads them from there.
 """
 
 import ast
@@ -541,11 +546,35 @@ def test_only_the_partition_builds_the_lattice():
     assert _owners("unique") == [("bands.py", "DyadicPartition")]
 
 
+def _top_def(module: str, name: str):
+    """The top-level definition ``name`` of the package module ``module``."""
+    tree = ast.parse((PACKAGE / module).read_text(), filename=module)
+    return next(top for top in tree.body if getattr(top, "name", None) == name)
+
+
 def test_one_operator_kernel():
     for gone in ("_apply_multiplier", "_synthesize"):
         assert _naming(gone) == []
     assert _owners("_field") == [("bands.py", "_collect"), ("bands.py", "band_fields")]
     assert _owners("_spectrum") == [("bands.py", "_spectra")]
+    assert _owners("_collect") == [
+        ("bands.py", "_radial_wedge"), ("bands.py", "exterior_derivative"), ("bands.py", "primitive"),
+    ]
+    params = _top_def("bands.py", "_collect").args
+    assert "spectral" not in [arg.arg for arg in params.args + params.kwonlyargs]
+
+
+def test_one_csv_writer():
+    assert _owners("writer") == [("gridio.py", "write_csv")]
+
+
+def test_search_defaults_live_in_search_config():
+    def literals(node) -> set:
+        return {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
+
+    cli = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
+    assert {16, 300} <= literals(_top_def("scalability.py", "SearchConfig"))
+    assert not {16, 300} & literals(cli)
 
 
 def test_fft_check_sees_every_transform(tmp_path):

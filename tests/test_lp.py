@@ -546,16 +546,16 @@ def test_band_stream_holds_one_half_spectrum():
 # tracemalloc peak / form bytes of each operator on a dense 3D N=64 1-form,
 # after one warm-up call: the measured ratio plus 0.01
 MEMORY_PINS = {
-    "project_band": 1.891,
-    "exterior_derivative": 2.746,
+    "project_band": 1.547,
+    "exterior_derivative": 2.407,
     "exterior_derivative_zeroed": 2.402,
     "closedness_zeroed": 2.402,
     "band_profile": 1.384,
     "primitive": 3.782,
     "spectral_support": 0.733,
-    "lp_battery": 4.746,
-    "wedge_grid": 2.344,
-    "bandlimited_noise_form": 2.891,
+    "lp_battery": 4.407,
+    "wedge_grid": 1.343,
+    "bandlimited_noise_form": 2.547,
 }
 
 
