@@ -21,6 +21,7 @@ subcube ratio are module constants.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -80,8 +81,8 @@ class SampledSphereMap:
 
     def __post_init__(self):
         N, values = self.resolution, np.array(self.values, dtype=np.float64)
-        if values.shape != (3, N, N):
-            raise ShapeError(f"sphere map values have shape {values.shape}, want {(3, N, N)}")
+        if not isinstance(N, numbers.Integral) or values.shape != (3, N, N):
+            raise ShapeError(f"sphere map values have shape {values.shape} at resolution {N!r}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         norms = np.sqrt((values**2).sum(axis=0))

@@ -71,7 +71,7 @@ def test_sphere_map_sample_validation():
         SampledSphereMap(block_count=1, resolution=16, values=nan, lipschitz=0.0)
     # samples off the resolution's grid, or not 3-vectors, fail at construction
     good = sphere_map(2, 64).values
-    for N, bad in ((64, good[:, :32]), (128, good), (16, np.ones((2, 16, 16)))):
+    for N, bad in ((64, good[:, :32]), (128, good), (16, np.ones((2, 16, 16))), (64.0, good)):
         with pytest.raises(ShapeError):
             SampledSphereMap(block_count=2, resolution=N, values=bad, lipschitz=0.0)
 
