@@ -95,9 +95,7 @@ def criterion_2(level: str = "full", seed: int = 0) -> CriterionResult:
     statuses = {}
     for k in (1, 2, 3, 4):
         pres = preset_presentations("Xk", k=k)
-        cfg = SearchConfig(
-            restarts=restarts if k == 4 else 16, max_iters=300, seed=seed
-        )
+        cfg = SearchConfig(restarts=restarts if k == 4 else SearchConfig.restarts, seed=seed)
         res = search_embedding(pres, [4], cfg)
         defects[k] = res.defect
         statuses[k] = check_middle_form(intersection_form(pres), 2, cfg).status

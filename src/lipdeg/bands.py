@@ -650,8 +650,6 @@ def wedge_grid(a: GridForm, b: GridForm) -> GridForm:
     if not a.same_grid(b):
         raise DimensionMismatch("grid forms live on different grids")
     d, p, q = a.spatial_dim, a.form_degree, b.form_degree
-    if p + q > d:
-        raise ShapeError(f"wedge degree {p} + {q} exceeds dimension {d}")
     out = zero_form(d, p + q, a.resolution, a.period)
     for o, i, j, s in zip(*wedge_nonzeros(d, p, q)):
         out.data[o] += s * a.data[i] * b.data[j]

@@ -130,9 +130,6 @@ def sphere_map(d: int, N: int) -> SampledSphereMap:
     uy = np.where(rho > 0, dy / safe, 0.0)
     s = np.sin(np.pi * r)
     values = np.stack([s * ux, s * uy, np.cos(np.pi * r)])
-    edge = np.concatenate([values[:, 0, :], values[:, :, 0]], axis=1)
-    if np.abs(edge - [[0.0], [0.0], [-1.0]]).max() > 1e-9:
-        raise GeometryError("subsquare edges must sit at the south pole")
     return SampledSphereMap(
         block_count=d,
         resolution=N,

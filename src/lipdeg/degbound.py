@@ -125,6 +125,21 @@ def _tail_mode(profile: BandProfile, tail: str, L: float) -> str:
 _MAX_SCALE = 2.0**256
 
 
+def _check_scale(L: float) -> None:
+    """Refuse L outside (1, 2^256), NaN included: the bound reads log2 L and L^4."""
+    if not 1 < L < _MAX_SCALE:
+        raise ParameterError("scale must exceed 1 and stay below 2^256")
+
+
+def _band_range(profiles: Sequence[BandProfile]) -> tuple:
+    """(lowest, highest) band over the profiles, each of which has a band."""
+    if not profiles:
+        raise EmptyData("no band profiles supplied")
+    if not all(p.bands for p in profiles):
+        raise EmptyData("a band profile has no bands")
+    return min(p.bands[0] for p in profiles), max(p.bands[-1] for p in profiles)
+
+
 def finalbound_terms(
     profiles: Sequence[BandProfile],
     L: float,
@@ -141,14 +156,10 @@ def finalbound_terms(
     "zero" ends the series there (grid-measured profiles cover every
     representable frequency), "auto" picks by profile kind.
     """
-    if not profiles:
-        raise EmptyData("no band profiles supplied")
+    lo, hi = _band_range(profiles)
     if tail not in ("auto", "hold", "zero"):
         raise ParameterError("tail must be auto, hold, or zero")
-    if not 1 < L < _MAX_SCALE:
-        raise ParameterError("scale must exceed 1 and stay below 2^256")
-    lo = min(p.bands[0] for p in profiles)
-    hi = max(p.bands[-1] for p in profiles)
+    _check_scale(L)
     if not lo - 1 <= cutoff <= hi:
         raise BandRangeError(
             f"cutoff {cutoff} outside band range [{lo - 1}, {hi}]"
@@ -157,20 +168,16 @@ def finalbound_terms(
     t_low = 2.0**cutoff * L**3
     t_cross = 0.0
     for prof in profiles:
-        mode = _tail_mode(prof, tail, L)
-        last_k, last_mass = None, 0.0
         for k in prof.bands:
-            mass = prof.l1.get(k, 0.0)
             if k > cutoff:
-                t_cross += 2.0 ** (cutoff - k) * L**2 * mass
-            last_k, last_mass = k, mass
-        if mode == "hold" and last_k is not None:
+                t_cross += 2.0 ** (cutoff - k) * L**2 * prof.l1.get(k, 0.0)
+        if _tail_mode(prof, tail, L) == "hold":
             # continue the series at the last mass: sum over k beyond
             # both the profile and the cutoff telescopes to one copy of
             # 2^(cutoff - max(cutoff, last_k)) * last_mass
-            t_cross += (
-                2.0 ** (cutoff - max(cutoff, last_k)) * L**2 * last_mass
-            )
+            last_k = prof.bands[-1]
+            last_mass = prof.l1.get(last_k, 0.0)
+            t_cross += 2.0 ** (cutoff - max(cutoff, last_k)) * L**2 * last_mass
     return (t_high, t_low, t_cross)
 
 
@@ -197,15 +204,13 @@ def averaged_bound(
     L^3.9 / log L with no log-power content, so scale sweeps fitting the
     log exponent should regress on averaged_cross.
     """
-    if not profiles:
-        raise EmptyData("no band profiles supplied")
+    lo, hi = _band_range(profiles)
     if not 0.0 <= window[0] < window[1] <= 1.0:
         raise ParameterError("window exponents must satisfy 0 <= a < b <= 1")
+    _check_scale(L)
     log2L = math.log2(L)
     w_lo = window[0] * log2L
     w_hi = window[1] * log2L
-    lo = min(p.bands[0] for p in profiles)
-    hi = max(p.bands[-1] for p in profiles)
     # fractional window occupancy: cutoff c owns [c - 1/2, c + 1/2]; its
     # weight is the overlap with the continuous window, so the effective
     # cutoff count varies smoothly in L instead of staircasing
@@ -296,8 +301,7 @@ def spectral_gap_profile(L: float, beta1: float, beta2: float) -> BandProfile:
     """Uniform masses, total L^2, with a gap: none between L^beta1 and L^beta2."""
     if not 0.0 < beta1 < beta2 < 1.0:
         raise ParameterError("need 0 < beta1 < beta2 < 1")
-    if not L < _MAX_SCALE:
-        raise ParameterError("scale must stay below 2^256")
+    _check_scale(L)
     top = int(round(math.log2(L)))
     lo = beta1 * math.log2(L)
     hi = beta2 * math.log2(L)

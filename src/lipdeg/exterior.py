@@ -13,9 +13,10 @@ Conventions used throughout the package:
 * Coefficients are exact (``fractions.Fraction``) or float.  The exact
   element arithmetic that tests check the float kernels against lives in
   ``tests/oracles.py``.
-* ``merge_sign`` defines the sign; ``wedge_table``/``wedge_nonzeros``
-  tabulate it per (n, p, q) as read-only arrays: the one sign table that
-  ``bands`` (projection, d, primitive, grid wedge) and ``scalability`` read.
+* ``merge_sign`` defines the sign; ``wedge_nonzeros`` tabulates its
+  nonzero entries per (n, p, q) as read-only arrays: the one sign table
+  that the pairing matrix, ``bands`` (projection, d, primitive, grid
+  wedge) and ``scalability`` read.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import sqrt
+from math import comb, sqrt
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -158,7 +159,9 @@ def wedge_pairing_matrix(n: int, p: int) -> np.ndarray:
         raise UnsupportedPairing(f"pairing needs 2p = n, got n={n}, p={p}")
     if p % 2 != 0:
         raise UnsupportedPairing(f"pairing needs even degree, got p={p}")
-    M = wedge_table(n, p, p)[1].astype(np.int64)
+    _, left, right, sign = wedge_nonzeros(n, p, p)
+    M = np.zeros((comb(n, p), comb(n, p)), dtype=np.int64)
+    M[left, right] = sign
     M.setflags(write=False)
     return M
 
@@ -256,28 +259,6 @@ def _index_positions(n: int, p: int) -> dict:
     return {I: k for k, I in enumerate(multi_indices(n, p))}
 
 
-@lru_cache(maxsize=None)
-def wedge_table(n: int, p: int, q: int):
-    """Structure constants of wedge: (target, sign) arrays, -1 for zero.
-
-    target[i, j] is the position of e_{I_i} ^ e_{J_j} in the (p+q)-basis,
-    sign[i, j] the Koszul sign; both arrays are cached and read-only.
-    """
-    bp, bq = multi_indices(n, p), multi_indices(n, q)
-    pos = _index_positions(n, p + q) if p + q <= n else {}
-    target = -np.ones((len(bp), len(bq)), dtype=np.int64)
-    sign = np.zeros((len(bp), len(bq)), dtype=np.int8)
-    for i, I in enumerate(bp):
-        for j, J in enumerate(bq):
-            s, K = merge_sign(I, J)
-            if s and K in pos:
-                target[i, j] = pos[K]
-                sign[i, j] = s
-    target.setflags(write=False)
-    sign.setflags(write=False)
-    return target, sign
-
-
 def from_dense(n: int, p: int, v: np.ndarray) -> ExteriorElement:
     basis = multi_indices(n, p)
     return ExteriorElement(n, {I: float(c) for I, c in zip(basis, v) if c != 0.0})
@@ -292,9 +273,15 @@ def wedge_nonzeros(n: int, p: int, q: int):
     (left, right).  For a fixed left index, and for a fixed right index,
     each target occurs at most once.
     """
-    target, sign = wedge_table(n, p, q)
-    left, right = np.nonzero(target >= 0)
-    out = (target[left, right], left, right, sign[left, right].astype(float))
+    pos = _index_positions(n, p + q)  # for p + q > n every pair overlaps
+    rows = []
+    for i, I in enumerate(multi_indices(n, p)):
+        for j, J in enumerate(multi_indices(n, q)):
+            s, K = merge_sign(I, J)
+            if s:
+                rows.append((pos[K], i, j, s))
+    cols = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+    out = (cols[0].copy(), cols[1].copy(), cols[2].copy(), cols[3].astype(float))
     for arr in out:
         arr.setflags(write=False)
     return out

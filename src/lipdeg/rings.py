@@ -157,15 +157,11 @@ def intersection_form(pres: RingPresentation) -> np.ndarray:
     gens = [g for g, _ in pres.generators]
     degs = pres.degrees
     n = pres.manifold_dim
-    if not gens:
-        raise EmptyData("presentation has no generators")
     mid = degs[gens[0]]
     if any(degs[g] != mid for g in gens) or 2 * mid != n:
         raise UnsupportedPresentation(
             "intersection form needs all generators in middle degree n/2"
         )
-    if len(pres.top_class) != 2:
-        raise UnsupportedPresentation("top class must be a length-2 word")
     pairs = [(i, j) for i in range(len(gens)) for j in range(i, len(gens))]
     pos = {p: k for k, p in enumerate(pairs)}
     gi = {g: i for i, g in enumerate(gens)}

@@ -488,8 +488,6 @@ def search_embedding(
     else is what forces injectivity), so per-summand search with the
     best defect kept is exact for duality-respecting presentations.
     """
-    if not pres.generators:
-        raise EmptyData("presentation has no generators")
     if not ambient:
         raise EmptyData("ambient list is empty")
     usable = [

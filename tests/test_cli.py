@@ -128,17 +128,19 @@ def test_missing_input_file_exits_one(capsys, tmp_path):
     assert json.loads(err)["error"] == "FileNotFoundError"
 
 
-# byte offsets of a NaN written into a GFRM file: the period follows the
-# magic and three u32 fields, the first sample follows the period
-NAN_AT = {"NAN_PERIOD_GFRM": 16, "NAN_SAMPLE_GFRM": 24}
+# byte offsets of a NaN written into a zero 2D GFRM file (None: no NaN):
+# the period follows the magic and three u32 fields, the first sample
+# follows the period
+NAN_AT = {"NAN_PERIOD_GFRM": 16, "NAN_SAMPLE_GFRM": 24, "ZERO_GFRM": None}
 
 
 def _nan_gfrm(tmp_path, offset):
     path = tmp_path / "nan.gfrm"
     write_gridform(path, zero_form(2, 0, 8))
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<d", raw, offset, float("nan"))
-    path.write_bytes(bytes(raw))
+    if offset is not None:
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, offset, float("nan"))
+        path.write_bytes(bytes(raw))
     return str(path)
 
 
@@ -165,6 +167,16 @@ def _nan_gfrm(tmp_path, offset):
         ["lp", "--degree", "-1"],
         ["lp", "--dim", "4", "--resolution", "256"],
         ["scalable", "--preset", "X3", "--ambient", "60"],
+        # 2^-2000 is 0.0: the scale check comes before any log
+        ["bound", "--sweep", "-2000", "-1999", "--gap", "0.3", "0.6"],
+        ["bound", "--sweep", "-2000", "-1999", "--gridform", "ZERO_GFRM"],
+        ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "0"],
+        ["scalable", "--preset", "Xk", "--k", "3", "--max-iters", "0"],
+        ["scalable", "--preset", "torus(0)"],
+        ["scalable", "--preset", "Xk", "--k", "0"],
+        ["scalable", "--preset", "CPn", "--n", "0"],
+        ["scalable", "--preset", "connected-sum(0,0)"],
+        ["bound", "--sweep", "255", "300", "--gap", "0.3", "0.6"],
     ],
 )
 def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
@@ -578,6 +590,22 @@ def test_bound_sweep_csv_and_fit(capsys, tmp_path):
 def test_bound_gap_profile(capsys):
     doc = run_json(capsys, "bound", "--scale", "1048576", "--gap", "0.3", "0.6")
     assert doc["report"]["final_bound"] <= (2.0**20) ** 3.8
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_lp_battery_on_the_smallest_grid(capsys, degree):
+    doc = run_json(capsys, "lp", "--dim", "2", "--degree", str(degree), "--resolution", "4")
+    assert doc["resolution"] == 4
+    assert doc["reconstruction_error"] < 1e-12
+    assert doc["commutator_error"] < 1e-12
+
+
+def test_lp_below_the_smallest_grid_is_a_resolution_error(capsys):
+    code, out, err = run_cli(capsys, "lp", "--dim", "2", "--resolution", "2")
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ResolutionError"
 
 
 def test_lp_battery_json(capsys):

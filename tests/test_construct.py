@@ -48,13 +48,15 @@ def test_sphere_map_unit_vectors_and_landmarks():
 
 
 def test_sphere_map_blocks_glue_at_south_pole():
-    f = sphere_map(2, 16)
-    # every node on an interior block edge maps to the south pole,
-    # so the d x d blocks (and the periodic wrap) glue continuously
+    # every node on a block edge maps to the south pole, so the d x d
+    # blocks (and the periodic wrap) glue continuously; sphere_map itself
+    # does not re-check this
     south = np.array([0.0, 0.0, -1.0]).reshape(3, 1)
-    assert np.allclose(f.values[:, 8, :], south, atol=1e-12)
-    assert np.allclose(f.values[:, :, 8], south, atol=1e-12)
-    assert np.allclose(f.values[:, 0, :], south, atol=1e-12)
+    for d, N in [(1, 256), (2, 256), (4, 256), (3, 12), (5, 20), (7, 28), (6, 36), (2, 16)]:
+        f = sphere_map(d, N)
+        for edge in range(0, N, N // d):
+            assert np.allclose(f.values[:, edge, :], south, atol=1e-12), (d, N, edge)
+            assert np.allclose(f.values[:, :, edge], south, atol=1e-12), (d, N, edge)
 
 
 def test_sphere_map_lipschitz_scales_linearly_in_blocks():

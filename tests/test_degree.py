@@ -260,6 +260,25 @@ def test_fit_polylog_exponent_recovers_planted():
         fit_polylog_exponent(samples[:1])
 
 
+@pytest.mark.parametrize("L", [0.0, -4.0, math.nan])
+def test_scale_outside_domain_is_refused_before_any_log(L):
+    prof = synthetic_profile({0: 1.0, 1: 1.0}, math.sqrt(2.0))
+    with pytest.raises(ParameterError):
+        averaged_bound([prof], L)
+    with pytest.raises(ParameterError):
+        finalbound_terms([prof], L, 0)
+    with pytest.raises(ParameterError):
+        spectral_gap_profile(L, 0.3, 0.6)
+
+
+def test_profile_without_bands_is_empty_data():
+    empty = synthetic_profile({}, 0.0)
+    with pytest.raises(EmptyData):
+        averaged_bound([empty], 2.0**10)
+    with pytest.raises(EmptyData):
+        finalbound_terms([empty], 2.0**10, 0)
+
+
 def test_profile_factories():
     L = 2.0**12
     uni = uniform_layer_profile(L)

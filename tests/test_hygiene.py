@@ -40,7 +40,10 @@
   ``wedge_grid`` sums its grid planes itself.
 * ``gridio.write_csv`` is the one site that makes a ``csv.writer``.
 * The search defaults, 16 restarts and 300 iterations, are written in
-  ``scalability.SearchConfig`` alone; cli.py reads them from there.
+  ``scalability.SearchConfig`` alone; cli.py and acceptance.py read them
+  from there.
+* ``exterior.wedge_nonzeros`` alone reads ``merge_sign``: it is the one
+  table of the Koszul sign, and no dense ``wedge_table`` is left.
 """
 
 import ast
@@ -564,6 +567,11 @@ def test_one_operator_kernel():
     assert "spectral" not in [arg.arg for arg in params.args + params.kwonlyargs]
 
 
+def test_one_sign_table():
+    assert _naming("wedge_table") == []
+    assert _owners("merge_sign") == [("exterior.py", "wedge_nonzeros")]
+
+
 def test_one_csv_writer():
     assert _owners("writer") == [("gridio.py", "write_csv")]
 
@@ -572,9 +580,9 @@ def test_search_defaults_live_in_search_config():
     def literals(node) -> set:
         return {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
 
-    cli = ast.parse((PACKAGE / "cli.py").read_text(), filename="cli.py")
     assert {16, 300} <= literals(_top_def("scalability.py", "SearchConfig"))
-    assert not {16, 300} & literals(cli)
+    for module in ("cli.py", "acceptance.py"):
+        assert not {16, 300} & literals(ast.parse((PACKAGE / module).read_text(), filename=module))
 
 
 def test_fft_check_sees_every_transform(tmp_path):

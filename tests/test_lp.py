@@ -48,7 +48,7 @@ from lipdeg.errors import (
     ResolutionError,
     ShapeError,
 )
-from lipdeg.exterior import multi_indices, wedge_nonzeros, wedge_pairing_matrix, wedge_table
+from lipdeg.exterior import multi_indices, wedge_nonzeros, wedge_pairing_matrix
 from lipdeg.rings import intersection_form, preset_presentations
 import oracles
 from oracles import (
@@ -963,8 +963,8 @@ def test_grid_calculus_uses_exterior_sign_convention(d, p, q):
     "cached",
     [
         lambda: wedge_pairing_matrix(4, 2),
-        lambda: wedge_table(4, 2, 1)[0],
-        lambda: wedge_table(4, 2, 1)[1],
+        lambda: wedge_nonzeros(4, 2, 1)[0],
+        lambda: wedge_nonzeros(4, 2, 1)[3],
         lambda: build_partition(3, 8, 1.0).axes[1],
         lambda: build_partition(3, 8, 1.0).classes[0],
         lambda: build_partition(3, 8, 1.0).classes[1],

@@ -16,10 +16,11 @@ from lipdeg.errors import (
     ParameterError,
     ShapeError,
 )
-from lipdeg.exterior import multi_indices
+from lipdeg.exterior import multi_indices, wedge_pairing_matrix
 from lipdeg.rings import Assignment, Relation, preset_presentations
 from lipdeg.scalability import (
     SearchConfig,
+    _pair_stats,
     _Workspace,
     check_middle_form,
     kge4_certificate,
@@ -406,6 +407,24 @@ def test_kge4_triple_counterexample():
     for k in (0, 4):
         with pytest.raises(ParameterError, match=f"k = {k}"):
             kge4_certificate(samples=10, seed=0, k=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pair_stats_against_exterior_wedges(k):
+    """lhs = max |b_i ^ b_i|, rhs = sum over ordered pairs i != j of
+    |b_i ^ b_i - b_j ^ b_j| + |b_i ^ b_j|, volume coefficients read off
+    the oracle's wedge."""
+    B = np.random.default_rng(k).uniform(-1.0, 1.0, size=(k, 6))
+    forms = [ExteriorElement(4, dict(zip(multi_indices(4, 2), row))) for row in B]
+    vol = [[wedge(a, b).coefficients.get((1, 2, 3, 4), 0.0) for b in forms] for a in forms]
+    rhs = sum(
+        abs(vol[i][i] - vol[j][j]) + abs(vol[i][j])
+        for i in range(k) for j in range(k) if i != j
+    )
+    lhs, got = _pair_stats(B, wedge_pairing_matrix(4, 2))
+    assert lhs == pytest.approx(max(abs(vol[i][i]) for i in range(k)), rel=1e-12)
+    assert got == pytest.approx(rhs, rel=1e-12)
+    assert got > 0.0
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
