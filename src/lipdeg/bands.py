@@ -13,13 +13,12 @@ degree-p form on the flat torus ``(R/T Z)^d``, sampled on an ``N^d`` grid
   plane reaches no consumer) and ``_field`` (irfftn, called by
   ``band_fields`` and the collector alone, which hand it a spectrum they
   give up and its output plane; an all-zero output spectrum is skipped);
-* each transform runs numpy's n-D transform as its 1-D passes, in numpy's
-  order, on the calling thread (forward: rfft on the last axis into a
-  fresh half-spectrum, then fft on axes d-2 down to 0 in place; inverse:
-  ifft on axes 0 up to d-2 in place on the spectrum, then irfft into the
-  output plane), so the bits are numpy's ``rfftn``/``irfftn``'s; the
-  passes are spelled out because ``irfftn`` allocates a fresh array for
-  each ifft pass;
+* both transforms run on the calling thread.  The forward one is numpy's
+  ``rfftn`` through ``out=`` into a fresh half-spectrum, where every fft
+  pass runs in place.  The inverse spells out ``irfftn``'s 1-D passes in
+  numpy's order (ifft on axes 0 up to d-2 in place on the spectrum, then
+  irfft into the output plane), because ``irfftn`` allocates a fresh
+  array for each ifft pass; so the bits are ``irfftn``'s;
 * the exterior derivative multiplies by ``(2 pi i / T) m ^ .``;
 * dyadic bands are cut by a radial partition of unity built from the
   ``exp(-1/t)`` mollifier: the low-pass profile ``chi(|xi| / 2^k)`` equals
@@ -213,10 +212,9 @@ def zero_form(d: int, p: int, N: int, T: float = 1.0) -> GridForm:
     return GridForm(d, p, N, T, np.zeros((comb(d, p),) + (N,) * d))
 
 
-def grid_axes(d: int, N: int, T: float = 1.0) -> list:
+def grid_axes(d: int, N: int, T: float = 1.0) -> tuple:
     """Node coordinates per axis (shape-(N,) arrays, broadcastable)."""
-    x = np.arange(N) * (T / N)
-    return [x.reshape((1,) * i + (N,) + (1,) * (d - 1 - i)) for i in range(d)]
+    return np.meshgrid(*[np.arange(N) * (T / N)] * d, indexing="ij", sparse=True)
 
 
 def grid_form(
@@ -275,15 +273,11 @@ class DyadicPartition:
     def axes(self) -> tuple:
         """xi = m / T along each half-lattice axis, broadcastable (read-only)."""
         d, N = self.spatial_dim, self.resolution
-        out = []
-        for i in range(d):
-            m = np.arange(N // 2 + 1) if i == d - 1 else np.fft.fftfreq(N) * N
-            shape = [1] * d
-            shape[i] = len(m)
-            x = (m / self.period).reshape(shape)
+        m = [np.fft.fftfreq(N, 1 / N)] * (d - 1) + [np.arange(N // 2 + 1)]
+        out = np.meshgrid(*(x / self.period for x in m), indexing="ij", sparse=True)
+        for x in out:
             x.setflags(write=False)
-            out.append(x)
-        return tuple(out)
+        return out
 
     @cached_property
     def classes(self) -> tuple:
@@ -380,12 +374,9 @@ def _spectra(a: GridForm):
 
 
 def _spectrum(c: np.ndarray) -> np.ndarray:
-    """``np.fft.rfftn(c)`` for one plane c of the N^d grid, pass by pass."""
-    d, N = c.ndim, c.shape[0]
-    x = np.fft.rfft(c, N, d - 1)
-    for axis in range(d - 2, -1, -1):
-        np.fft.fft(x, N, axis, out=x)
-    return x
+    """``np.fft.rfftn(c)`` for one plane c of the N^d grid, through ``out=``:
+    numpy's rfft pass fills one fresh half-spectrum, and every fft pass runs in place."""
+    return np.fft.rfftn(c, out=np.empty(c.shape[:-1] + (c.shape[-1] // 2 + 1,), complex))
 
 
 def _field(spec: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -215,17 +215,17 @@ def averaged_bound(
     # weight is the overlap with the continuous window, so the effective
     # cutoff count varies smoothly in L instead of staircasing
     weights = {}
-    for c in range(max(math.floor(w_lo), lo - 1), math.ceil(w_hi) + 1):
-        if not lo - 1 <= c <= hi:
-            continue
+    for c in range(max(math.floor(w_lo), lo - 1), min(math.ceil(w_hi), hi) + 1):
         w = min(c + 0.5, w_hi) - max(c - 0.5, w_lo)
         if w > 1e-12:
             weights[c] = w
     cutoffs = sorted(weights)
     if len(cutoffs) < 2:
+        # a window above the top band only moves further up as L grows
         raise WindowError(
             f"cutoff window [{w_lo:.2f}, {w_hi:.2f}] holds {len(cutoffs)} "
-            "dyadic cutoffs; need at least 2 (raise L)"
+            "dyadic cutoffs; need at least 2 "
+            + (f"(lower L: the top band is {hi})" if w_lo > hi else "(raise L)")
         )
     per = {}
     for c in cutoffs:

@@ -144,49 +144,63 @@ def _nan_gfrm(tmp_path, offset):
     return str(path)
 
 
+# (argv, the error class it fails with), with ids argv0, argv1, ...
+TYPED_ERRORS = [
+    (["scalable", "--preset", "Xk"], "ParameterError"),
+    (["scalable", "--preset", "CPn"], "ParameterError"),
+    (["scalable", "--preset", "torus"], "ParameterError"),
+    (["scalable", "--preset", "connected-sum", "--p", "2"], "ParameterError"),
+    (["bound", "--scale", "nan"], "ParameterError"),
+    (["bound", "--scale", "inf"], "ParameterError"),
+    (["plan", "--p", "2", "--levels", "2000", "--degree-count", "3"], "ParameterError"),
+    (["synth", "--period", "nan"], "ParameterError"),
+    (["synth", "--mass", "inf"], "ParameterError"),
+    (["profile", "--input", "NAN_PERIOD_GFRM"], "ParameterError"),
+    (["profile", "--input", "NAN_SAMPLE_GFRM"], "ShapeError"),
+    (["bound", "--sweep", "200", "260", "--uniform"], "ParameterError"),
+    (["synth", "--mass", "1e308", "--levels", "3"], "ParameterError"),
+    (["synth", "--levels", "1024"], "ParameterError"),
+    (["synth", "--levels", "1100", "--resolution", "32"], "ParameterError"),
+    (["synth", "--levels", "1000", "--period", "1e-10"], "ParameterError"),
+    (["lp", "--dim", "-1"], "DimensionMismatch"),
+    (["lp", "--degree", "-1"], "ShapeError"),
+    (["lp", "--dim", "4", "--resolution", "256"], "ResolutionError"),
+    (["scalable", "--preset", "X3", "--ambient", "60"], "ParameterError"),
+    # 2^-2000 is 0.0: the scale check comes before any log
+    (["bound", "--sweep", "-2000", "-1999", "--gap", "0.3", "0.6"], "ParameterError"),
+    (["bound", "--sweep", "-2000", "-1999", "--gridform", "ZERO_GFRM"], "ParameterError"),
+    (["scalable", "--preset", "Xk", "--k", "3", "--restarts", "0"], "ParameterError"),
+    (["scalable", "--preset", "Xk", "--k", "3", "--max-iters", "0"], "ParameterError"),
+    (["scalable", "--preset", "torus(0)"], "ParameterError"),
+    (["scalable", "--preset", "Xk", "--k", "0"], "ParameterError"),
+    (["scalable", "--preset", "CPn", "--n", "0"], "ParameterError"),
+    (["scalable", "--preset", "connected-sum(0,0)"], "EmptyData"),
+    (["bound", "--sweep", "255", "300", "--gap", "0.3", "0.6"], "ParameterError"),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["scalable", "--preset", "Xk"],
-        ["scalable", "--preset", "CPn"],
-        ["scalable", "--preset", "torus"],
-        ["scalable", "--preset", "connected-sum", "--p", "2"],
-        ["bound", "--scale", "nan"],
-        ["bound", "--scale", "inf"],
-        ["plan", "--p", "2", "--levels", "2000", "--degree-count", "3"],
-        ["synth", "--period", "nan"],
-        ["synth", "--mass", "inf"],
-        ["profile", "--input", "NAN_PERIOD_GFRM"],
-        ["profile", "--input", "NAN_SAMPLE_GFRM"],
-        ["bound", "--sweep", "200", "260", "--uniform"],
-        ["synth", "--mass", "1e308", "--levels", "3"],
-        ["synth", "--levels", "1024"],
-        ["synth", "--levels", "1100", "--resolution", "32"],
-        ["synth", "--levels", "1000", "--period", "1e-10"],
-        ["lp", "--dim", "-1"],
-        ["lp", "--degree", "-1"],
-        ["lp", "--dim", "4", "--resolution", "256"],
-        ["scalable", "--preset", "X3", "--ambient", "60"],
-        # 2^-2000 is 0.0: the scale check comes before any log
-        ["bound", "--sweep", "-2000", "-1999", "--gap", "0.3", "0.6"],
-        ["bound", "--sweep", "-2000", "-1999", "--gridform", "ZERO_GFRM"],
-        ["scalable", "--preset", "Xk", "--k", "3", "--restarts", "0"],
-        ["scalable", "--preset", "Xk", "--k", "3", "--max-iters", "0"],
-        ["scalable", "--preset", "torus(0)"],
-        ["scalable", "--preset", "Xk", "--k", "0"],
-        ["scalable", "--preset", "CPn", "--n", "0"],
-        ["scalable", "--preset", "connected-sum(0,0)"],
-        ["bound", "--sweep", "255", "300", "--gap", "0.3", "0.6"],
-    ],
+    "argv,error", TYPED_ERRORS, ids=[f"argv{i}" for i in range(len(TYPED_ERRORS))]
 )
-def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv):
+def test_bad_parameters_fail_as_typed_errors(capsys, tmp_path, argv, error):
     argv = [_nan_gfrm(tmp_path, NAN_AT[a]) if a in NAN_AT else a for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"] in errors.__all__
+    assert json.loads(lines[0])["error"] == error
+
+
+def test_window_above_the_top_band_advises_lowering_l(capsys, tmp_path):
+    """A cutoff window above the profile's top band (3 on the 8^2 grid)
+    moves further up as L grows, so the refusal advises lowering L."""
+    argv = ["bound", "--sweep", "250", "251", "--gridform", _nan_gfrm(tmp_path, None)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert json.loads(line)["error"] == "WindowError"
+    assert "lower L: the top band is 3" in json.loads(line)["message"]
 
 
 def _gfrm_bytes(magic, d, p, N, T, samples) -> bytes:

@@ -232,6 +232,16 @@ def test_averaged_bound_window_error():
         averaged_bound([uniform_layer_profile(2.0**10)], 2.0**10, window=(0.9, 0.1))
 
 
+def test_window_error_points_the_way_that_helps():
+    """Below a profile's bands a larger L stretches the cutoff window into
+    them; above its top band a larger L only moves the window further up."""
+    high = synthetic_profile({k: 1.0 for k in range(10, 21)}, 1.0)
+    with pytest.raises(WindowError, match=r"\(raise L\)"):
+        averaged_bound([high], 2.0**10)
+    with pytest.raises(WindowError, match="lower L: the top band is 20"):
+        averaged_bound([high], 2.0**250)
+
+
 def test_averaged_bound_custom_window():
     L = 2.0**14
     rep = averaged_bound([uniform_layer_profile(L)], L, window=(0.2, 0.8))

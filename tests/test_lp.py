@@ -85,6 +85,30 @@ def test_grid_form_validation():
         GridForm(2, 1, 16, 1.0, np.zeros((3, 16, 16)))
 
 
+@pytest.mark.parametrize(
+    "d,N,T,ok",
+    [
+        (2, 4, 2.0**-509, True),
+        (2, 4, 2.0**-510, False),
+        (1, 2**600, 2.0**1021, True),
+        (1, 2**600, 2.0**1022, False),
+    ],
+    ids=["cell-at", "cell-below", "band-at", "band-below"],
+)
+def test_partition_scales_at_the_smallest_normal(d, N, T, ok):
+    """A grid whose smallest scale is 2^-1022, the smallest normal float64,
+    is accepted, and one whose smallest scale is below it is refused.  On
+    the 4^2 grid that scale is the cell volume (T / N)^2; on a 2^600-point
+    line, which no form may hold but the partition reads, it is 2^(k_min - 1)
+    one band below the lowest."""
+    if ok:
+        part = build_partition(d, N, T)
+        assert min((T / N) ** d, 2.0 ** (part.k_min - 1)) == 2.0**-1022
+    else:
+        with pytest.raises(ParameterError):
+            build_partition(d, N, T)
+
+
 def test_lp_norm_exact_values():
     N = 64
     f = grid_form(2, 0, N, components={(): lambda x, y: 2.0 + 0.0 * x})
