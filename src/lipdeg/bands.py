@@ -236,10 +236,10 @@ def grid_form(
 
 def _smooth_step(t: np.ndarray) -> np.ndarray:
     """C-infinity step from exp(-1/t): 0 at t<=0 rising to 1 at t>=1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    # exp(-1 / 1e-300) is exactly +0.0: a is 0 at t <= 0 and b is 0 at t >= 1
+    # (infinities included) while the other stays positive, so never 0 / 0
+    a = np.exp(-1.0 / np.maximum(t, 1e-300))
+    b = np.exp(-1.0 / np.maximum(1.0 - t, 1e-300))
     return a / (a + b)
 
 

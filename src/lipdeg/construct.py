@@ -119,17 +119,17 @@ def sphere_map(d: int, N: int) -> SampledSphereMap:
         raise ResolutionError(f"resolution {N} not divisible by block count {d}")
     xs = np.arange(N) / N
     X, Y = np.meshgrid(xs, xs, indexing="ij")
-    bx = np.minimum((X * d).astype(int), d - 1)
-    by = np.minimum((Y * d).astype(int), d - 1)
+    # X, Y <= (N - 1) / N, so every block index stays below d
+    bx = (X * d).astype(int)
+    by = (Y * d).astype(int)
     dx = X - (bx + 0.5) / d
     dy = Y - (by + 0.5) / d
     rho = np.sqrt(dx**2 + dy**2)
     r = np.minimum(2.0 * d * rho, 1.0)
+    # at a block center dx = dy = 0 and s = 0, so the floor only avoids 0 / 0
     safe = np.maximum(rho, 1e-300)
-    ux = np.where(rho > 0, dx / safe, 1.0)
-    uy = np.where(rho > 0, dy / safe, 0.0)
     s = np.sin(np.pi * r)
-    values = np.stack([s * ux, s * uy, np.cos(np.pi * r)])
+    values = np.stack([s * (dx / safe), s * (dy / safe), np.cos(np.pi * r)])
     return SampledSphereMap(
         block_count=d,
         resolution=N,
@@ -430,20 +430,19 @@ def layered_profile(
             layer_frequencies=tuple(freqs),
         )
     _check_resolution(N)
-    if freqs[-1] / T >= (N / 2) / T:
+    if freqs[-1] >= N / 2:
         raise ResolutionError(
             f"top layer frequency {freqs[-1]} reaches Nyquist {N // 2}"
         )
     rng = np.random.default_rng(seed)
     total = grid_form(4, 2, N, T)
-    comp_index = {I: c for c, I in enumerate(total.indices)}
     axes = grid_axes(4, N, T)
     for idx, f in enumerate(freqs):
         i, j = _PAIR_CYCLE[idx % len(_PAIR_CYCLE)]
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         wave = np.cos(2.0 * np.pi * f * axes[i - 1] / T + phase)
         norm = float(np.abs(wave).sum()) * N ** 3 * total.cell
-        total.data[comp_index[(i, j)]] += (per_layer / norm) * wave
+        total.component((i, j))[...] += (per_layer / norm) * wave
     profile = band_profile(total)
     return LayeredEnsemble(
         profile=profile,

@@ -221,11 +221,12 @@ def averaged_bound(
             weights[c] = w
     cutoffs = sorted(weights)
     if len(cutoffs) < 2:
-        # a window above the top band only moves further up as L grows
+        # once the window reaches the top band's cutoff, a larger L only
+        # drops cutoffs from its bottom
         raise WindowError(
             f"cutoff window [{w_lo:.2f}, {w_hi:.2f}] holds {len(cutoffs)} "
             "dyadic cutoffs; need at least 2 "
-            + (f"(lower L: the top band is {hi})" if w_lo > hi else "(raise L)")
+            + (f"(lower L: the top band is {hi})" if w_hi > hi - 0.5 else "(raise L)")
         )
     per = {}
     for c in cutoffs:
@@ -257,6 +258,8 @@ def averaged_bound(
                 * math.sqrt(sum(v**2 for v in active))
             )
     averaged = avg_highlow + cs_cross / W
+    if averaged == math.inf:  # L^2 times the masses' L2 aggregate, before the / W
+        raise ParameterError(f"averaged bound at L = {L!r} overflows float64")
     if not averaged >= final * (1.0 - 1e-12):
         raise ParameterError(
             f"averaged bound {averaged!r} fell below the minimum {final!r}; "

@@ -210,9 +210,6 @@ def signature_exact(M) -> SignatureTriple:
                 f = A[i][r] / piv
                 for k in range(r, m):
                     A[i][k] -= f * A[r][k]
-        for i in range(r + 1, m):
-            A[r][i] = Fraction(0)
-            A[i][r] = Fraction(0)
     return SignatureTriple(pos, neg, zero)
 
 

@@ -272,27 +272,19 @@ def lipschitz_lower_exponent(action: CohomologyAction, tol: float = 1e-9) -> Exp
             m = abs(lam)
             if m > tol:
                 entries.append((k, m))
-                if 0 < n - k <= n:
+                if k < n:
                     entries.append((n - k, d / m))
     if not entries:
         raise EmptyData("no nonzero eigenvalues found")
-    witnesses = []
-    best = None
-    for k, m in entries:
-        e = n * np.log(m) / (k * logd)
-        witnesses.append((k, m, e))
-        if best is None or e > best[2]:
-            best = (k, m, e)
-    rho = float(best[2])
+    witnesses = [(k, m, n * np.log(m) / (k * logd)) for k, m in entries]
+    rho = float(max(e for _, _, e in witnesses))
     if rho < 1.0 - 1e-12:
         raise ParameterError(
             f"duality-completed exponent {rho} < 1; eigenvalue data inconsistent"
         )
     rho_rat = _snap(rho, tol)
     deg_exp = n / rho
-    deg_rat = None
-    if rho_rat is not None and rho_rat != 0:
-        deg_rat = Fraction(n, 1) / rho_rat
+    deg_rat = None if rho_rat is None else Fraction(n, 1) / rho_rat
     witnesses.sort(key=lambda w: (-w[2], w[0]))
     return ExponentReport(
         rho=rho,

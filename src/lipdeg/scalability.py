@@ -473,7 +473,15 @@ def _search_single(pres: RingPresentation, m: int, cfg: SearchConfig):
         raise DegenerateForm("every restart produced a vanishing top class")
     defect, ridx, x = best
     forms = {g: from_dense(m, ws.deg[g], x[cols]) for g, cols in ws.cols.items()}
-    return defect, ridx, Assignment(ambient_dim=m, forms=forms), tuple(defects)
+    return EmbeddingSearch(
+        assignment=Assignment(ambient_dim=m, forms=forms),
+        defect=defect,
+        restart_defects=tuple(defects),
+        best_restart=ridx,
+        summand_dim=m,
+        converged=defect < cfg.tolerance,
+        seed=cfg.seed,
+    )
 
 
 def search_embedding(
@@ -499,20 +507,8 @@ def search_embedding(
         raise DimensionMismatch(
             f"no ambient summand can carry a degree-{pres.manifold_dim} top class"
         )
-    best = None
-    for m in usable:
-        defect, ridx, assignment, defects = _search_single(pres, m, cfg)
-        if best is None or defect < best.defect:
-            best = EmbeddingSearch(
-                assignment=assignment,
-                defect=defect,
-                restart_defects=defects,
-                best_restart=ridx,
-                summand_dim=m,
-                converged=defect < cfg.tolerance,
-                seed=cfg.seed,
-            )
-    return best
+    # min keeps the first of equal defects
+    return min((_search_single(pres, m, cfg) for m in usable), key=lambda s: s.defect)
 
 
 # -- four-tuple wedge inequality ----------------------------------------------

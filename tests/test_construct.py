@@ -47,6 +47,17 @@ def test_sphere_map_unit_vectors_and_landmarks():
     assert np.allclose(f.values[:, 2, 4], [-1.0, 0.0, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("d, N", [(1, 256), (2, 16), (4, 256)])
+def test_sphere_map_block_centers_are_exactly_the_north_pole(d, N):
+    """At a block center dx = dy = 0 and sin(0) = +0.0, so the radial unit
+    vector's floor leaves exactly (+0.0, +0.0, 1.0)."""
+    centers = np.arange(N // (2 * d), N, N // d)
+    v = sphere_map(d, N).values[:, centers][:, :, centers]
+    assert v.shape == (3, d, d)
+    assert (v == np.array([0.0, 0.0, 1.0])[:, None, None]).all()
+    assert not np.signbit(v).any()
+
+
 def test_sphere_map_blocks_glue_at_south_pole():
     # every node on a block edge maps to the south pole, so the d x d
     # blocks (and the periodic wrap) glue continuously; sphere_map itself

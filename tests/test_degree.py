@@ -240,6 +240,20 @@ def test_window_error_points_the_way_that_helps():
         averaged_bound([high], 2.0**10)
     with pytest.raises(WindowError, match="lower L: the top band is 20"):
         averaged_bound([high], 2.0**250)
+    # the window reaches past the top band and holds cutoff 20 alone; a
+    # larger L drops it, while L = 2^190 adds cutoff 19
+    with pytest.raises(WindowError, match="lower L: the top band is 20"):
+        averaged_bound([high], 2.0**196)
+
+
+def test_averaged_bound_overflow_is_a_parameter_error():
+    """L^2 times the band masses' L2 aggregate leaves float64 at 2^255, inside
+    the scale domain; the bound refuses it rather than return inf."""
+    L = 2.0**254
+    assert math.isfinite(averaged_bound([uniform_layer_profile(L)], L).averaged)
+    L = 2.0**255
+    with pytest.raises(ParameterError, match="overflows float64"):
+        averaged_bound([uniform_layer_profile(L)], L)
 
 
 def test_averaged_bound_custom_window():

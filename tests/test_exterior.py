@@ -172,6 +172,25 @@ def test_signature_small_examples():
         signature(np.ones((2, 3)))
 
 
+@pytest.mark.parametrize(
+    "M",
+    [
+        [[0, 1, 0], [1, 0, 0], [0, 0, 0]],  # off-diagonal pivot, then a zero row
+        [[0, 1, 1], [1, 0, 0], [1, 0, 0]],  # zero diagonal, null direction (0, 1, -1)
+        [[0, 0, 1], [0, 0, 0], [1, 0, 0]],  # off-diagonal pivot past a zero row
+        [[0, 1, 1], [1, 1, 1], [1, 1, 1]],  # diagonal swap, null direction (0, 1, -1)
+        [[0, Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)],
+         [Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)]],
+    ],
+    ids=["off-diagonal", "zero-diagonal", "off-diagonal-late", "swap", "swap-fraction"],
+)
+def test_signature_exact_on_singular_matrices(M):
+    """Elimination leaves exact zeros below each pivot, and no later step
+    reads a pivot's row, through either route a zero diagonal takes."""
+    assert signature_exact(M) == SignatureTriple(1, 1, 1)
+    assert signature(np.array(M, dtype=float)) == SignatureTriple(1, 1, 1)
+
+
 @settings(max_examples=30, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_signature_float_matches_exact(seed):

@@ -44,6 +44,10 @@
   from there.
 * ``exterior.wedge_nonzeros`` alone reads ``merge_sign``: it is the one
   table of the Koszul sign, and no dense ``wedge_table`` is left.
+* ``scalability._search_single`` is the one site that reads
+  ``EmbeddingSearch`` (``search_embedding``'s return annotation aside, which
+  no module evaluates): it builds each summand's result, and
+  ``search_embedding`` keeps the best as is.
 """
 
 import ast
@@ -83,7 +87,6 @@ UNEXECUTED = {
     "cli._cmd_verify": (5, _VERIFY),
     "cli": (1, "the `python -m lipdeg.cli` entry point"),
     "bands.lp_norm": (1, "the L1 norm, which tests check band masses against"),
-    "bands.GridForm.component": (1, "accessor that tests read"),
     "bands.grid_form": (5, "components: tests build their fixtures with it"),
     "bands.GridForm.__post_init__": (1, "non-float64 data: " + _GUARD),
     "bands.spectral_support": (1, "zero form: " + _GUARD),
@@ -569,6 +572,16 @@ def test_one_operator_kernel():
 def test_one_sign_table():
     assert _naming("wedge_table") == []
     assert _owners("merge_sign") == [("exterior.py", "wedge_nonzeros")]
+
+
+def test_one_search_result_builder():
+    """search_embedding names EmbeddingSearch once, in its return annotation,
+    which no module evaluates (each postpones annotations)."""
+    assert _owners("EmbeddingSearch") == [
+        ("scalability.py", "_search_single"), ("scalability.py", "search_embedding"),
+    ]
+    returns = _top_def("scalability.py", "search_embedding").returns
+    assert isinstance(returns, ast.Name) and returns.id == "EmbeddingSearch"
 
 
 def test_one_csv_writer():

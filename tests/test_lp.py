@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from lipdeg.bands import (
     GridForm,
     _chi,
     _closedness_residual,
+    _smooth_step,
     band_decompose,
     band_fields,
     band_profile,
@@ -214,6 +216,19 @@ def test_class_windows_equal_lattice_windows(d, T):
             want = low if k == part.k_min else low - _chi(r / 2.0 ** (k - 1))
             assert np.array_equal(part.band_multiplier(k), want)
             assert np.array_equal(windows[k][inv], want)
+
+
+def test_smooth_step_is_exact_at_and_past_its_ends():
+    """The 1e-300 floor alone makes exp(-1/t) exactly +0.0 at and past either
+    end, so the step is exactly 0 at t <= 0 and exactly 1 at t >= 1,
+    infinities included, with no floating-point warning."""
+    low = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324])
+    high = np.array([1.0, 1.0 + 2.0**-52, 2.0, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_low, at_high = _smooth_step(low), _smooth_step(high)
+    assert np.array_equal(at_low, np.zeros(5)) and not np.signbit(at_low).any()
+    assert np.array_equal(at_high, np.ones(4))
 
 
 def test_lowpass_idempotence_is_exact():
